@@ -548,25 +548,14 @@ let with_jobs jobs f =
   Psm_par.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) f
 
-let run_evaluate ~eval_length () =
-  section "Evaluate: sparse kernels and the parallel analyzer vs their baselines";
+let run_evaluate () =
+  section "Evaluate: the parallel analyzer vs its one-job baseline";
   evaluate_metrics := [];
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Kernel A/B timings are tens of milliseconds — take the best of
-     three so the gates below compare kernels, not GC luck. *)
-  let time3 f =
-    let r, d1 = time f in
-    let _, d2 = time f in
-    let _, d3 = time f in
-    (r, Float.min d1 (Float.min d2 d3))
-  in
-  let module Filtering = Psm_hmm.Filtering in
-  let module Offline = Psm_hmm.Offline in
-  let module Multi_sim = Psm_hmm.Multi_sim in
   let camellia_analyze = ref infinity in
   let rows =
     List.map
@@ -579,54 +568,6 @@ let run_evaluate ~eval_length () =
         let trained = Flow.train_on_ip ip suite in
         let hmm = trained.Flow.hmm in
         let table = trained.Flow.table in
-        let long = Workloads.long_for ~length:eval_length name in
-        let trace, _reference = Psm_ips.Capture.run ip long in
-        let obs =
-          Array.init (Psm_trace.Functional_trace.length trace) (fun time ->
-              Table.classify table (Psm_trace.Functional_trace.sample trace ~time))
-        in
-        (* Forward filtering: dense reference vs the CSR scatter kernel.
-           Both paths are bit-identical, so the equality check is exact. *)
-        let dense_f = Filtering.create ~kernel:`Dense hmm in
-        let sparse_f = Filtering.create ~kernel:`Sparse hmm in
-        let ll_dense, fwd_dense_s =
-          time3 (fun () -> Filtering.log_likelihood dense_f obs)
-        in
-        let ll_sparse, fwd_sparse_s =
-          time3 (fun () -> Filtering.log_likelihood sparse_f obs)
-        in
-        if ll_dense <> ll_sparse then begin
-          Printf.eprintf "FAIL: %s sparse forward log-lik %.17g <> dense %.17g\n" name
-            ll_sparse ll_dense;
-          exit 1
-        end;
-        (* Viterbi: dense two-loop max vs CSC incoming-edge scan, plus
-           what the cost model actually picks — the gate below compares
-           [`Auto] against dense. *)
-        let path_dense, vit_dense_s =
-          time3 (fun () -> Offline.viterbi ~kernel:`Dense hmm obs)
-        in
-        let path_sparse, vit_sparse_s =
-          time3 (fun () -> Offline.viterbi ~kernel:`Sparse hmm obs)
-        in
-        let path_auto, vit_auto_s = time3 (fun () -> Offline.viterbi hmm obs) in
-        if path_dense <> path_sparse || path_dense <> path_auto then begin
-          Printf.eprintf "FAIL: %s sparse/auto viterbi path diverges from dense\n" name;
-          exit 1
-        end;
-        (* Multi-sim: indexed successor tables vs the reference stepper. *)
-        let r_ref, sim_ref_s =
-          time3 (fun () -> Multi_sim.simulate ~reference:true hmm trace)
-        in
-        let r_idx, sim_idx_s =
-          time3 (fun () -> Multi_sim.simulate ~reference:false hmm trace)
-        in
-        if r_ref.Multi_sim.estimate <> r_idx.Multi_sim.estimate
-           || r_ref.Multi_sim.wrong_instants <> r_idx.Multi_sim.wrong_instants
-        then begin
-          Printf.eprintf "FAIL: %s indexed multi-sim diverges from reference\n" name;
-          exit 1
-        end;
         (* Full-context analyzer: the Psm_par fan-out vs a one-job pool.
            The reports must be byte-identical. *)
         let gammas =
@@ -649,36 +590,21 @@ let run_evaluate ~eval_length () =
         if name = "Camellia" then camellia_analyze := analyze_s;
         evaluate_metrics :=
           !evaluate_metrics
-          @ [ (name ^ "_forward_dense_seconds", fwd_dense_s);
-              (name ^ "_forward_sparse_seconds", fwd_sparse_s);
-              (name ^ "_viterbi_dense_seconds", vit_dense_s);
-              (name ^ "_viterbi_sparse_seconds", vit_sparse_s);
-              (name ^ "_viterbi_auto_seconds", vit_auto_s);
-              (name ^ "_multisim_reference_seconds", sim_ref_s);
-              (name ^ "_multisim_indexed_seconds", sim_idx_s);
-              (name ^ "_lint_jobs1_seconds", lint_seq_s);
+          @ [ (name ^ "_lint_jobs1_seconds", lint_seq_s);
               (name ^ "_lint_parallel_seconds", lint_par_s);
               (name ^ "_train_analyze_seconds", analyze_s) ];
         let ratio num den = if den > 0. then num /. den else 0. in
         [ name;
-          Printf.sprintf "%.2fx" (ratio fwd_dense_s fwd_sparse_s);
-          Printf.sprintf "%.2fx" (ratio vit_dense_s vit_sparse_s);
-          Printf.sprintf "%.2fx" (ratio sim_ref_s sim_idx_s);
           Printf.sprintf "%.2fx" (ratio lint_seq_s lint_par_s);
           Printf.sprintf "%.3f" analyze_s ])
       [ ("RAM", Psm_ips.Ram.create); ("MultSum", Psm_ips.Multsum.create);
         ("AES", Psm_ips.Aes.create); ("Camellia", Psm_ips.Camellia.create) ]
   in
   print_string
-    (Report.render_table
-       ~header:
-         [ "IP"; "fwd dense/sparse"; "vit dense/sparse"; "sim ref/idx";
-           "lint 1j/par"; "train lint s" ]
-       rows);
+    (Report.render_table ~header:[ "IP"; "lint 1j/par"; "train lint s" ] rows);
   print_endline
-    "(Every ratio compares the retired reference path against the kernel\n\
-    \ that replaced it, on identical inputs with identical outputs -- the\n\
-    \ equality checks above are exact, not approximate.)";
+    "(The parallel and one-job analyzer reports are checked byte-identical\n\
+    \ above, so the ratio compares schedules, not results.)";
   (* The acceptance gate: Camellia's train-time analyze span must beat the
      PR 4 measurement by the required factor. *)
   let budget = bench4_camellia_analyze_s /. required_analyze_speedup in
@@ -1143,14 +1069,15 @@ module Serve_engine = Psm_serve.Engine
 
 (* Thousands of in-process estimation sessions against the serve engine:
    the batched scheduler (sharded sparse sweeps per model x mode group
-   per tick) against the per-session reference loop on identical inputs.
-   Two phases. The timed phase runs 1024 filter sessions over a stress
-   model trained from a synthetic power-mode VCD — wide enough (100+ HMM
-   states) that the forward kernel, not session bookkeeping, is what the
-   clock sees; observations are pre-queued so the measured region is
-   exactly ticks. The identity phase replays real IP models in both modes
-   and demands bit-identical output three ways — batched, loop, and
-   offline single-trace inference. *)
+   per tick) against a per-session loop of {!Filtering.Stream.step} on
+   identical inputs. Two phases. The timed phase runs 1024 filter
+   sessions over a stress model trained from a synthetic power-mode VCD —
+   wide enough (100+ HMM states) that the forward kernel, not session
+   bookkeeping, is what the clock sees; observations are pre-queued so
+   the measured region is exactly ticks. The identity phase replays real
+   IP models in both modes and demands bit-identical output three ways —
+   batched, loop (filter sessions), and offline single-trace
+   inference. *)
 let run_serve () =
   section "Serve: concurrent sessions, batched sparse sweeps";
   let sid s = Printf.sprintf "s%04d" s in
@@ -1187,6 +1114,29 @@ let run_serve () =
           (fun o ->
             Psm_hmm.Multi_sim.Stepper.step_classified stepper ~hamming:0. o)
           obs
+  in
+  (* The per-session reference loop: every session steps its own belief
+     one observation at a time, cycle-major like the engine's ticks.
+     Returns per-session results and the wall-clock seconds. *)
+  let step_loop (model : Psm_flow.Persist.model) plans =
+    let hmm = model.Psm_flow.Persist.hmm in
+    let filt = Psm_hmm.Filtering.create hmm in
+    let n = Array.length plans in
+    let cycles = Array.length plans.(0) in
+    let states = Array.init n (fun _ -> Psm_hmm.Filtering.Stream.make filt) in
+    let results = Array.init n (fun _ -> Array.make cycles (0., 0)) in
+    let t0 = Unix.gettimeofday () in
+    for t = 0 to cycles - 1 do
+      for s = 0 to n - 1 do
+        let st = states.(s) in
+        Psm_hmm.Filtering.Stream.step filt st plans.(s).(t);
+        results.(s).(t) <-
+          ( Psm_hmm.Filtering.Stream.power filt st ~hamming:0.,
+            Psm_hmm.Hmm.state_of_row hmm
+              (Psm_hmm.Filtering.Stream.map_state filt st) )
+      done
+    done;
+    (results, Unix.gettimeofday () -. t0)
   in
   let check_pair ~what s t (pa, sa) (pb, sb) =
     if sa <> sb || Float.compare pa pb <> 0 then begin
@@ -1243,10 +1193,8 @@ let run_serve () =
     Array.init n_stress (fun _ ->
         mk_plan ~rng ~nprops:stress_nprops ~cycles:stress_cycles)
   in
-  let drive_stress ~batch ~ticks =
-    let engine =
-      Serve_engine.create ~idle_timeout:0. ~batch [ ("STRESS", stress) ]
-    in
+  let drive_stress ~ticks =
+    let engine = Serve_engine.create ~idle_timeout:0. [ ("STRESS", stress) ] in
     Array.iteri
       (fun s _ ->
         match
@@ -1306,11 +1254,11 @@ let run_serve () =
   let tick_lat = Array.make stress_cycles 0. in
   (* Best of two runs per scheduler: one-shot wall times at this scale
      carry enough scheduler noise to wobble the gate either way. *)
-  let _, batch_s0 = drive_stress ~batch:true ~ticks:None in
-  let batched, batch_s1 = drive_stress ~batch:true ~ticks:(Some tick_lat) in
+  let _, batch_s0 = drive_stress ~ticks:None in
+  let batched, batch_s1 = drive_stress ~ticks:(Some tick_lat) in
   let batch_s = Float.min batch_s0 batch_s1 in
-  let _, loop_s0 = drive_stress ~batch:false ~ticks:None in
-  let looped, loop_s1 = drive_stress ~batch:false ~ticks:None in
+  let _, loop_s0 = step_loop stress stress_plan in
+  let looped, loop_s1 = step_loop stress stress_plan in
   let loop_s = Float.min loop_s0 loop_s1 in
   (* Bit-identity 1: the batched sweep against the per-session loop,
      every session, every cycle. *)
@@ -1351,8 +1299,8 @@ let run_serve () =
         let mode = if s < n_id_filter then `Filter else `Sim in
         (name, mode, mk_plan ~rng ~nprops ~cycles:id_cycles))
   in
-  let drive_id ~batch =
-    let engine = Serve_engine.create ~idle_timeout:0. ~batch models in
+  let drive_id () =
+    let engine = Serve_engine.create ~idle_timeout:0. models in
     Array.iteri
       (fun s (model, mode, _) ->
         match Serve_engine.open_session engine ~id:(sid s) ~model ~mode with
@@ -1381,13 +1329,20 @@ let run_serve () =
             Printf.eprintf "FAIL: serve results %s\n" (sid s);
             exit 1)
   in
-  let id_batched = drive_id ~batch:true in
-  let id_looped = drive_id ~batch:false in
+  let id_batched = drive_id () in
   for s = 0 to n_id - 1 do
     let name, mode, obs = id_plan.(s) in
-    let expected = offline_expected (List.assoc name models) mode obs in
+    let model = List.assoc name models in
+    let expected = offline_expected model mode obs in
+    let looped =
+      match mode with
+      | `Filter -> Some (fst (step_loop model [| obs |])).(0)
+      | `Sim -> None
+    in
     for t = 0 to id_cycles - 1 do
-      check_pair ~what:"batched/loop" s t id_batched.(s).(t) id_looped.(s).(t);
+      Option.iter
+        (fun l -> check_pair ~what:"batched/loop" s t id_batched.(s).(t) l.(t))
+        looped;
       check_pair ~what:"served/offline" s t id_batched.(s).(t) expected.(t)
     done
   done;
@@ -1424,8 +1379,8 @@ let run_serve () =
     "%d filter sessions on the %d-state stress model, %d cycles each;\n\
      per-tick latency p50 %.3f ms, p99 %.3f ms.\n\
      Identity: %d sessions (%d filter + %d sim over %d IP models) —\n\
-     output bit-identical (batched = loop = offline single-trace \
-     inference).\n"
+     output bit-identical (batched = per-session step loop = offline \
+     single-trace inference).\n"
     n_stress
     (Psm_hmm.Hmm.state_count stress.Psm_flow.Persist.hmm)
     stress_cycles (p50 *. 1e3) (p99 *. 1e3) n_id n_id_filter n_id_sim
@@ -1576,7 +1531,7 @@ let stages_of ~long_length ~eval_length ~ablation_eval what =
   let ingest = ("ingest", run_ingest) in
   let analyze = ("analyze", run_analyze) in
   let verify = ("verify", run_verify) in
-  let evaluate = ("evaluate", run_evaluate ~eval_length) in
+  let evaluate = ("evaluate", run_evaluate) in
   let profile = ("profile", run_profile) in
   let stream = ("stream", run_stream) in
   let compress = ("compress", run_compress) in
@@ -1702,27 +1657,6 @@ let gate_table2_speedup ~timings ~baseline =
       Printf.eprintf "FAIL: --gate requires the table2 stage\n";
       exit 1
 
-let gate_camellia_auto_viterbi ~evaluate =
-  match
-    ( List.assoc_opt "Camellia_viterbi_auto_seconds" evaluate,
-      List.assoc_opt "Camellia_viterbi_dense_seconds" evaluate )
-  with
-  | Some auto_s, Some dense_s ->
-      (* "No slower than dense", with 10% of measurement slack: the cost
-         model picks sparse here at near-parity and best-of-3 still
-         jitters a few percent. *)
-      Printf.printf "[gate] Camellia auto viterbi: %.3f s vs dense %.3f s\n" auto_s
-        dense_s;
-      if auto_s > dense_s *. 1.10 then begin
-        Printf.eprintf
-          "FAIL: Camellia auto viterbi %.3f s slower than dense %.3f s\n" auto_s
-          dense_s;
-        exit 1
-      end
-  | _ ->
-      Printf.eprintf "FAIL: --gate requires the evaluate stage\n";
-      exit 1
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let paper = List.mem "--paper" args in
@@ -1809,9 +1743,6 @@ let () =
     if ran "verify" then
       gate_verify
         ~verify:(Option.value ~default:[] (List.assoc_opt "verify" metrics));
-    if ran "evaluate" then
-      gate_camellia_auto_viterbi
-        ~evaluate:(Option.value ~default:[] (List.assoc_opt "evaluate" metrics));
     if ran "stream" then
       gate_stream_heap
         ~stream:(Option.value ~default:[] (List.assoc_opt "stream" metrics));

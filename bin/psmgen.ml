@@ -90,15 +90,6 @@ let lint_flag =
        & info [ "lint" ]
            ~doc:"Print the static-analysis report for the model.")
 
-let no_rle_arg =
-  Term.(const (fun no_rle -> if no_rle then Psm_trace.Runs.set_enabled false)
-        $ Arg.(value & flag
-               & info [ "no-rle" ]
-                   ~doc:"Disable the run-length-compacted pipeline paths and \
-                         run the per-cycle reference implementation instead \
-                         (bit-identical results; for debugging and \
-                         benchmarking only)."))
-
 module Analyzer = Psm_analysis.Analyzer
 module Report = Psm_analysis.Report
 
@@ -175,7 +166,7 @@ let generate_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print propositions.") in
   Cmd.v
     (Cmd.info "generate" ~doc:"Mine PSMs for a benchmark IP")
-    Term.(const (fun () () -> generate) $ logs_arg $ no_rle_arg $ ip_arg $ length
+    Term.(const (fun () -> generate) $ logs_arg $ ip_arg $ length
           $ parts_arg $ epsilon_arg $ dot_arg $ save_arg $ lint_flag $ verbose
           $ profile_arg)
 
@@ -212,7 +203,7 @@ let evaluate_cmd =
   in
   Cmd.v
     (Cmd.info "evaluate" ~doc:"Short-TS training, long-TS accuracy evaluation")
-    Term.(const (fun () -> evaluate) $ no_rle_arg $ ip_arg $ length $ parts_arg
+    Term.(const evaluate $ ip_arg $ length $ parts_arg
           $ epsilon_arg $ plot)
 
 (* ---- trace ---- *)
@@ -321,7 +312,7 @@ let train_vcd_cmd =
   Cmd.v
     (Cmd.info "train-vcd"
        ~doc:"Mine PSMs from externally captured VCD traces (black-box mode)")
-    Term.(const (fun () -> train_vcd) $ no_rle_arg $ files $ dot_arg $ unknowns_arg
+    Term.(const train_vcd $ files $ dot_arg $ unknowns_arg
           $ period_arg)
 
 (* ---- train-stream: incremental black-box training, O(model) memory ---- *)
@@ -377,7 +368,7 @@ let train_stream_cmd =
     (Cmd.info "train-stream"
        ~doc:"Mine PSMs from VCD traces incrementally, without materializing \
              any trace in memory")
-    Term.(const (fun () -> train_stream) $ no_rle_arg $ files $ dot_arg
+    Term.(const train_stream $ files $ dot_arg
           $ unknowns_arg $ stream_period $ watermark $ checkpoint)
 
 (* ---- apply: run a persisted model over recorded traces ---- *)
@@ -432,7 +423,7 @@ let apply_cmd =
   in
   Cmd.v
     (Cmd.info "apply" ~doc:"Estimate power for recorded traces with a persisted model")
-    Term.(const (fun () -> apply) $ no_rle_arg $ model $ vcds $ unknowns_arg
+    Term.(const apply $ model $ vcds $ unknowns_arg
           $ period_arg $ lint_flag $ profile_arg)
 
 (* ---- stats: run-length structure of a trace ---- *)
@@ -526,7 +517,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run-length structure of a trace: compression ratio and run \
              histogram, the quantities the RLE pipeline paths exploit")
-    Term.(const (fun () -> stats_run) $ no_rle_arg $ model $ trace $ unknowns_arg
+    Term.(const stats_run $ model $ trace $ unknowns_arg
           $ period_arg $ json)
 
 (* ---- lint: static analysis of a persisted model ---- *)
@@ -734,7 +725,7 @@ let load_model_or_exit path =
     Printf.eprintf "%s: %s\n" path msg;
     exit 2
 
-let serve_run () model_specs socket port idle_timeout no_batch =
+let serve_run () model_specs socket port idle_timeout =
   let parse_spec spec =
     match String.index_opt spec '=' with
     | Some i ->
@@ -760,7 +751,7 @@ let serve_run () model_specs socket port idle_timeout no_batch =
   in
   let server =
     try
-      Psm_serve.Server.create ~idle_timeout ~batch:(not no_batch) ~listen models
+      Psm_serve.Server.create ~idle_timeout ~listen models
     with
     | Invalid_argument msg | Failure msg ->
         Printf.eprintf "serve: %s\n" msg;
@@ -798,25 +789,18 @@ let serve_cmd =
          & info [ "idle-timeout" ] ~docv:"SECS"
              ~doc:"Evict sessions idle for longer than this (0 disables).")
   in
-  let no_batch =
-    Arg.(value & flag
-         & info [ "no-batch" ]
-             ~doc:"Advance sessions with the per-session reference loop \
-                   instead of batched sparse sweeps (bit-identical output; \
-                   for debugging and benchmarking only).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve persisted models to concurrent estimation sessions over a \
              line-delimited JSON protocol (Unix or loopback TCP socket); \
              co-resident sessions on the same model advance in batched \
              sparse forward sweeps")
-    Term.(const (fun () () -> serve_run ()) $ logs_arg $ no_rle_arg $ models
+    Term.(const serve_run $ logs_arg $ models
           $ socket_arg
           $ port_arg
               ~doc:"Listen on loopback TCP (0 or omitted picks an ephemeral \
                     port, printed at startup)."
-          $ idle_timeout $ no_batch)
+          $ idle_timeout)
 
 (* ---- serve-drive: a protocol client for CI and smoke tests ---- *)
 

@@ -54,10 +54,8 @@ let model t = t.model
 let filter_state t =
   match t.backend with Sim _ -> None | Filter (f, s) -> Some (f, s)
 
-(* The per-instant result once the belief/state machine has advanced:
-   (power estimate, PSM state id; -1 = desynchronized). The filter arm is
-   shared between [step] and the engine's batched sweep so both paths do
-   the identical bookkeeping. *)
+(* The per-instant result once the belief has advanced: (power estimate,
+   PSM state id). *)
 let filter_result t filt s ~hd =
   let row = Filtering.Stream.map_state filt s in
   ( Filtering.Stream.power filt s ~hamming:hd,
@@ -69,11 +67,6 @@ let step t ?(hd = 0.) obs =
   | Filter (filt, s) ->
       Filtering.Stream.step filt s obs;
       filter_result t filt s ~hd
-
-let batched_result t ~hd =
-  match t.backend with
-  | Filter (filt, s) -> filter_result t filt s ~hd
-  | Sim _ -> invalid_arg "Estimate.batched_result: sim sessions are not batched"
 
 let step_sample t sample =
   match t.backend with

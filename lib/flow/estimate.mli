@@ -54,13 +54,7 @@ val log_likelihood : t -> float
 val filter_state : t -> (Psm_hmm.Filtering.t * Psm_hmm.Filtering.Stream.state) option
 (** Filter sessions expose their shared context and belief state so a
     batch scheduler can sweep many sessions at once
-    ({!Psm_hmm.Filtering.Stream.step_many}); [None] for sim sessions. *)
-
-val batched_result : t -> hd:float -> float * int
-(** The per-instant result after an external batched sweep advanced this
-    session's belief — the same bookkeeping {!step} does, factored out so
-    batched and per-session paths cannot drift.
-    @raise Invalid_argument on a sim session. *)
+    ({!Psm_hmm.Filtering.Stream.sweep}); [None] for sim sessions. *)
 
 type portable_backend =
   | Portable_sim of Psm_hmm.Multi_sim.Stepper.portable

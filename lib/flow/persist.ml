@@ -219,6 +219,21 @@ let int_word cursor w =
 let float_word cursor w =
   match float_of_string_opt w with Some v -> v | None -> fail cursor ("bad float " ^ w)
 
+(* An id that indexes a table of [bound] entries. *)
+let id_word cursor ~what ~bound w =
+  let v = int_word cursor w in
+  if v < 0 || v >= bound then
+    fail cursor (Printf.sprintf "%s %d out of range [0, %d)" what v bound);
+  v
+
+(* Training frequencies feed A and B: NaN, infinite or negative mass
+   would load as a model that only [lint] flags. *)
+let count_word cursor w =
+  let c = float_word cursor w in
+  if not (Float.is_finite c && c >= 0.) then
+    fail cursor ("count " ^ w ^ " is not finite and non-negative");
+  c
+
 let read ?(source = "<string>") cursor =
   (match next cursor with
   | line when line = version_line -> ()
@@ -334,38 +349,46 @@ let read ?(source = "<string>") cursor =
   done;
   (* Transitions / initial. *)
   let n_tr = expect_count cursor "transitions" in
+  let state_word = id_word cursor ~what:"state" ~bound:n_states in
+  let prop_word = id_word cursor ~what:"proposition" ~bound:n_props in
   for _ = 1 to n_tr do
     match words (next cursor) with
     | [ "t"; src; guard; dst ] ->
         psm :=
-          Psm.add_transition !psm ~src:(int_word cursor src)
-            ~guard:(int_word cursor guard) ~dst:(int_word cursor dst)
+          Psm.add_transition !psm ~src:(state_word src) ~guard:(prop_word guard)
+            ~dst:(state_word dst)
     | _ -> fail cursor "bad transition line"
   done;
   let n_init = expect_count cursor "initial" in
   for _ = 1 to n_init do
     match words (next cursor) with
-    | [ "i"; id ] -> psm := Psm.add_initial !psm (int_word cursor id)
+    | [ "i"; id ] -> psm := Psm.add_initial !psm (state_word id)
     | _ -> fail cursor "bad initial line"
   done;
-  (* Counts. *)
+  (* Counts. A negative source is the saver's placeholder for a raw-chain
+     state that did not survive; it is skipped, every other id must
+     resolve. *)
   let n_ct = expect_count cursor "counts-trans" in
   let transition_counts =
     List.init n_ct (fun _ ->
         match words (next cursor) with
         | [ "ct"; src; dst; c ] ->
-            ((int_word cursor src, int_word cursor dst), float_word cursor c)
+            let c = count_word cursor c in
+            if int_word cursor src < 0 then None
+            else Some ((state_word src, state_word dst), c)
         | _ -> fail cursor "bad count line")
-    |> List.filter (fun ((s, _), _) -> s >= 0)
+    |> List.filter_map Fun.id
   in
   let n_ce = expect_count cursor "counts-emit" in
   let emission_counts =
     List.init n_ce (fun _ ->
         match words (next cursor) with
         | [ "ce"; state; prop; c ] ->
-            ((int_word cursor state, int_word cursor prop), float_word cursor c)
+            let c = count_word cursor c in
+            if int_word cursor state < 0 then None
+            else Some ((state_word state, prop_word prop), c)
         | _ -> fail cursor "bad emission line")
-    |> List.filter (fun ((s, _), _) -> s >= 0)
+    |> List.filter_map Fun.id
   in
   if next cursor <> "end" then raise (Parse_error "missing end marker");
   let psm = !psm in

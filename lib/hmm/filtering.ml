@@ -6,10 +6,8 @@ let floor_p = 1e-9
 
 type t = {
   hmm : Hmm.t;
-  a_instant : float array array; (* dwell-corrected per-instant transitions *)
-  a_instant_csr : Sparse.t;
+  a_instant_csr : Sparse.t; (* dwell-corrected per-instant transitions *)
   a_instant_csc : Sparse.csc; (* gather form for the batched sweep *)
-  kernel : Hmm.kernel;
   outputs : Psm.output array; (* row -> state output, resolved once *)
   alpha : float array; (* scratch: current belief *)
   scratch : float array; (* scratch: next belief accumulator *)
@@ -20,7 +18,7 @@ type t = {
          through [Hmm.b_obs] per state per session. *)
 }
 
-let create ?(kernel = `Auto) hmm =
+let create hmm =
   let m = Hmm.state_count hmm in
   let psm = Hmm.psm hmm in
   let dwell =
@@ -42,22 +40,9 @@ let create ?(kernel = `Auto) hmm =
         if total > 0. then Array.map (fun v -> v /. total) row else row)
   in
   let a_instant_csr = Sparse.of_dense a_instant in
-  let kernel =
-    match kernel with
-    | (`Dense | `Sparse) as k -> k
-    | `Auto ->
-        (* Stream length unknown at creation; the per-step cost decides
-           (it does on every real T — setup is O(m²) either way here,
-           the dense a_instant is materialized regardless). *)
-        Kernel_cost.forward ~m ~nnz:(Sparse.nnz a_instant_csr) ()
-  in
-  Kernel_cost.record "forward"
-    (kernel :> [ `Dense | `Sparse | `Reference | `Indexed ]);
   { hmm;
-    a_instant;
     a_instant_csr;
     a_instant_csc = Sparse.transpose a_instant_csr;
-    kernel;
     outputs =
       Array.init m (fun row ->
           (Psm.state psm (Hmm.state_of_row hmm row)).Psm.output);
@@ -70,8 +55,6 @@ let create ?(kernel = `Auto) hmm =
            else
              Array.init m (fun row ->
                  Float.max floor_p (Hmm.b_obs hmm row (k - 1))))) }
-
-let kernel t = t.kernel
 
 let emission t row = function
   | None -> 1.
@@ -116,21 +99,11 @@ let forward_iter t observations ~emit =
     log_lik := log (normalize alpha);
     emit 0 alpha;
     for time = 1 to n - 1 do
-      (match t.kernel with
-      | `Sparse ->
-          Array.fill scratch 0 m 0.;
-          Sparse.scatter_product t.a_instant_csr alpha scratch;
-          for j = 0 to m - 1 do
-            scratch.(j) <- scratch.(j) *. emission t j observations.(time)
-          done
-      | `Dense ->
-          for j = 0 to m - 1 do
-            let acc = ref 0. in
-            for i = 0 to m - 1 do
-              acc := !acc +. (alpha.(i) *. t.a_instant.(i).(j))
-            done;
-            scratch.(j) <- !acc *. emission t j observations.(time)
-          done);
+      Array.fill scratch 0 m 0.;
+      Sparse.scatter_product t.a_instant_csr alpha scratch;
+      for j = 0 to m - 1 do
+        scratch.(j) <- scratch.(j) *. emission t j observations.(time)
+      done;
       Array.blit scratch 0 alpha 0 m;
       log_lik := !log_lik +. log (normalize alpha);
       emit time alpha
@@ -234,7 +207,7 @@ module Stream = struct
   let log_likelihood s = s.log_lik
   let belief s = s.alpha
 
-  (* Scalar step: one [forward_iter] iteration verbatim — same kernels,
+  (* Scalar step: one [forward_iter] iteration verbatim — same kernel,
      same fold/normalize order — so a session stepped observation by
      observation holds exactly the belief forward_iter would have emitted
      at the same instant. This is also the per-session reference loop the
@@ -260,110 +233,15 @@ module Stream = struct
       done
     end
     else begin
-      (match t.kernel with
-      | `Sparse ->
-          Array.fill scratch 0 m 0.;
-          Sparse.scatter_product t.a_instant_csr alpha scratch;
-          for j = 0 to m - 1 do
-            scratch.(j) <- scratch.(j) *. emission t j obs
-          done
-      | `Dense ->
-          for j = 0 to m - 1 do
-            let acc = ref 0. in
-            for i = 0 to m - 1 do
-              acc := !acc +. (alpha.(i) *. t.a_instant.(i).(j))
-            done;
-            scratch.(j) <- !acc *. emission t j obs
-          done);
+      Array.fill scratch 0 m 0.;
+      Sparse.scatter_product t.a_instant_csr alpha scratch;
+      for j = 0 to m - 1 do
+        scratch.(j) <- scratch.(j) *. emission t j obs
+      done;
       Array.blit scratch 0 alpha 0 m
     end;
     s.log_lik <- s.log_lik +. log (normalize alpha);
     s.steps <- s.steps + 1
-
-  (* One batched sweep: every session advances one observation. Per
-     session the arithmetic is [step]'s exactly — contributions reach its
-     scratch in [Sparse.scatter_product]'s ascending-(i, j) order, the
-     normalizing sum accumulates in the scalar fold's ascending-j order —
-     so the batched belief is bit-identical to stepping each session
-     alone. Only the loop structure differs: the CSR traversal is
-     amortized across all sessions (entry-outer, session-inner), the
-     emission multiply / sum / normalize are fused into two monomorphic
-     unsafe passes, and emission rows come from the precomputed table.
-     That structural difference is the serve hot path's throughput edge
-     over the per-session loop. *)
-  let step_many t states obss =
-    let n = Array.length states in
-    if Array.length obss <> n then
-      invalid_arg "Filtering.Stream.step_many: length mismatch";
-    let m = Hmm.state_count t.hmm in
-    let started = Array.make n false in
-    let any_started = ref false in
-    for s = 0 to n - 1 do
-      if states.(s).steps = 0 then step t states.(s) obss.(s)
-      else begin
-        started.(s) <- true;
-        any_started := true
-      end
-    done;
-    if !any_started then begin
-      for s = 0 to n - 1 do
-        if started.(s) then Array.fill states.(s).scratch 0 m 0.
-      done;
-      (match t.kernel with
-      | `Sparse ->
-          for i = 0 to m - 1 do
-            Sparse.iter_row t.a_instant_csr i (fun j v ->
-                for s = 0 to n - 1 do
-                  if Array.unsafe_get started s then begin
-                    let st = Array.unsafe_get states s in
-                    let ai = Array.unsafe_get st.alpha i in
-                    if ai > 0. then
-                      Array.unsafe_set st.scratch j
-                        (Array.unsafe_get st.scratch j +. (ai *. v))
-                  end
-                done)
-          done
-      | `Dense ->
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              for j = 0 to m - 1 do
-                let acc = ref 0. in
-                for i = 0 to m - 1 do
-                  acc :=
-                    !acc
-                    +. (Array.unsafe_get st.alpha i
-                       *. Array.unsafe_get (Array.unsafe_get t.a_instant i) j)
-                done;
-                Array.unsafe_set st.scratch j !acc
-              done
-            end
-          done);
-      for s = 0 to n - 1 do
-        if started.(s) then begin
-          let st = states.(s) in
-          let ev = emission_row t obss.(s) in
-          let total = ref 0. in
-          for j = 0 to m - 1 do
-            let x = Array.unsafe_get st.scratch j *. Array.unsafe_get ev j in
-            Array.unsafe_set st.alpha j x;
-            total := !total +. x
-          done;
-          let total = !total in
-          if total > 0. then begin
-            for j = 0 to m - 1 do
-              Array.unsafe_set st.alpha j (Array.unsafe_get st.alpha j /. total)
-            done;
-            st.log_lik <- st.log_lik +. log total
-          end
-          else begin
-            Array.fill st.alpha 0 m (1. /. float_of_int m);
-            st.log_lik <- st.log_lik +. log floor_p
-          end;
-          st.steps <- st.steps + 1
-        end
-      done
-    end
 
   (* [map_state]/[power] run once per session-cycle on the serve path —
      monomorphic loops (no closure, [eval_output] inlined by constructor)
@@ -399,16 +277,21 @@ module Stream = struct
     done;
     !acc
 
-  (* The serve fast path: [step_many] with the per-session scoring folded
-     into the normalize pass. Per session the stored belief is
-     [step_many]'s exactly (same propagation, same emission multiply,
-     same normalizing sum and division), and [powers]/[rows] accumulate
-     over the *stored* normalized values in the same ascending-row order
-     — with the same [p > 0.] guard and strict-[>] argmax — as a separate
-     {!power} / {!map_state} pass would. Fusing merely removes two extra
-     O(m) traversals per session-cycle; every float op and comparison it
-     performs is one the unfused pipeline performs on identical inputs,
-     so the results stay bit-identical. *)
+  (* The serve fast path: one batched sweep in which every session
+     advances one observation, with the per-session scoring folded into
+     the normalize pass. Per session the arithmetic is [step]'s exactly:
+     contributions reach each belief entry in ascending-i order (see
+     {!Sparse.gather_product}), and the normalizing sum accumulates in
+     the scalar fold's ascending-j order. [powers]/[rows] accumulate over
+     the *stored* normalized values in the same ascending-row order —
+     with the same [p > 0.] guard and strict-[>] argmax — as a separate
+     {!power} / {!map_state} pass would. Only the loop structure differs:
+     the CSC traversal is amortized across the shard, the emission
+     multiply / sum / normalize / scoring are fused into monomorphic
+     unsafe passes, and emission rows come from the precomputed table.
+     Every float op and comparison it performs is one the unfused
+     per-session pipeline performs on identical inputs, so the results
+     stay bit-identical. *)
   let sweep t states obss ~hds ~powers ~rows =
     let n = Array.length states in
     if
@@ -432,34 +315,15 @@ module Stream = struct
       end
     done;
     if !any_started then begin
-      (match t.kernel with
-      | `Sparse ->
-          (* Gather form: the CSC metadata stays cache-hot while the
-             whole shard streams through it back to back — the batching
-             win the per-session loop (scatter + clear per step) never
-             sees. Bit-identical: see {!Sparse.gather_product}. *)
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              Sparse.gather_product t.a_instant_csc st.alpha st.scratch
-            end
-          done
-      | `Dense ->
-          for s = 0 to n - 1 do
-            if started.(s) then begin
-              let st = states.(s) in
-              for j = 0 to m - 1 do
-                let acc = ref 0. in
-                for i = 0 to m - 1 do
-                  acc :=
-                    !acc
-                    +. (Array.unsafe_get st.alpha i
-                       *. Array.unsafe_get (Array.unsafe_get t.a_instant i) j)
-                done;
-                Array.unsafe_set st.scratch j !acc
-              done
-            end
-          done);
+      (* Gather form: the CSC metadata stays cache-hot while the whole
+         shard streams through it back to back — the batching win the
+         per-session loop (scatter + clear per step) never sees. *)
+      for s = 0 to n - 1 do
+        if started.(s) then begin
+          let st = states.(s) in
+          Sparse.gather_product t.a_instant_csc st.alpha st.scratch
+        end
+      done;
       for s = 0 to n - 1 do
         if started.(s) then begin
           let st = Array.unsafe_get states s in

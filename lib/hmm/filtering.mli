@@ -17,16 +17,13 @@
 
 type t
 
-val create : ?kernel:Hmm.kernel_choice -> Hmm.t -> t
-(** Builds the dwell-corrected A' and its CSR mirror once. [`Auto]
-    (default) resolves through {!Kernel_cost.forward} on A's shape;
-    both kernels are bit-identical.
+val create : Hmm.t -> t
+(** Builds the dwell-corrected A' once, in CSR form for the scalar
+    recursion and CSC form for the batched {!Stream.sweep}.
 
     A [t] carries reusable scratch buffers: it is cheap to query
     repeatedly but must not be shared across domains or re-entered from
     a callback. *)
-
-val kernel : t -> Hmm.kernel
 
 val posteriors : t -> int option array -> float array array
 (** [posteriors f observations] — one normalized belief vector (over state
@@ -48,11 +45,11 @@ val log_likelihood : t -> int option array -> float
     one session's belief; {!Stream.step} advances it by one observation
     with exactly {!forward_iter}'s arithmetic, so a session stepped
     observation by observation is bit-identical to the offline recursion
-    on the whole sequence. {!Stream.step_many} advances many sessions
-    sharing one {!t} in a single batched kernel sweep (CSR traversal
-    amortized across sessions, fused monomorphic emission/normalize) —
-    bit-identical to calling {!Stream.step} on each session, measurably
-    faster per session·cycle.
+    on the whole sequence. {!Stream.sweep} advances many sessions
+    sharing one {!t} in a single batched kernel sweep (CSC traversal
+    amortized across sessions, fused monomorphic emission/normalize/
+    scoring) — bit-identical to calling {!Stream.step} on each session,
+    measurably faster per session·cycle.
 
     A [state] owns its buffers and holds no closures; {!Stream.export} /
     {!Stream.import} expose it as validated plain data for checkpointing
@@ -102,11 +99,6 @@ module Stream : sig
   (** Advance one observation ([None] = unclassified sample,
       uninformative). *)
 
-  val step_many : t -> state array -> int option array -> unit
-  (** [step_many t states obss] — one batched sweep: [states.(k)]
-      consumes [obss.(k)]. Bit-identical to stepping each session alone.
-      @raise Invalid_argument on length mismatch. *)
-
   val map_state : t -> state -> int
   (** Marginal MAP state row of the current belief (ties to the lowest
       row, as {!map_states}). *)
@@ -123,10 +115,10 @@ module Stream : sig
     powers:float array ->
     rows:int array ->
     unit
-  (** One scored batched sweep: advance every session one observation
-      ({!step_many}'s arithmetic exactly) and fill [powers.(k)] /
-      [rows.(k)] with what {!power} [~hamming:hds.(k)] / {!map_state}
-      would return afterwards — computed inside the normalize pass, same
+  (** One scored batched sweep: [states.(k)] consumes [obss.(k)] with
+      {!step}'s arithmetic exactly, and [powers.(k)] / [rows.(k)] are
+      filled with what {!power} [~hamming:hds.(k)] / {!map_state} would
+      return afterwards — computed inside the normalize pass, same
       visit order and guards, so all three outputs are bit-identical to
       the unfused pipeline. This is the serve hot path.
       @raise Invalid_argument on length mismatch. *)

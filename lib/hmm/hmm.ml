@@ -1,9 +1,6 @@
 module Psm = Psm_core.Psm
 module Assertion = Psm_core.Assertion
 
-type kernel = [ `Dense | `Sparse ]
-type kernel_choice = [ `Auto | `Dense | `Sparse ]
-
 type t = {
   psm : Psm.t;
   ids : int array; (* row -> state id *)
@@ -14,32 +11,14 @@ type t = {
   b_full : float array array; (* row -> prop id -> emission probability *)
   pi : float array;
   observations : Assertion.t array;
-  (* CSR mirror of [a], rebuilt on every mutation (bans are rare relative
-     to predict steps). The dense rows stay the source of truth. *)
-  mutable a_csr : Sparse.t;
-  mutable kernel : kernel;
-  mutable kernel_pref : kernel_choice;
 }
-
-let resolve_kernel pref csr : kernel =
-  match pref with
-  | `Dense -> `Dense
-  | `Sparse -> `Sparse
-  | `Auto ->
-      (* Generic (predict-step) resolution; the inference loops that know
-         their own cost profile re-resolve per algorithm. *)
-      Kernel_cost.forward ~m:(Sparse.dim csr) ~nnz:(Sparse.nnz csr) ()
-
-let refresh_a_cache t =
-  t.a_csr <- Sparse.of_dense t.a;
-  t.kernel <- resolve_kernel t.kernel_pref t.a_csr
 
 let normalize_row row =
   Psm_obs.incr "hmm.rows_normalized";
   let total = Array.fold_left ( +. ) 0. row in
   if total > 0. then Array.iteri (fun i v -> row.(i) <- v /. total) row
 
-let build ?(kernel = `Auto) ?transition_counts ?emission_counts psm =
+let build ?transition_counts ?emission_counts psm =
   Psm_obs.span "hmm.build" @@ fun () ->
   let states = Psm.states psm in
   let ids = Array.of_list (List.map (fun (s : Psm.state) -> s.Psm.id) states) in
@@ -141,7 +120,6 @@ let build ?(kernel = `Auto) ?transition_counts ?emission_counts psm =
   List.iter (fun id -> pi.(row id) <- pi.(row id) +. 1.) (Psm.initial psm);
   if Array.for_all (fun v -> v = 0.) pi then Array.fill pi 0 m (1. /. float_of_int m)
   else normalize_row pi;
-  let a_csr = Sparse.of_dense a in
   { psm;
     ids;
     rows;
@@ -150,20 +128,16 @@ let build ?(kernel = `Auto) ?transition_counts ?emission_counts psm =
     b_by_prop;
     b_full;
     pi;
-    observations;
-    a_csr;
-    kernel = resolve_kernel kernel a_csr;
-    kernel_pref = kernel }
+    observations }
 
 let copy t =
   (* Only the transition state is session-local: [ban] / [reset_bans] /
-     [unsafe_set_a] mutate [a] (and replace the CSR mirror), so the copy
-     gets its own rows while sharing everything the API never mutates —
-     the PSM, emissions, π, and the row interning tables. *)
+     [unsafe_set_a] mutate [a], so the copy gets its own rows while
+     sharing everything the API never mutates — the PSM, emissions, π,
+     and the row interning tables. *)
   { t with
     a = Array.map Array.copy t.a;
-    a_original = Array.map Array.copy t.a_original;
-    a_csr = Sparse.of_dense t.a }
+    a_original = Array.map Array.copy t.a_original }
 
 let psm t = t.psm
 let state_count t = Array.length t.ids
@@ -176,14 +150,6 @@ let state_of_row t row = t.ids.(row)
 
 let a t i j = t.a.(i).(j)
 let a_row t i = Array.copy t.a.(i)
-let a_sparse t = t.a_csr
-let kernel t = t.kernel
-let kernel_pref t = t.kernel_pref
-
-let set_kernel t pref =
-  t.kernel_pref <- pref;
-  t.kernel <- resolve_kernel pref t.a_csr
-
 let b_entry t i prop =
   if prop < 0 || prop >= Array.length t.b_by_prop.(i) then 0. else t.b_by_prop.(i).(prop)
 
@@ -197,33 +163,8 @@ let predict t belief =
   let m = state_count t in
   if Array.length belief <> m then invalid_arg "Hmm.predict: belief size mismatch";
   let out = Array.make m 0. in
-  (match t.kernel with
-  | `Sparse -> Sparse.scatter_product t.a_csr belief out
-  | `Dense ->
-      for i = 0 to m - 1 do
-        if belief.(i) > 0. then
-          for j = 0 to m - 1 do
-            out.(j) <- out.(j) +. (belief.(i) *. t.a.(i).(j))
-          done
-      done);
+  Sparse.scatter_product (Sparse.of_dense t.a) belief out;
   normalize_row out;
-  out
-
-let update_entry t belief ~prop =
-  let m = Array.length belief in
-  let out = Array.make m 0. in
-  let total = ref 0. in
-  for i = 0 to m - 1 do
-    if belief.(i) > 0. then begin
-      let v = belief.(i) *. b_entry t i prop in
-      out.(i) <- v;
-      total := !total +. v
-    end
-  done;
-  if !total > 0. then
-    for i = 0 to m - 1 do
-      out.(i) <- out.(i) /. !total
-    done;
   out
 
 let ban t ~src_row ~dst_row =
@@ -238,16 +179,12 @@ let ban t ~src_row ~dst_row =
     for j = 0 to m - 1 do
       row.(j) <- (if j = dst_row then 0. else 1. /. float_of_int (max 1 (m - 1)))
     done
-  end;
-  refresh_a_cache t
+  end
 
-let unsafe_set_a t ~row ~col v =
-  t.a.(row).(col) <- v;
-  refresh_a_cache t
+let unsafe_set_a t ~row ~col v = t.a.(row).(col) <- v
 
 let reset_bans t =
-  Array.iteri (fun i r -> Array.blit t.a_original.(i) 0 r 0 (Array.length r)) t.a;
-  refresh_a_cache t
+  Array.iteri (fun i r -> Array.blit t.a_original.(i) 0 r 0 (Array.length r)) t.a
 
 let pp fmt t =
   let m = state_count t in

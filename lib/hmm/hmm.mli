@@ -15,17 +15,7 @@
 
 type t
 
-type kernel = [ `Dense | `Sparse ]
-
-type kernel_choice = [ `Auto | `Dense | `Sparse ]
-(** [`Auto] resolves per algorithm through the measured cost model
-    ({!Kernel_cost}): forward filtering, Viterbi decoding and the
-    simulator each pick dense or sparse/indexed from (m, nnz, steps)
-    independently. Both kernels produce bit-identical results; [`Dense]
-    is kept as the reference implementation. *)
-
 val build :
-  ?kernel:kernel_choice ->
   ?transition_counts:((int * int) * float) list ->
   ?emission_counts:((int * int) * float) list ->
   Psm_core.Psm.t ->
@@ -69,22 +59,6 @@ val a : t -> int -> int -> float
 val a_row : t -> int -> float array
 (** A copy of row [i] of A. *)
 
-val a_sparse : t -> Sparse.t
-(** The CSR mirror of A. Rebuilt on every mutation ({!ban},
-    {!reset_bans}, {!unsafe_set_a}); do not hold across them. *)
-
-val kernel : t -> kernel
-(** The generic (predict-step) kernel resolution. Inference loops that
-    know their own cost profile — {!Filtering}, {!Offline},
-    {!Multi_sim} — re-resolve [`Auto] through {!Kernel_cost} instead. *)
-
-val kernel_pref : t -> kernel_choice
-(** The caller's preference as set by {!build} or {!set_kernel} —
-    [`Auto] unless a kernel was forced. *)
-
-val set_kernel : t -> kernel_choice -> unit
-(** Override the kernel choice (benchmarks and equivalence tests). *)
-
 val b_entry : t -> int -> int -> float
 (** [b_entry t i prop] — probability mass of state row [i]'s
     characterizing assertions whose entry proposition is [prop]; the
@@ -103,12 +77,6 @@ val initial_belief : t -> float array
 
 val predict : t -> float array -> float array
 (** One filtering prediction step: belief × A, normalized. *)
-
-val update_entry : t -> float array -> prop:int -> float array
-(** Condition the belief on observing entry proposition [prop]
-    (multiply by [b_entry], normalize). An all-zero result (observation
-    impossible everywhere) is returned as all-zero rather than
-    normalized. *)
 
 val ban : t -> src_row:int -> dst_row:int -> unit
 (** Set A[src][dst] to 0 and renormalize the row (the paper's "fixing to 0

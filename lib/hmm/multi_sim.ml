@@ -67,9 +67,7 @@ type mode =
 module Stepper = struct
   type t = {
     config : config;
-    reference : bool; (* executable spec: pre-index scan paths disabled *)
     hmm : Hmm.t;
-    psm : Psm.t;
     table : Table.t;
     input_indexes : int list;
     assertions : Assertion.t array; (* row -> state assertion *)
@@ -101,21 +99,7 @@ module Stepper = struct
     mutable resync_events : int;
   }
 
-  let create ?(config = default) ?steps ?reference hmm =
-    let reference =
-      match reference with
-      | Some r -> r
-      | None -> (
-          (* Cost-based like the offline kernels: the indexed path wins
-             whenever scanning successor lists beats an O(m²) predict per
-             step, which is every mined chain; [`Reference] remains the
-             executable spec for near-dense tiny machines. *)
-          let nnz = Sparse.nnz (Hmm.a_sparse hmm) in
-          match Kernel_cost.multi_sim ?steps ~m:(Hmm.state_count hmm) ~nnz () with
-          | `Reference -> true
-          | `Indexed -> false)
-    in
-    Kernel_cost.record "multi_sim" (if reference then `Reference else `Indexed);
+  let create ?(config = default) hmm =
     Hmm.reset_bans hmm;
     let psm = Hmm.psm hmm in
     let table = Psm.prop_table psm in
@@ -146,9 +130,7 @@ module Stepper = struct
              Hashtbl.replace rows_by_entry o (row :: prev))
     done;
     { config;
-      reference;
       hmm;
-      psm;
       table;
       input_indexes = List.map fst (Interface.inputs iface);
       assertions;
@@ -169,39 +151,33 @@ module Stepper = struct
   let assertion_of_row t row = t.assertions.(row)
   let output_of_row t row = t.outputs.(row)
 
-  (* Choose among candidate rows by filtered belief from [origin]. The
-     indexed path exploits the one-hot belief: predict's output before
-     normalization is exactly row [origin] of A, so predicted.(r) is
-     A(origin, r) over the full ascending row sum — bit-identical to the
-     reference's predict-and-normalize, without the O(m²) product or the
-     two belief allocations. *)
+  (* Filtered belief from [origin] over [candidates], conditioned on the
+     entry proposition. The belief is one-hot, so predict's output before
+     normalization is exactly row [origin] of A: predicted.(r) is
+     A(origin, r) over the full ascending row sum — bit-identical to
+     {!Hmm.predict} on the one-hot belief, without the O(m²) product or
+     the belief allocations. *)
+  let choice_scores t ~origin_row ~prop candidates =
+    let m = Hmm.state_count t.hmm in
+    let total = ref 0. in
+    for j = 0 to m - 1 do
+      total := !total +. Hmm.a t.hmm origin_row j
+    done;
+    let total = !total in
+    List.map
+      (fun r ->
+        let p = if total > 0. then Hmm.a t.hmm origin_row r /. total else 0. in
+        (r, p *. Hmm.b_entry t.hmm r prop))
+      candidates
+
+  (* Choose among candidate rows by filtered belief; ties keep the first
+     candidate. *)
   let filtered_choice t ~origin_row ~prop ~candidates =
     match candidates with
     | [] -> None
     | [ single ] -> Some single
     | _ ->
-        let score =
-          if t.reference then begin
-            let belief = Array.make (Hmm.state_count t.hmm) 0. in
-            belief.(origin_row) <- 1.;
-            let predicted = Hmm.predict t.hmm belief in
-            fun r -> predicted.(r) *. Hmm.b_entry t.hmm r prop
-          end
-          else begin
-            let m = Hmm.state_count t.hmm in
-            let total = ref 0. in
-            for j = 0 to m - 1 do
-              total := !total +. Hmm.a t.hmm origin_row j
-            done;
-            let total = !total in
-            fun r ->
-              let p =
-                if total > 0. then Hmm.a t.hmm origin_row r /. total else 0.
-              in
-              p *. Hmm.b_entry t.hmm r prop
-          end
-        in
-        let scored = List.map (fun r -> (r, score r)) candidates in
+        let scored = choice_scores t ~origin_row ~prop candidates in
         let best =
           List.fold_left
             (fun acc (r, score) ->
@@ -214,22 +190,10 @@ module Stepper = struct
 
   (* Graph successors of [row] through guard [o] (any A mass), ascending. *)
   let successor_rows t ~row ~o =
-    if t.reference then
-      List.filter_map
-        (fun (tr : Psm.transition) ->
-          if Hmm.row_of_state t.hmm tr.Psm.src = row && tr.Psm.guard = o then
-            Some (Hmm.row_of_state t.hmm tr.Psm.dst)
-          else None)
-        (Psm.transitions t.psm)
-      |> List.sort_uniq Int.compare
-    else Option.value ~default:[] (Hashtbl.find_opt t.succ_by_guard (row, o))
+    Option.value ~default:[] (Hashtbl.find_opt t.succ_by_guard (row, o))
 
   (* Rows with an alternative entered by [o], ascending. *)
-  let entry_rows t ~o =
-    if t.reference then
-      List.init (Hmm.state_count t.hmm) Fun.id
-      |> List.filter (fun r -> start_cursors (assertion_of_row t r) o <> [])
-    else Option.value ~default:[] (Hashtbl.find_opt t.rows_by_entry o)
+  let entry_rows t ~o = Option.value ~default:[] (Hashtbl.find_opt t.rows_by_entry o)
 
   (* Enter some state reachable from [origin_row] (or, failing that,
      anywhere) on entry proposition [o]. *)
@@ -558,8 +522,8 @@ module Stepper = struct
           | Invalid_argument _ -> Error "previous sample is not a bit string"
         end
 
-  let import ?config ?steps ?reference hmm p =
-    let t = create ?config ?steps ?reference hmm in
+  let import ?config hmm p =
+    let t = create ?config hmm in
     let m = Hmm.state_count hmm in
     let row_ok r = r >= 0 && r < m in
     if p.p_cycles < 0 || p.p_resync_events < 0 then
@@ -640,11 +604,9 @@ module Stepper = struct
               Ok t)
 end
 
-let simulate ?config ?reference hmm trace =
+let simulate ?config hmm trace =
   Psm_obs.span "hmm.multi_sim" @@ fun () ->
-  let stepper =
-    Stepper.create ?config ~steps:(Functional_trace.length trace) ?reference hmm
-  in
+  let stepper = Stepper.create ?config hmm in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in
   let state_trace = Array.make n (-1) in

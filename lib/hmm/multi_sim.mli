@@ -38,13 +38,8 @@ type result = {
   resync_events : int;
 }
 
-val simulate :
-  ?config:config -> ?reference:bool -> Hmm.t -> Psm_trace.Functional_trace.t -> result
-(** [reference] forces the stepper path: [true] disables the precomputed
-    successor/entry indexes and runs the original transition-list scans —
-    the executable specification the equivalence tests compare against.
-    When omitted, {!Kernel_cost.multi_sim} decides from (m, nnz, trace
-    length); on every mined chain that is the indexed path. *)
+val simulate : ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result
+(** Runs a {!Stepper} over every sample of the trace. *)
 
 val simulate_timed :
   ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result * float
@@ -56,10 +51,11 @@ val simulate_timed :
 module Stepper : sig
   type t
 
-  val create : ?config:config -> ?steps:int -> ?reference:bool -> Hmm.t -> t
-  (** Resets the HMM's banned transitions. [reference] as in {!simulate};
-      [steps] is the expected cycle count, used only by the cost model
-      when [reference] is omitted. *)
+  val create : ?config:config -> Hmm.t -> t
+  (** Resets the HMM's banned transitions and indexes the PSM graph once:
+      successors by (state, guard) and states by entry proposition, so a
+      step scans the active state's successor lists instead of the
+      transition list. *)
 
   val step : t -> Psm_bits.Bits.t array -> float * int
   (** [step t sample] consumes one full interface sample (inputs then
@@ -108,9 +104,7 @@ module Stepper : sig
 
   val export : t -> portable
 
-  val import :
-    ?config:config -> ?steps:int -> ?reference:bool -> Hmm.t -> portable ->
-    (t, string) Stdlib.result
+  val import : ?config:config -> Hmm.t -> portable -> (t, string) Stdlib.result
   (** A stepper continuing exactly where {!export} was taken: every
       field is validated against [hmm]'s model (row bounds, cursor
       alternative/position bounds, ban-log bounds, sample widths) before
@@ -119,4 +113,23 @@ module Stepper : sig
       float-for-float — stepping the imported stepper is bit-identical
       to never having stopped. [hmm] must be (a {!Hmm.copy} of) the
       model the export was taken on. *)
+
+  (**/**)
+
+  val successor_rows : t -> row:int -> o:int -> int list
+  (** Graph successors of state row [row] through guard [o], ascending
+      (index lookup). Exposed so tests can pin the index against a scan
+      of {!Psm_core.Psm.transitions}. *)
+
+  val entry_rows : t -> o:int -> int list
+  (** State rows with an alternative entered by proposition [o],
+      ascending (index lookup). *)
+
+  val choice_scores :
+    t -> origin_row:int -> prop:int -> int list -> (int * float) list
+  (** The filtered score of each candidate row when leaving
+      [origin_row] on entry proposition [prop]: A(origin, r) normalized
+      over the row, times [Hmm.b_entry r prop]. Equal to
+      {!Hmm.predict} on the one-hot belief at [origin_row], read at [r],
+      times the same emission. *)
 end

@@ -12,17 +12,12 @@
     This is an extension beyond the paper; the bench compares it against
     the online simulator. *)
 
-val viterbi : ?kernel:Hmm.kernel -> Hmm.t -> int option array -> int array
+val viterbi : Hmm.t -> int option array -> int array
 (** [viterbi hmm observations] — the most likely state-row sequence for a
     per-instant (optional) proposition sequence. Log-domain max-product
     with a small smoothing floor so one unseen transition cannot zero an
-    entire path.
-
-    [kernel] defaults to the HMM's selected kernel. The sparse kernel
-    iterates stored incoming edges per column and resolves the
-    constant-floor absent edges from one per-step score sort; it
-    reproduces the dense scan's lowest-index tie-breaking exactly, so
-    both kernels return identical paths. *)
+    entire path. A dense m × m scan per instant; equal-scoring
+    predecessors resolve to the lowest state row. *)
 
 val decode : Hmm.t -> Psm_trace.Functional_trace.t -> int array
 (** Classify every instant of the trace and Viterbi-decode; returns PSM

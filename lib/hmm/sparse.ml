@@ -1,8 +1,9 @@
-(* Compressed-sparse-row square matrices for the HMM kernels. The PSM
-   flow produces transition matrices that are chain-sparse by
+(* Compressed-sparse-row square matrices for the HMM forward kernel. The
+   PSM flow produces transition matrices that are chain-sparse by
    construction (the generator emits chains; simplify/join add few
-   extra edges), so iterating only the stored entries beats the dense
-   O(m²) row products on every realistic model. *)
+   extra edges), so iterating only the stored entries matches the dense
+   O(m²) row product on the small IP models and beats it by up to 16×
+   on large ones (DESIGN.md §13). *)
 
 type t = {
   m : int;
@@ -10,10 +11,6 @@ type t = {
   cols : int array; (* length nnz, ascending within each row *)
   vals : float array; (* length nnz *)
 }
-
-(* Above this fill fraction the flat dense product wins on cache
-   behaviour and the indirection costs more than it saves. *)
-let dense_threshold = 0.75
 
 let of_dense a =
   let m = Array.length a in
@@ -41,19 +38,7 @@ let of_dense a =
     a;
   { m; row_ptr; cols; vals }
 
-let dim t = t.m
 let nnz t = t.row_ptr.(t.m)
-
-let density t =
-  if t.m = 0 then 0. else float_of_int (nnz t) /. float_of_int (t.m * t.m)
-
-let iter_row t i f =
-  let stop = t.row_ptr.(i + 1) in
-  for k = t.row_ptr.(i) to stop - 1 do
-    f (Array.unsafe_get t.cols k) (Array.unsafe_get t.vals k)
-  done
-
-let row_nnz t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
 (* out(j) += x(i) · A(i,j), skipping zero belief entries exactly like the
    dense loop does; contributions to each out(j) arrive in ascending-i
@@ -125,13 +110,3 @@ let gather_product c x out =
     done;
     Array.unsafe_set out j !acc
   done
-
-let iter_col c j f =
-  let stop = c.col_ptr.(j + 1) in
-  for k = c.col_ptr.(j) to stop - 1 do
-    f (Array.unsafe_get c.rows k) (Array.unsafe_get c.cvals k)
-  done
-
-let col_mem c j i =
-  let rec go k stop = k < stop && (c.rows.(k) = i || go (k + 1) stop) in
-  go c.col_ptr.(j) c.col_ptr.(j + 1)

@@ -1,28 +1,14 @@
-(** Compressed-sparse-row square matrices backing the HMM inference
-    kernels. Mined PSM transition matrices are chain-sparse, so the
-    kernels iterate stored entries only; the dense reference path is
-    kept for matrices denser than {!dense_threshold}. *)
+(** Compressed-sparse-row square matrices backing the HMM forward
+    kernel. Mined PSM transition matrices are chain-sparse, so the
+    kernel iterates stored entries only. *)
 
 type t
-
-(** Fill fraction above which the dense kernels are preferred. *)
-val dense_threshold : float
 
 (** Build from a square dense matrix (entries exactly [0.] are dropped).
     @raise Invalid_argument on a ragged matrix. *)
 val of_dense : float array array -> t
 
-val dim : t -> int
 val nnz : t -> int
-
-(** [nnz / (m * m)]; [0.] for the empty matrix. *)
-val density : t -> float
-
-(** [iter_row t i f] calls [f j v] for every stored entry [(i, j)] in
-    ascending column order. *)
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-
-val row_nnz : t -> int -> int
 
 (** [scatter_product t x out] accumulates [out.(j) <- out.(j) +. x.(i) *. a.(i).(j)]
     over stored entries with [x.(i) > 0.]. Contributions reach each
@@ -44,10 +30,3 @@ val transpose : t -> csc
     per-entry load/store traffic on [out].
     @raise Invalid_argument on size mismatch. *)
 val gather_product : csc -> float array -> float array -> unit
-
-(** [iter_col c j f] calls [f i v] for every stored entry [(i, j)] in
-    ascending row order. *)
-val iter_col : csc -> int -> (int -> float -> unit) -> unit
-
-(** [col_mem c j i] — is entry [(i, j)] stored? *)
-val col_mem : csc -> int -> int -> bool

@@ -116,7 +116,6 @@ type t = {
   filters : (string, Filtering.t) Hashtbl.t; (* lazily shared per model *)
   sessions : (string, session) Hashtbl.t;
   idle_timeout : float; (* seconds; <= 0 disables eviction *)
-  batch : bool;
   now : unit -> float;
   pool : Psm_par.Pool.t option;
   (* All sessions grouped by (model, mode) — groups in first-opened order,
@@ -133,7 +132,7 @@ type t = {
   mutable closed : int;
 }
 
-let create ?pool ?(idle_timeout = 300.) ?(batch = true) ?now models =
+let create ?pool ?(idle_timeout = 300.) ?now models =
   let models =
     List.sort (fun (a, _) (b, _) -> String.compare a b) models
   in
@@ -149,7 +148,6 @@ let create ?pool ?(idle_timeout = 300.) ?(batch = true) ?now models =
     filters = Hashtbl.create 8;
     sessions = Hashtbl.create 64;
     idle_timeout;
-    batch;
     now = (match now with Some f -> f | None -> Unix.gettimeofday);
     pool;
     shards_cache = [];
@@ -362,15 +360,16 @@ let run_loop (members : session array) =
 
 (* A tick's work item: a whole shard (every member has a pending
    observation — the cached scratch arrays apply directly), or the
-   pending subset of one (fresh right-sized arrays; rare). *)
-let process_work t = function
+   pending subset of one (fresh right-sized arrays; rare). Filter groups
+   always sweep; sim sessions step one by one. *)
+let process_work = function
   | `Full sh ->
-      if sh.members.(0).mode = `Filter && t.batch then
+      if sh.members.(0).mode = `Filter then
         run_batched sh.members sh.sh_states sh.sh_obss sh.sh_hds
           sh.sh_powers sh.sh_rows
       else run_loop sh.members
   | `Subset (members : session array) ->
-      if members.(0).mode = `Filter && t.batch then begin
+      if members.(0).mode = `Filter then begin
         let n = Array.length members in
         run_batched members
           (Array.map (fun s -> snd (Option.get s.fstate)) members)
@@ -459,8 +458,8 @@ let tick t =
        [t] as read-only — see the contract in [Filtering.Stream]. *)
     let counts =
       match work with
-      | [ one ] -> [ process_work t one ]
-      | many -> Psm_par.parallel_map ?pool:t.pool (process_work t) many
+      | [ one ] -> [ process_work one ]
+      | many -> Psm_par.parallel_map ?pool:t.pool process_work many
     in
     let advanced =
       List.fold_left

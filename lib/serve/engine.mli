@@ -12,18 +12,18 @@
     unit of work: every session with a pending observation advances
     exactly one cycle. Sessions are grouped by (model, mode); filter
     groups advance in {e one batched sparse sweep}
-    ({!Psm_hmm.Filtering.Stream.step_many} over the model's shared CSR
-    kernel) and groups shard across the {!Psm_par} pool. {!drain} ticks
-    until idle.
+    ({!Psm_hmm.Filtering.Stream.sweep} over the model's shared CSC
+    kernel), sim sessions step one by one, and groups shard across the
+    {!Psm_par} pool. {!drain} ticks until idle.
 
     {2 Determinism}
 
     The schedule is a function of the session set alone: sessions advance
     in open order within a group, groups in first-opened order, and the
     pool returns group results in input order — so served outputs are
-    independent of client arrival interleaving, job count, and the
-    [batch] flag (the batched sweep is bit-identical to the per-session
-    loop, which is itself bit-identical to offline inference).
+    independent of client arrival interleaving and job count (the
+    batched sweep is bit-identical to stepping each session alone, which
+    is itself bit-identical to offline inference).
 
     {2 Sessions are server-owned}
 
@@ -56,14 +56,12 @@ type model_info = { name : string; states : int; props : int }
 val create :
   ?pool:Psm_par.Pool.t ->
   ?idle_timeout:float ->
-  ?batch:bool ->
   ?now:(unit -> float) ->
   (string * Psm_flow.Persist.model) list ->
   t
 (** [idle_timeout] (default 300 s; <= 0 disables) bounds how long an
-    unfed session survives; [batch] (default true) selects the batched
-    sweep over the per-session reference loop; [now] (default
-    [Unix.gettimeofday]) is the eviction clock.
+    unfed session survives; [now] (default [Unix.gettimeofday]) is the
+    eviction clock.
     @raise Invalid_argument on duplicate model names. *)
 
 val models : t -> model_info list

@@ -20,8 +20,8 @@ type t = {
   mutable shutdown : bool;
 }
 
-let create ?pool ?idle_timeout ?batch ?now ~listen models =
-  let engine = Engine.create ?pool ?idle_timeout ?batch ?now models in
+let create ?pool ?idle_timeout ?now ~listen models =
+  let engine = Engine.create ?pool ?idle_timeout ?now models in
   let listen_fd, port =
     match listen with
     | `Tcp port ->

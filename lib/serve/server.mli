@@ -23,7 +23,6 @@ type t
 val create :
   ?pool:Psm_par.Pool.t ->
   ?idle_timeout:float ->
-  ?batch:bool ->
   ?now:(unit -> float) ->
   listen:listen ->
   (string * Psm_flow.Persist.model) list ->

@@ -120,10 +120,14 @@ let read r =
                 changes := !changes + Interface.arity iface;
                 Functional_trace.Builder.append builder sample;
                 if has_power then begin
-                  match float_of_string_opt cells.(Array.length cells - 1) with
-                  | Some f ->
+                  let cell = cells.(Array.length cells - 1) in
+                  match float_of_string_opt cell with
+                  | Some f when Power_trace.valid_energy f ->
                       incr changes;
                       powers := f :: !powers
+                  | Some _ ->
+                      fail_at r
+                        ("power value " ^ cell ^ " is not finite and non-negative")
                   | None -> fail_at r "bad power value"
                 end;
                 rows ()

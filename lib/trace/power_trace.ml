@@ -1,10 +1,12 @@
 type t = float array
 
+let valid_energy x = Float.is_finite x && x >= 0.
+
 let of_array a =
   Array.iter
     (fun x ->
-      if x < 0. || Float.is_nan x then
-        invalid_arg "Power_trace.of_array: energies must be non-negative")
+      if not (valid_energy x) then
+        invalid_arg "Power_trace.of_array: energies must be finite and non-negative")
     a;
   Array.copy a
 

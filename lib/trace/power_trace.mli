@@ -3,8 +3,13 @@
 
 type t
 
+val valid_energy : float -> bool
+(** Finite and non-negative: what every reader accepts as a power
+    sample. *)
+
 val of_array : float array -> t
-(** The array is copied. Raises [Invalid_argument] on a negative entry. *)
+(** The array is copied. Raises [Invalid_argument] on an entry that is
+    not {!valid_energy} (negative, NaN or infinite). *)
 
 val length : t -> int
 val get : t -> int -> float

@@ -7,16 +7,12 @@
    suite pins) that their per-run arithmetic replicates the per-cycle
    reference bit-for-bit. *)
 
-(* The global escape hatch. Default on; PSM_NO_RLE=1 (or --no-rle on the
-   CLI) switches every consumer back to the per-cycle reference path. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "PSM_NO_RLE" with
-    | None | Some ("" | "0" | "false") -> true
-    | Some _ -> false)
+(* Always on in production; only [with_enabled false] switches every
+   consumer back to the per-cycle reference path, which the tests and the
+   bench's [compress] stage compare against. *)
+let enabled = ref true
 
 let use () = !enabled
-let set_enabled b = enabled := b
 
 let with_enabled b f =
   let saved = !enabled in

@@ -4,19 +4,17 @@
     the run-aware mining/training/classification paths, which must stay
     bit-identical to the per-cycle reference. *)
 
-(** {1 The global escape hatch} *)
+(** {1 The per-cycle reference switch} *)
 
 val use : unit -> bool
-(** Whether the run-length-compacted pipeline paths are enabled. Defaults
-    to [true]; the [PSM_NO_RLE] environment variable (any value other
-    than empty, ["0"] or ["false"]) or {!set_enabled}[ false] (the CLI's
-    [--no-rle]) selects the per-cycle reference paths everywhere. *)
-
-val set_enabled : bool -> unit
+(** Whether the run-length-compacted pipeline paths are enabled: [true]
+    except inside {!with_enabled}[ false], which selects the per-cycle
+    reference paths everywhere. *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run [f] with the toggle forced to [b], restoring the previous value
-    afterwards (exception-safe). For tests and benches. *)
+    afterwards (exception-safe). For the equivalence tests and the
+    bench's RLE-vs-per-cycle comparison. *)
 
 (** {1 Run structure} *)
 

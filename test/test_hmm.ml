@@ -340,94 +340,40 @@ let test_accuracy_validates_lengths () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------- kernel selection ---------- *)
-
-let test_kernel_selection () =
-  let values = [ 0; 0; 1; 1; 2; 2; 0; 0; 1; 1; 2; 2 ] in
-  let _, _, _, psm = train values (List.map (fun v -> 10. ** float_of_int v) values) in
-  let hmm = Hmm.build psm in
-  (* Mined chains are sparse: auto picks the CSR kernel. *)
-  check_bool "auto picks sparse" true (Hmm.kernel hmm = `Sparse);
-  Hmm.set_kernel hmm `Dense;
-  check_bool "forced dense" true (Hmm.kernel hmm = `Dense);
-  Hmm.set_kernel hmm `Auto;
-  check_bool "auto again" true (Hmm.kernel hmm = `Sparse);
-  let csr = Hmm.a_sparse hmm in
-  check_bool "density consistent" true
-    (Psm_hmm.Sparse.density csr <= Psm_hmm.Sparse.dense_threshold);
-  check_int "nnz matches dense"
-    (let m = Hmm.state_count hmm in
-     let count = ref 0 in
-     for i = 0 to m - 1 do
-       for j = 0 to m - 1 do
-         if Hmm.a hmm i j <> 0. then incr count
-       done
-     done;
-     !count)
-    (Psm_hmm.Sparse.nnz csr)
-
-(* ---------- kernel cost model ---------- *)
-
-module Kernel_cost = Psm_hmm.Kernel_cost
-
-let test_kernel_cost_crossovers () =
-  (* The measured winners from bench/probe.ml on the bundled IPs (m, nnz
-     of the trained models; see DESIGN.md §13). *)
-  check_bool "forward Camellia shape -> sparse" true
-    (Kernel_cost.forward ~m:12 ~nnz:60 () = `Sparse);
-  check_bool "viterbi Camellia shape -> sparse" true
-    (Kernel_cost.viterbi ~steps:120_000 ~m:12 ~nnz:60 () = `Sparse);
-  check_bool "viterbi AES shape (tiny, half dense) -> dense" true
-    (Kernel_cost.viterbi ~steps:120_000 ~m:4 ~nnz:8 () = `Dense);
-  check_bool "multi_sim Camellia shape -> indexed" true
-    (Kernel_cost.multi_sim ~steps:120_000 ~m:12 ~nnz:60 () = `Indexed);
-  (* Fully dense matrices: the sparse detour only adds indirection. *)
-  check_bool "forward full-dense -> dense" true
-    (Kernel_cost.forward ~m:4 ~nnz:16 () = `Dense);
-  check_bool "viterbi full-dense -> dense" true
-    (Kernel_cost.viterbi ~m:4 ~nnz:16 () = `Dense);
-  (* Asymptotics: a large sparse chain picks sparse for everything. *)
-  check_bool "forward large chain -> sparse" true
-    (Kernel_cost.forward ~m:1000 ~nnz:3000 () = `Sparse);
-  check_bool "viterbi large chain -> sparse" true
-    (Kernel_cost.viterbi ~m:1000 ~nnz:3000 () = `Sparse);
-  check_bool "multi_sim large chain -> indexed" true
-    (Kernel_cost.multi_sim ~m:1000 ~nnz:3000 () = `Indexed)
-
-let test_kernel_pref_roundtrip () =
-  let values = [ 0; 0; 1; 1; 2; 2; 0; 0; 1; 1; 2; 2 ] in
-  let _, _, _, psm = train values (List.map (fun v -> 10. ** float_of_int v) values) in
-  let hmm = Hmm.build psm in
-  check_bool "default pref auto" true (Hmm.kernel_pref hmm = `Auto);
-  Hmm.set_kernel hmm `Dense;
-  check_bool "forced pref sticks" true (Hmm.kernel_pref hmm = `Dense);
-  Hmm.set_kernel hmm `Auto;
-  check_bool "pref restored" true (Hmm.kernel_pref hmm = `Auto)
+(* ---------- Viterbi tie-breaking ---------- *)
 
 let test_viterbi_adversarial_ties () =
-  (* All-uniform rows make every predecessor score tie at every step:
-     the sparse top-K selection must reproduce the dense scan's
-     lowest-index winners exactly, path element by path element. *)
-  let values = [ 0; 0; 1; 1; 2; 2; 3; 3; 0; 0; 1; 1; 2; 2; 3; 3 ] in
-  let _, _, _, psm = train values (List.map (fun v -> float_of_int (v + 1)) values) in
-  let hmm = Hmm.build psm in
+  (* Three interchangeable states (same power attributes, each initial
+     once, uniform A): every score ties wherever the lattice is
+     symmetric, so the decoded path shows the tie-breaking directly. *)
+  let table, _, _, _ = world [ 0; 1; 2 ] [ 1.; 1.; 1. ] in
+  let attr : Psm_core.Power_attr.t = { mu = 1.; sigma = 0.; n = 1; intervals = [] } in
+  let psm = Psm.empty table in
+  let psm, a = Psm.add_state psm (Assertion.Until (0, 1)) attr in
+  let psm, b = Psm.add_state psm (Assertion.Until (0, 2)) attr in
+  let psm, c = Psm.add_state psm (Assertion.Until (1, 2)) attr in
+  let psm = List.fold_left Psm.add_initial psm [ a; b; c ] in
+  (* a and b both emit proposition 0, only c emits proposition 1. *)
+  let hmm =
+    Hmm.build ~emission_counts:[ ((a, 0), 1.); ((b, 0), 1.); ((c, 1), 1.) ] psm
+  in
   let m = Hmm.state_count hmm in
   for i = 0 to m - 1 do
     for j = 0 to m - 1 do
       Hmm.unsafe_set_a hmm ~row:i ~col:j (1. /. float_of_int m)
     done
   done;
-  (* Uninformative observations keep the scores tied throughout. *)
-  let obs = Array.make 200 None in
-  let dense = Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs in
-  let sparse = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs in
-  check_bool "tied lattice: sparse = dense" true (dense = sparse);
-  (* Same check on a sparse-with-ties lattice: uniform over a chain. *)
-  Hmm.reset_bans hmm;
-  let obs2 = Array.init 200 (fun t -> if t mod 3 = 0 then None else Some 0) in
-  check_bool "chain with tied emissions: sparse = dense" true
-    (Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs2
-    = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs2)
+  (* Uninformative observations: all final scores tie, and each state's
+     own dwell is its best predecessor — the path stays in row 0. *)
+  let path = Psm_hmm.Offline.viterbi hmm (Array.make 200 None) in
+  check_bool "tied lattice: lowest row throughout" true
+    (Array.for_all (fun r -> r = 0) path);
+  (* Proposition 0 then 1: c is the only end state, and its best
+     predecessors a and b tie exactly — the lower row must win. *)
+  let ra = Hmm.row_of_state hmm a and rb = Hmm.row_of_state hmm b in
+  let rc = Hmm.row_of_state hmm c in
+  let path = Psm_hmm.Offline.viterbi hmm [| Some 0; Some 1 |] in
+  check_bool "tied predecessors: lowest row" true (path = [| min ra rb; rc |])
 
 (* ---------- properties ---------- *)
 
@@ -473,63 +419,117 @@ let properties =
         let shuffled = List.rev values in
         let result = Multi_sim.simulate hmm (trace_of table shuffled) in
         result.Multi_sim.wsp >= 0. && result.Multi_sim.wsp <= 1.);
-    (* ---------- sparse vs dense kernel equivalence ---------- *)
-    prop "sparse forward ≡ dense forward" arb_values (fun values ->
-        QCheck.assume (List.length values >= 4);
-        let powers = List.map (fun v -> float_of_int ((v * 3) + 1)) values in
-        let _, trace, _, psm = train values powers in
-        let hmm = Hmm.build psm in
-        let obs =
-          Array.init (FT.length trace) (fun time ->
-              (* A few Nones exercise the uninformative-emission path. *)
-              if time mod 5 = 4 then None
-              else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
-        in
-        let dense = Psm_hmm.Filtering.create ~kernel:`Dense hmm in
-        let sparse = Psm_hmm.Filtering.create ~kernel:`Sparse hmm in
-        let rel_close a b =
-          a = b
-          || abs_float (a -. b)
-             <= 1e-12 *. Float.max 1. (Float.max (abs_float a) (abs_float b))
-        in
-        let pd = Psm_hmm.Filtering.posteriors dense obs in
-        let ps = Psm_hmm.Filtering.posteriors sparse obs in
-        let posteriors_ok =
-          Array.for_all2 (fun rd rs -> Array.for_all2 rel_close rd rs) pd ps
-        in
-        posteriors_ok
-        && rel_close
-             (Psm_hmm.Filtering.log_likelihood dense obs)
-             (Psm_hmm.Filtering.log_likelihood sparse obs));
-    prop "sparse viterbi ≡ dense viterbi" arb_values (fun values ->
-        QCheck.assume (List.length values >= 4);
-        let powers = List.map (fun v -> float_of_int ((v * 2) + 1)) values in
-        let _, trace, _, psm = train values powers in
-        let hmm = Hmm.build psm in
-        let obs =
-          Array.init (FT.length trace) (fun time ->
-              if time mod 7 = 6 then None
-              else Table.classify (Psm.prop_table psm) (FT.sample trace ~time))
-        in
-        let dense = Psm_hmm.Offline.viterbi ~kernel:`Dense hmm obs in
-        let sparse = Psm_hmm.Offline.viterbi ~kernel:`Sparse hmm obs in
-        dense = sparse);
-    prop "indexed multi-sim ≡ reference multi-sim" arb_values (fun values ->
+    (* ---------- the forward kernel against a dense product ---------- *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"sparse scatter/gather ≡ dense product"
+         QCheck.(make Gen.(pair (int_range 1 12) (int_bound 1_000_000)))
+         (fun (m, seed) ->
+           let rng = Random.State.make [| seed |] in
+           (* Zero rows, zero columns and zero belief entries all occur. *)
+           let sparse_value () =
+             if Random.State.int rng 3 = 0 then Random.State.float rng 1. else 0.
+           in
+           let a =
+             Array.init m (fun _ ->
+                 if Random.State.int rng 4 = 0 then Array.make m 0.
+                 else Array.init m (fun _ -> sparse_value ()))
+           in
+           let x = Array.init m (fun _ -> sparse_value ()) in
+           let csr = Psm_hmm.Sparse.of_dense a in
+           let same u v =
+             Array.for_all2
+               (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
+               u v
+           in
+           (* Scatter accumulates into [out] without clearing it. *)
+           let out0 = Array.init m (fun _ -> Random.State.float rng 1.) in
+           let scattered = Array.copy out0 in
+           Psm_hmm.Sparse.scatter_product csr x scattered;
+           let dense_acc = Array.copy out0 in
+           for i = 0 to m - 1 do
+             for j = 0 to m - 1 do
+               dense_acc.(j) <- dense_acc.(j) +. (x.(i) *. a.(i).(j))
+             done
+           done;
+           let gathered = Array.make m nan in
+           Psm_hmm.Sparse.gather_product (Psm_hmm.Sparse.transpose csr) x gathered;
+           let dense =
+             Array.init m (fun j ->
+                 let acc = ref 0. in
+                 for i = 0 to m - 1 do
+                   acc := !acc +. (x.(i) *. a.(i).(j))
+                 done;
+                 !acc)
+           in
+           same scattered dense_acc && same gathered dense
+           && Psm_hmm.Sparse.nnz csr
+              = Array.fold_left
+                  (fun n row -> Array.fold_left (fun n v -> if v <> 0. then n + 1 else n) n row)
+                  0 a));
+    prop "multi-sim indexes ≡ transition-list scans" arb_values (fun values ->
         QCheck.assume (List.length values >= 4);
         let powers = List.map (fun v -> float_of_int (v + 1)) values in
-        let table, trace, _, psm = train values powers in
+        let table, _, _, psm = train values powers in
         let hmm = Hmm.build psm in
-        (* Both the clean replay and a shuffled trace (exercising the
-           resynchronization, ban and fallback-jump paths). *)
-        let same tr =
-          let fast = Multi_sim.simulate hmm tr in
-          let ref_ = Multi_sim.simulate ~reference:true hmm tr in
-          fast.Multi_sim.estimate = ref_.Multi_sim.estimate
-          && fast.Multi_sim.state_trace = ref_.Multi_sim.state_trace
-          && fast.Multi_sim.wrong_instants = ref_.Multi_sim.wrong_instants
-          && fast.Multi_sim.resync_events = ref_.Multi_sim.resync_events
+        let stepper = Multi_sim.Stepper.create hmm in
+        let m = Hmm.state_count hmm in
+        let nprops = Table.prop_count table in
+        let assertion r = (Psm.state psm (Hmm.state_of_row hmm r)).Psm.assertion in
+        let scan_successors ~row ~o =
+          List.filter_map
+            (fun (tr : Psm.transition) ->
+              if Hmm.row_of_state hmm tr.Psm.src = row && tr.Psm.guard = o then
+                Some (Hmm.row_of_state hmm tr.Psm.dst)
+              else None)
+            (Psm.transitions psm)
+          |> List.sort_uniq Int.compare
         in
-        same trace && same (trace_of table (List.rev values))) ]
+        let scan_entries ~o =
+          List.init m Fun.id
+          |> List.filter (fun r ->
+                 List.exists
+                   (fun alt -> Assertion.entry_props alt = [ o ])
+                   (Assertion.alternatives (assertion r)))
+        in
+        (* The filtered score of the one-hot belief, the long way round. *)
+        let predicted_scores ~origin_row ~prop =
+          let belief = Array.make m 0. in
+          belief.(origin_row) <- 1.;
+          let predicted = Hmm.predict hmm belief in
+          List.init m (fun r -> (r, predicted.(r) *. Hmm.b_entry hmm r prop))
+        in
+        let scores_agree () =
+          List.for_all
+            (fun origin_row ->
+              List.for_all
+                (fun prop ->
+                  Multi_sim.Stepper.choice_scores stepper ~origin_row ~prop
+                    (List.init m Fun.id)
+                  = predicted_scores ~origin_row ~prop)
+                (List.init nprops Fun.id))
+            (List.init m Fun.id)
+        in
+        let indexes_agree =
+          List.for_all
+            (fun o ->
+              Multi_sim.Stepper.entry_rows stepper ~o = scan_entries ~o
+              && List.for_all
+                   (fun row ->
+                     Multi_sim.Stepper.successor_rows stepper ~row ~o
+                     = scan_successors ~row ~o)
+                   (List.init m Fun.id))
+            (List.init nprops Fun.id)
+        in
+        let fresh = scores_agree () in
+        (* Again after bans (a row that loses every entry takes the
+           uniform fallback). *)
+        for row = 0 to m - 1 do
+          for dst = 0 to m - 1 do
+            if (row + dst) mod 2 = 0 then Hmm.ban hmm ~src_row:row ~dst_row:dst
+          done
+        done;
+        indexes_agree && fresh && scores_agree ()) ]
 
 let suite =
   ( "hmm",
@@ -538,9 +538,6 @@ let suite =
       Alcotest.test_case "B entry emission" `Quick test_hmm_b_entry;
       Alcotest.test_case "predict normalized" `Quick test_hmm_predict_normalized;
       Alcotest.test_case "ban and reset" `Quick test_hmm_ban_and_reset;
-      Alcotest.test_case "kernel selection" `Quick test_kernel_selection;
-      Alcotest.test_case "kernel cost crossovers" `Quick test_kernel_cost_crossovers;
-      Alcotest.test_case "kernel pref roundtrip" `Quick test_kernel_pref_roundtrip;
       Alcotest.test_case "viterbi adversarial ties" `Quick test_viterbi_adversarial_ties;
       Alcotest.test_case "transition count weighting" `Quick test_hmm_transition_counts_weighting;
       Alcotest.test_case "replay training" `Quick test_multi_sim_replays_training;

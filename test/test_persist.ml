@@ -132,6 +132,87 @@ let test_rejects_tampered () =
   let truncated = String.sub text 0 (String.length text - 40) in
   check_bool "tampered rejected" true (expect_parse_error truncated)
 
+(* ---------- semantic checks on load ---------- *)
+
+let saved_ram =
+  lazy
+    (let _, trained = train_ip "RAM" Psm_ips.Ram.create 6000 in
+     (Persist.save trained, Table.prop_count trained.Flow.table))
+
+(* Rewrite the first line whose words satisfy [matches]; returns the new
+   text and that line's 1-based number. *)
+let edit_line text ~matches ~f =
+  let lines = String.split_on_char '\n' text in
+  let rec go n = function
+    | [] -> Alcotest.fail "no line to edit"
+    | l :: rest ->
+        let ws = String.split_on_char ' ' l in
+        if matches ws then (String.concat " " (f ws) :: rest, n)
+        else
+          let rest', at = go (n + 1) rest in
+          (l :: rest', at)
+  in
+  let lines', at = go 1 lines in
+  (String.concat "\n" lines', at)
+
+(* The edited model must be refused with an error naming the edited
+   line, not an escaped exception or a loaded model. *)
+let expect_rejected_at what (text, line) =
+  match Persist.load text with
+  | _ -> Alcotest.failf "%s: corrupt model loaded" what
+  | exception Persist.Parse_error msg ->
+      check_bool
+        (Printf.sprintf "%s: %S names line %d" what msg line)
+        true
+        (contains msg (Printf.sprintf "line %d:" line))
+
+let test_rejects_unknown_state () =
+  let text, _ = Lazy.force saved_ram in
+  expect_rejected_at "transition dst 999"
+    (edit_line text
+       ~matches:(function [ "t"; _; _; _ ] -> true | _ -> false)
+       ~f:(function [ t; src; g; _ ] -> [ t; src; g; "999" ] | ws -> ws));
+  expect_rejected_at "transition src -1"
+    (edit_line text
+       ~matches:(function [ "t"; _; _; _ ] -> true | _ -> false)
+       ~f:(function [ t; _; g; dst ] -> [ t; "-1"; g; dst ] | ws -> ws));
+  expect_rejected_at "initial 999"
+    (edit_line text
+       ~matches:(function [ "i"; _ ] -> true | _ -> false)
+       ~f:(fun _ -> [ "i"; "999" ]));
+  expect_rejected_at "count dst 999"
+    (edit_line text
+       ~matches:(function [ "ct"; src; _; _ ] -> src <> "-1" | _ -> false)
+       ~f:(function [ ct; src; _; c ] -> [ ct; src; "999"; c ] | ws -> ws))
+
+let test_rejects_unknown_guard () =
+  let text, nprops = Lazy.force saved_ram in
+  check_bool "77 is past the vocabulary" true (nprops <= 77);
+  expect_rejected_at "guard 77"
+    (edit_line text
+       ~matches:(function [ "t"; _; _; _ ] -> true | _ -> false)
+       ~f:(function [ t; src; _; dst ] -> [ t; src; "77"; dst ] | ws -> ws));
+  expect_rejected_at "emission prop 77"
+    (edit_line text
+       ~matches:(function [ "ce"; s; _; _ ] -> s <> "-1" | _ -> false)
+       ~f:(function [ ce; st; _; c ] -> [ ce; st; "77"; c ] | ws -> ws))
+
+let test_rejects_bad_counts () =
+  let text, _ = Lazy.force saved_ram in
+  List.iter
+    (fun bad ->
+      expect_rejected_at ("transition count " ^ bad)
+        (edit_line text
+           ~matches:(function [ "ct"; src; _; _ ] -> src <> "-1" | _ -> false)
+           ~f:(function [ ct; src; dst; _ ] -> [ ct; src; dst; bad ] | ws -> ws));
+      expect_rejected_at ("emission count " ^ bad)
+        (edit_line text
+           ~matches:(function [ "ce"; s; _; _ ] -> s <> "-1" | _ -> false)
+           ~f:(function [ ce; st; p; _ ] -> [ ce; st; p; bad ] | ws -> ws)))
+    [ "nan"; "inf"; "-1" ];
+  (* The unedited text still loads. *)
+  ignore (Persist.load text)
+
 let suite =
   ( "persist",
     [ Alcotest.test_case "roundtrip RAM" `Slow test_roundtrip_ram;
@@ -143,4 +224,7 @@ let suite =
       Alcotest.test_case "hierarchical roundtrip" `Slow test_hier_roundtrip;
       Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage;
       Alcotest.test_case "bad version report" `Quick test_bad_version_report;
-      Alcotest.test_case "rejects tampered" `Quick test_rejects_tampered ] )
+      Alcotest.test_case "rejects tampered" `Quick test_rejects_tampered;
+      Alcotest.test_case "rejects unknown state ids" `Quick test_rejects_unknown_state;
+      Alcotest.test_case "rejects unknown guard" `Quick test_rejects_unknown_guard;
+      Alcotest.test_case "rejects non-finite counts" `Quick test_rejects_bad_counts ] )

@@ -1,7 +1,7 @@
 (* Run-length compaction equivalence: every RLE-gated fast path must be
-   bit-identical to the per-cycle reference path (--no-rle). Pinned here
-   the same three ways PR 7 pinned stream≡batch: deterministic
-   adversarial run shapes, the bundled-IP captures, and a QCheck
+   bit-identical to the per-cycle reference path (Runs.with_enabled
+   false). Pinned here the same three ways PR 7 pinned stream≡batch:
+   deterministic adversarial run shapes, the bundled-IP captures, and a QCheck
    property over random traces — with *exact* float comparison, because
    the optimization's contract is bit-identity, not tolerance. *)
 

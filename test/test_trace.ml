@@ -104,9 +104,13 @@ let test_power_attributes () =
   Alcotest.(check int) "n" 4 n
 
 let test_power_rejects_negative () =
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Power_trace.of_array: energies must be non-negative")
-    (fun () -> ignore (PT.of_array [| 1.; -2. |]))
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Power_trace.of_array: energies must be finite and non-negative")
+        (fun () -> ignore (PT.of_array [| 1.; bad |])))
+    [ ("negative", -2.); ("nan", nan); ("+inf", infinity); ("-inf", neg_infinity) ]
 
 let test_power_total_mean () =
   let p = PT.of_array [| 1.; 2.; 3. |] in
@@ -337,6 +341,46 @@ let test_vcd_stream () =
   Alcotest.(check (list (float 0.))) "powers" [ 1.5; 2.5; 0. ] (List.rev !pows);
   Alcotest.(check int) "samples" 3 stats.Reader.samples;
   Alcotest.(check int) "bytes" (String.length text) stats.Reader.bytes
+
+(* A power token that is negative, NaN or infinite is rejected where it
+   stands, by the batch reader and the streaming reader alike. *)
+let test_vcd_rejects_bad_power () =
+  let text tok =
+    "$timescale 1ns $end\n\
+     $var wire 2 ! a $end\n\
+     $var real 64 \" __power__ $end\n\
+     $enddefinitions $end\n\
+     #0\nb10 !\nr1.5 \"\n#5\nb01 !\n" ^ tok ^ " \"\n#20\nb11 !\nr0 \"\n"
+  in
+  List.iter
+    (fun tok ->
+      let located what = function
+        | Vcd.Parse_error e ->
+            Alcotest.(check int) (what ^ " " ^ tok ^ " line") 10 e.Reader.line;
+            Alcotest.(check string) (what ^ " " ^ tok ^ " message")
+              ("power value " ^ tok ^ " is not finite and non-negative")
+              e.Reader.message
+        | exn -> raise exn
+      in
+      (match Vcd.parse (text tok) with
+      | _ -> Alcotest.failf "read accepted power %s" tok
+      | exception exn -> located "read" exn);
+      match
+        Vcd.stream (Reader.of_string (text tok))
+          ~init:(fun _ -> ())
+          ~sample:(fun ~time:_ _ ~power:_ -> ())
+      with
+      | _ -> Alcotest.failf "stream accepted power %s" tok
+      | exception exn -> located "stream" exn)
+    [ "r-5"; "rnan"; "rinf" ];
+  (* The same tokens in a CSV power column. *)
+  List.iter
+    (fun cell ->
+      match Csv.parse ("time,a:2:in,power\n0,2,1.5\n1,1," ^ cell ^ "\n") with
+      | _ -> Alcotest.failf "csv accepted power %s" cell
+      | exception Csv.Parse_error e ->
+          Alcotest.(check int) ("csv " ^ cell ^ " line") 3 e.Reader.line)
+    [ "-5"; "nan"; "inf" ]
 
 let big_trace n =
   let samples =
@@ -821,6 +865,7 @@ let suite =
       Alcotest.test_case "vcd oversized vector" `Quick test_vcd_oversized_vector;
       Alcotest.test_case "vcd error position" `Quick test_vcd_error_position;
       Alcotest.test_case "vcd stream" `Quick test_vcd_stream;
+      Alcotest.test_case "vcd/csv reject bad power" `Quick test_vcd_rejects_bad_power;
       Alcotest.test_case "vcd parallel == sequential" `Quick
         test_vcd_parallel_matches_sequential;
       Alcotest.test_case "vcd parallel error order" `Quick
