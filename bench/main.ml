@@ -3,7 +3,7 @@
    DESIGN.md, and micro-benchmarks the core operations with Bechamel.
 
    Usage:
-     main.exe [table1|table2|table3|figs|ablations|ingest|analyze|verify|evaluate|profile|stream|compress|serve|micro|all]
+     main.exe [table1|table2|table3|figs|ablations|ingest|analyze|verify|evaluate|profile|stream|serve|micro|all]
               [--paper] [--json FILE]
 
    Default (no arguments): everything, with the long-TS/evaluation lengths
@@ -746,11 +746,10 @@ let stream_iface =
       Psm_trace.Signal.output "busy" 1 ]
 
 (* A deterministic cyclic workload: six behaviors revisited with a fixed
-   dwell, so the model stays constant while the trace length grows — the
-   shape under which O(model) live memory is observable, and (at the
-   default 64-cycle dwell) ~98.4% self-loop instants, the shape the
-   run-length-compacted pipeline paths exploit. *)
-let stream_workload ?(dwell = 64) len =
+   64-cycle dwell, so the model stays constant while the trace length
+   grows — the shape under which O(model) live memory is observable. *)
+let stream_workload len =
+  let dwell = 64 in
   let open Psm_bits in
   let samples =
     Array.init len (fun _ -> [| Bits.zero 2; Bits.zero 1; Bits.zero 1 |])
@@ -825,42 +824,18 @@ let run_stream () =
             (Psm.transition_count bp) len;
           exit 1
         end;
-        (* The per-cycle reference path on the same file: its wall clock
-           against [seconds] is the RLE speedup, and its model must be
-           identical (the full structural check lives in the test suite). *)
-        let t0 = Unix.gettimeofday () in
-        let reference =
-          Psm_trace.Runs.with_enabled false (fun () ->
-              Psm_flow.Stream_train.train_stream ~period:1 ~provenance:`Counts
-                [ path ])
-        in
-        let ref_seconds = Unix.gettimeofday () -. t0 in
-        let rp = reference.Psm_flow.Stream_train.optimized in
-        if
-          Psm.state_count rp <> Psm.state_count sp
-          || Psm.transition_count rp <> Psm.transition_count sp
-        then begin
-          Printf.eprintf
-            "FAIL: RLE streamed model (%d states, %d transitions) diverges \
-             from the per-cycle reference (%d states, %d transitions) at %d \
-             cycles\n"
-            (Psm.state_count sp) (Psm.transition_count sp) (Psm.state_count rp)
-            (Psm.transition_count rp) len;
-          exit 1
-        end;
-        (result, seconds, ref_seconds, peak))
+        (result, seconds, peak))
   in
   let rows =
     List.map
       (fun len ->
-        let result, seconds, ref_seconds, peak = measure len in
+        let result, seconds, peak = measure len in
         let cycles = result.Psm_flow.Stream_train.cycles in
         let rate = if seconds > 0. then float_of_int cycles /. seconds else 0. in
         let compression =
           let trace, _ = stream_workload len in
           Psm_trace.Runs.compression (Psm_trace.Functional_trace.runs trace)
         in
-        let speedup = if seconds > 0. then ref_seconds /. seconds else 0. in
         let tag = Printf.sprintf "stream_%dk" (len / 1000) in
         stream_metrics :=
           !stream_metrics
@@ -869,9 +844,7 @@ let run_stream () =
               (tag ^ "_peak_live_words", float_of_int peak);
               ( tag ^ "_compactions",
                 float_of_int result.Psm_flow.Stream_train.compactions );
-              (tag ^ "_run_compression", compression);
-              (tag ^ "_percycle_train_seconds", ref_seconds);
-              (tag ^ "_rle_speedup", speedup) ];
+              (tag ^ "_run_compression", compression) ];
         [ string_of_int len;
           string_of_int cycles;
           Printf.sprintf "%.3f" seconds;
@@ -880,15 +853,14 @@ let run_stream () =
           string_of_int peak;
           string_of_int
             (Psm.state_count result.Psm_flow.Stream_train.optimized);
-          Printf.sprintf "%.4f" compression;
-          Printf.sprintf "%.2fx" speedup ])
+          Printf.sprintf "%.4f" compression ])
       [ 10_000; 100_000 ]
   in
   print_string
     (Report.render_table
        ~header:
          [ "VCD cycles"; "trained"; "train s"; "cycles/s"; "compactions";
-           "peak live words"; "states"; "run compression"; "rle speedup" ]
+           "peak live words"; "states"; "run compression" ]
        rows);
   print_endline
     "(peak live words = live major heap sampled at every major-GC end while\n\
@@ -917,148 +889,6 @@ let gate_stream_heap ~stream =
       end
   | _ ->
       Printf.eprintf "FAIL: --gate requires the stream stage\n";
-      exit 1
-
-(* ---------- Run-length compaction: RLE paths vs per-cycle ---------- *)
-
-let compress_metrics : (string * float) list ref = ref []
-
-(* Worst case for the compacted paths: every adjacent sample pair
-   differs, so every run has length one and the RLE branches buy
-   nothing — they must not cost anything either. *)
-let distinct_workload len =
-  let open Psm_bits in
-  let samples =
-    Array.init len (fun i ->
-        [| Bits.of_int ~width:2 (i mod 4);
-           Bits.of_int ~width:1 (i / 4 mod 2);
-           Bits.of_int ~width:1 (i mod 2) |])
-  in
-  let powers = Array.init len (fun i -> 2. +. float_of_int (i mod 5)) in
-  ( Psm_trace.Functional_trace.of_samples stream_iface samples,
-    Psm_trace.Power_trace.of_array powers )
-
-let run_compress () =
-  section "Run-length compaction: RLE pipeline vs per-cycle reference";
-  (* Best-of-3 full [Flow.train] under each toggle; the two trained
-     models must agree exactly — the timing comparison is meaningless if
-     the fast path computes something else. *)
-  let time_train ~enabled ~traces ~powers =
-    let result = ref None and best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Psm_trace.Runs.with_enabled enabled (fun () ->
-            Flow.train ~traces ~powers ())
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let check_identical tag (a : Flow.trained) (b : Flow.trained) =
-    if
-      Psm.state_count a.Flow.optimized <> Psm.state_count b.Flow.optimized
-      || Psm.transition_count a.Flow.optimized
-         <> Psm.transition_count b.Flow.optimized
-      || a.Flow.transition_counts <> b.Flow.transition_counts
-      || a.Flow.emission_counts <> b.Flow.emission_counts
-    then begin
-      Printf.eprintf
-        "FAIL: %s workload: the RLE pipeline and the per-cycle reference \
-         trained different models\n"
-        tag;
-      exit 1
-    end
-  in
-  let measure tag (trace, power) =
-    let traces = [ trace ] and powers = [ power ] in
-    let compression =
-      Psm_trace.Runs.compression (Psm_trace.Functional_trace.runs trace)
-    in
-    let rle, rle_s = time_train ~enabled:true ~traces ~powers in
-    let reference, ref_s = time_train ~enabled:false ~traces ~powers in
-    check_identical tag rle reference;
-    let speedup = if rle_s > 0. then ref_s /. rle_s else 0. in
-    Printf.printf
-      "%s: compression %.4f, train %.3f s (RLE) vs %.3f s (per-cycle) = \
-       %.2fx\n"
-      tag compression rle_s ref_s speedup;
-    compress_metrics :=
-      !compress_metrics
-      @ [ (tag ^ "_run_compression", compression);
-          (tag ^ "_train_rle_seconds", rle_s);
-          (tag ^ "_train_percycle_seconds", ref_s);
-          (tag ^ "_rle_speedup", speedup) ];
-    speedup
-  in
-  (* 60k cycles at 64-cycle dwell: ~98.4% self-loop instants. *)
-  ignore (measure "idle" (stream_workload 60_000));
-  ignore (measure "distinct" (distinct_workload 8_000));
-  (* Per-IP run-compression ratios on the paper's short-TS suites: what
-     the compacted paths have to work with on the bundled benchmarks. *)
-  let rows =
-    List.map
-      (fun (name, make) ->
-        let ip : Psm_ips.Ip.t = make () in
-        let suite =
-          Workloads.suite ~total_length:(Workloads.paper_short_length name)
-            ~long:false name
-        in
-        let pairs = List.map (Psm_ips.Capture.run ip) suite in
-        let cycles, runs =
-          List.fold_left
-            (fun (c, r) (trace, _) ->
-              let rs = Psm_trace.Functional_trace.runs trace in
-              (c + Psm_trace.Runs.total rs, r + Psm_trace.Runs.count rs))
-            (0, 0) pairs
-        in
-        let ratio =
-          if cycles = 0 then 1. else float_of_int runs /. float_of_int cycles
-        in
-        compress_metrics :=
-          !compress_metrics
-          @ [ (String.lowercase_ascii name ^ "_run_compression", ratio) ];
-        [ name; string_of_int cycles; string_of_int runs;
-          Printf.sprintf "%.4f" ratio ])
-      [ ("RAM", Psm_ips.Ram.create); ("MultSum", Psm_ips.Multsum.create);
-        ("AES", Psm_ips.Aes.create); ("Camellia", Psm_ips.Camellia.create) ]
-  in
-  print_string
-    (Report.render_table
-       ~header:[ "IP"; "cycles"; "runs"; "compression" ]
-       rows)
-
-(* The acceptance gates: the RLE pipeline must win clearly where there
-   are runs to exploit, and must not lose measurably where there are
-   none (every run has length one, the worst case). *)
-let gate_compress ~compress =
-  match
-    ( List.assoc_opt "idle_rle_speedup" compress,
-      List.assoc_opt "distinct_rle_speedup" compress )
-  with
-  | Some idle, Some distinct ->
-      Printf.printf
-        "[gate] rle speedup: idle %.2fx (floor 1.30x), all-distinct %.2fx \
-         (floor 0.95x)\n"
-        idle distinct;
-      if idle < 1.30 then begin
-        Printf.eprintf
-          "FAIL: RLE speedup on the idle-heavy workload is %.2fx (floor \
-           1.30x)\n"
-          idle;
-        exit 1
-      end;
-      if distinct < 0.95 then begin
-        Printf.eprintf
-          "FAIL: RLE slowdown on the all-distinct workload: %.2fx (floor \
-           0.95x)\n"
-          distinct;
-        exit 1
-      end
-  | _ ->
-      Printf.eprintf "FAIL: --gate requires the compress stage\n";
       exit 1
 
 (* ---------- Serve: concurrent sessions, batched sparse sweeps ---------- *)
@@ -1534,7 +1364,6 @@ let stages_of ~long_length ~eval_length ~ablation_eval what =
   let evaluate = ("evaluate", run_evaluate) in
   let profile = ("profile", run_profile) in
   let stream = ("stream", run_stream) in
-  let compress = ("compress", run_compress) in
   let serve = ("serve", run_serve) in
   let micro = ("micro", run_micro) in
   match what with
@@ -1549,13 +1378,12 @@ let stages_of ~long_length ~eval_length ~ablation_eval what =
   | "evaluate" -> Some [ evaluate ]
   | "profile" -> Some [ profile ]
   | "stream" -> Some [ stream ]
-  | "compress" -> Some [ compress ]
   | "serve" -> Some [ serve ]
   | "micro" -> Some [ micro ]
   | "all" ->
       Some
         [ table1; table2; table3; figs; ablations; ingest; analyze; verify;
-          evaluate; profile; stream; compress; serve; micro ]
+          evaluate; profile; stream; serve; micro ]
   | _ -> None
 
 (* Two independent wall-clock measurements never agree to the printed
@@ -1685,7 +1513,7 @@ let () =
         | None ->
             Printf.eprintf
               "unknown command %s (expected \
-               table1|table2|table3|figs|ablations|ingest|analyze|verify|evaluate|profile|stream|compress|serve|micro|all)\n"
+               table1|table2|table3|figs|ablations|ingest|analyze|verify|evaluate|profile|stream|serve|micro|all)\n"
               w;
             exit 2)
       whats
@@ -1701,7 +1529,7 @@ let () =
       [ ("ingest", !ingest_metrics); ("analyze", !analyze_metrics);
         ("verify", !verify_metrics); ("evaluate", !evaluate_metrics);
         ("profile", !profile_metrics); ("stream", !stream_metrics);
-        ("compress", !compress_metrics); ("serve", !serve_metrics) ]
+        ("serve", !serve_metrics) ]
   in
   check_distinct_measurements metrics;
   let baseline =
@@ -1732,11 +1560,11 @@ let () =
     if
       not
         (ran "table2" || ran "evaluate" || ran "stream" || ran "verify"
-        || ran "compress" || ran "serve")
+        || ran "serve")
     then begin
       Printf.eprintf
         "FAIL: --gate requires at least one gated stage \
-         (table2|evaluate|stream|verify|compress|serve)\n";
+         (table2|evaluate|stream|verify|serve)\n";
       exit 1
     end;
     if ran "table2" then gate_table2_speedup ~timings ~baseline;
@@ -1746,9 +1574,6 @@ let () =
     if ran "stream" then
       gate_stream_heap
         ~stream:(Option.value ~default:[] (List.assoc_opt "stream" metrics));
-    if ran "compress" then
-      gate_compress
-        ~compress:(Option.value ~default:[] (List.assoc_opt "compress" metrics));
     if ran "serve" then
       gate_serve
         ~serve:(Option.value ~default:[] (List.assoc_opt "serve" metrics))

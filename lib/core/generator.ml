@@ -1,6 +1,5 @@
 module Prop_trace = Psm_mining.Prop_trace
 module Power_trace = Psm_trace.Power_trace
-module Runs = Psm_trace.Runs
 
 let assertion_of_pattern = function
   | Xu.Until (p, q) -> Assertion.Until (p, q)
@@ -11,7 +10,7 @@ let assertion_of_pattern = function
    (e > s ? p U q : p X q) over [s, e] — a multi-instant run passes
    through the `U state, a single instant stays in `X — and exhausts
    with the final segment pending, i.e. trailing_stop = len - 1. Pinned
-   against the per-cycle automaton by the RLE equivalence tests. *)
+   against the per-cycle {!Xu} walk by the RLE equivalence tests. *)
 let triplets_of_segments segs =
   let rec go acc = function
     | (p, s, e) :: ((q, _, _) :: _ as rest) ->
@@ -29,23 +28,9 @@ let generate psm ~trace gamma delta =
     invalid_arg "Generator.generate: proposition and power traces differ in length";
   if Prop_trace.table gamma != Psm.prop_table psm then
     invalid_arg "Generator.generate: proposition table mismatch";
-  let triplets, trailing =
-    if Runs.use () then
-      (triplets_of_segments (Prop_trace.segments gamma), Some (len - 1))
-    else begin
-      let xu = Xu.initialize gamma in
-      (* Collect ⟨pattern, start, stop⟩ triplets, then apply the trailing
-         extension to the last one. *)
-      let rec collect acc =
-        match Xu.get_assertion xu with
-        | Some triplet -> collect (triplet :: acc)
-        | None -> List.rev acc
-      in
-      let triplets = collect [] in
-      (triplets, Xu.trailing_stop xu)
-    end
-  in
+  let triplets = triplets_of_segments (Prop_trace.segments gamma) in
   Psm_obs.count "generate.xu_triplets" (List.length triplets);
+  let stop = len - 1 in
   let triplets =
     (* End-of-trace attribution. A trailing run of a single instant is
        folded into the last pattern's interval (the paper's own example:
@@ -53,14 +38,13 @@ let generate psm ~trace gamma delta =
        the trace was cut mid-behaviour — becomes its own absorbing state
        asserting the run persists, so its power cannot pollute the last
        recognized state's attributes. *)
-    match (trailing, List.rev triplets) with
-    | None, _ -> triplets
-    | Some stop, ((pat, start, last_stop) :: earlier as all) ->
+    match List.rev triplets with
+    | (pat, start, last_stop) :: earlier as all ->
         let tail_start = last_stop + 1 in
         let tail_prop = Prop_trace.prop_at gamma tail_start in
         if stop = tail_start then List.rev ((pat, start, stop) :: earlier)
         else List.rev ((Xu.Until (tail_prop, tail_prop), tail_start, stop) :: all)
-    | Some stop, [] ->
+    | [] ->
         (* Single-run trace: one state asserting the run persists. *)
         let p = Prop_trace.prop_at gamma 0 in
         [ (Xu.Until (p, p), 0, stop) ]

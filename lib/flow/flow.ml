@@ -140,18 +140,13 @@ let train ?(config = default) ~traces ~powers () =
               List.iter
                 (fun iv ->
                   let gamma = gammas.(iv.Psm_core.Power_attr.trace) in
-                  if Psm_trace.Runs.use () then
-                    (* One bump per Γ segment in the window; integer
-                       counts accumulated in floats stay exact, and props
-                       first appear in the same time order, so the table
-                       (and its fold order) matches the per-cycle loop. *)
-                    Prop_trace.iter_prop_runs gamma ~start:iv.Psm_core.Power_attr.start
-                      ~stop:iv.Psm_core.Power_attr.stop
-                      (fun p ~start:_ ~len -> bump p len)
-                  else
-                    for t = iv.Psm_core.Power_attr.start to iv.Psm_core.Power_attr.stop do
-                      bump (Prop_trace.prop_at gamma t) 1
-                    done)
+                  (* One bump per Γ segment in the window; integer
+                     counts accumulated in floats stay exact, and props
+                     first appear in the same time order, so the table
+                     (and its fold order) matches a per-instant count. *)
+                  Prop_trace.iter_prop_runs gamma ~start:iv.Psm_core.Power_attr.start
+                    ~stop:iv.Psm_core.Power_attr.stop
+                    (fun p ~start:_ ~len -> bump p len))
                 s.Psm.attr.Psm_core.Power_attr.intervals;
               Hashtbl.fold (fun p c acc -> ((s.Psm.id, p), c) :: acc) per_prop [])
             (Psm.states optimized)

@@ -5,7 +5,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 module Interface = Psm_trace.Interface
 module Vcd = Psm_trace.Vcd
 module Reader = Psm_trace.Reader
-module Runs = Psm_trace.Runs
+module Functional_trace = Psm_trace.Functional_trace
 module Bits = Psm_bits.Bits
 module Miner = Psm_mining.Miner
 module Table = Psm_mining.Prop_trace.Table
@@ -510,8 +510,6 @@ let emit_triplet core pat tstart tstop =
 
 (* ---------- push / end_trace ---------- *)
 
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
-
 let push_training trainer sample ~power =
   let core = trainer.core in
   let table =
@@ -523,21 +521,16 @@ let push_training trainer sample ~power =
      an input Hamming distance of exactly 0 — the dominant self-loop
      cycles of an idle-heavy trace skip the classify and the copy. *)
   let memo_hit =
-    Runs.use ()
-    && (match core.prev_inputs with Some prev -> same_sample prev sample | None -> false)
+    match core.prev_inputs with
+    | Some prev -> Functional_trace.same_sample prev sample
+    | None -> false
   in
   let prop = if memo_hit then core.prev_prop else Table.classify_or_add table sample in
   let ham =
     match core.prev_inputs with
     | None -> 0.
     | Some _ when memo_hit -> 0.
-    | Some prev ->
-        let d =
-          List.fold_left
-            (fun acc i -> acc + Bits.hamming_distance sample.(i) prev.(i))
-            0 core.input_idx
-        in
-        float_of_int d
+    | Some prev -> float_of_int (Functional_trace.input_hamming core.input_idx sample prev)
   in
   Fbuf.push core.buf_power power;
   Fbuf.push core.buf_ham ham;
@@ -579,20 +572,14 @@ let push trainer sample ~power =
   if Array.length sample <> Interface.arity core.iface then
     invalid_arg "Stream_train.push: sample arity mismatch";
   match core.phase with
-  | Mining ->
-      if Runs.use () then begin
-        match trainer.mine_rle.rsample with
-        | Some s when same_sample s sample ->
-            trainer.mine_rle.rlen <- trainer.mine_rle.rlen + 1
-        | _ ->
-            flush_mine_rle trainer;
-            trainer.mine_rle.rsample <- Some (Array.copy sample);
-            trainer.mine_rle.rlen <- 1
-      end
-      else begin
-        flush_mine_rle trainer;
-        Miner.Incremental.observe core.miner sample
-      end
+  | Mining -> (
+      match trainer.mine_rle.rsample with
+      | Some s when Functional_trace.same_sample s sample ->
+          trainer.mine_rle.rlen <- trainer.mine_rle.rlen + 1
+      | _ ->
+          flush_mine_rle trainer;
+          trainer.mine_rle.rsample <- Some (Array.copy sample);
+          trainer.mine_rle.rlen <- 1)
   | Training -> push_training trainer sample ~power
 
 let end_trace_training trainer =

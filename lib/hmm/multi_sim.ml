@@ -1,12 +1,8 @@
 module Psm = Psm_core.Psm
 module Assertion = Psm_core.Assertion
 module Functional_trace = Psm_trace.Functional_trace
-module Interface = Psm_trace.Interface
 module Table = Psm_mining.Prop_trace.Table
-module Bits = Psm_bits.Bits
-module Runs = Psm_trace.Runs
-
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
+module Sample_tracker = Psm_mining.Sample_tracker
 
 type config = {
   resync_enabled : bool;
@@ -69,7 +65,6 @@ module Stepper = struct
     config : config;
     hmm : Hmm.t;
     table : Table.t;
-    input_indexes : int list;
     assertions : Assertion.t array; (* row -> state assertion *)
     outputs : Psm.output array; (* row -> state output *)
     succ_by_guard : (int * int, int list) Hashtbl.t;
@@ -77,13 +72,7 @@ module Stepper = struct
        regardless of the current (bannable) A mass *)
     rows_by_entry : (int, int list) Hashtbl.t;
     (* entry prop -> rows (ascending) with a matching alternative *)
-    mutable prev_inputs : Bits.t array option;
-    (* Classification memo owned by [step]: the previous sample (a
-       private copy) and its classification. A repeated sample has
-       Hamming distance 0 and the same truth row, so the classify and
-       the copy collapse to one array comparison. Pure cache — never
-       exported in portable checkpoints. *)
-    mutable memo : (Bits.t array * int option) option;
+    tracker : Sample_tracker.t; (* [step]'s Hamming distance and classification *)
     mutable mode : mode;
     mutable entered_via : (int * int) option;
     mutable progressed : bool; (* the current state matched at least one
@@ -103,7 +92,6 @@ module Stepper = struct
     Hmm.reset_bans hmm;
     let psm = Hmm.psm hmm in
     let table = Psm.prop_table psm in
-    let iface = Psm_mining.Vocabulary.interface (Table.vocabulary table) in
     let m = Hmm.state_count hmm in
     let state_of_row row = Psm.state psm (Hmm.state_of_row hmm row) in
     let assertions = Array.init m (fun row -> (state_of_row row).Psm.assertion) in
@@ -132,13 +120,11 @@ module Stepper = struct
     { config;
       hmm;
       table;
-      input_indexes = List.map fst (Interface.inputs iface);
       assertions;
       outputs;
       succ_by_guard;
       rows_by_entry;
-      prev_inputs = None;
-      memo = None;
+      tracker = Sample_tracker.create table;
       mode = Unstarted;
       entered_via = None;
       progressed = false;
@@ -300,26 +286,14 @@ module Stepper = struct
       | None -> Desynced { origin_row }
     end
 
-  let input_hamming t sample =
-    let hd =
-      match t.prev_inputs with
-      | None -> 0
-      | Some prev ->
-          List.fold_left
-            (fun acc i -> acc + Bits.hamming_distance sample.(i) prev.(i))
-            0 t.input_indexes
-    in
-    t.prev_inputs <- Some (Array.copy sample);
-    float_of_int hd
-
   let classify t sample = Table.classify t.table sample
 
   (* The cursor/transition state machine after sample classification —
      the entry point for proposition-level streaming (serve sessions
      whose client sends classified observations plus input Hamming
-     distances instead of raw samples). [step] is this preceded by
-     [input_hamming] and [classify]; feeding the same trace through
-     either path is bit-identical. *)
+     distances instead of raw samples). [step] is this fed by the
+     sample tracker; feeding the same trace through either path is
+     bit-identical. *)
   let step_classified t ~hamming:hd o_opt =
     let initialized_now =
       match (t.mode, o_opt) with
@@ -415,20 +389,10 @@ module Stepper = struct
     | Unstarted -> assert false
 
   let step t sample =
-    match t.memo with
-    | Some (prev, obs) when Runs.use () && same_sample prev sample ->
-        (* Identical sample: inputs unchanged (Hamming 0) and the same
-           truth row classifies identically; [prev_inputs] already holds
-           an equal array, so the reference updates are all no-ops. *)
-        step_classified t ~hamming:0. obs
-    | _ ->
-        let hd = input_hamming t sample in
-        let obs = classify t sample in
-        (* [input_hamming] just stored a private copy of [sample]. *)
-        (match t.prev_inputs with
-        | Some copy -> t.memo <- Some (copy, obs)
-        | None -> t.memo <- None);
-        step_classified t ~hamming:hd obs
+    Sample_tracker.observe t.tracker sample;
+    step_classified t
+      ~hamming:(Sample_tracker.hamming t.tracker)
+      (Sample_tracker.classification t.tracker)
 
   let cycles t = t.cycles
   let wrong_instants t = t.wrong_instants
@@ -471,8 +435,7 @@ module Stepper = struct
     find 0 (Assertion.alternatives t.assertions.(row))
 
   let export t =
-    { p_prev_inputs =
-        Option.map (Array.map Bits.to_binary_string) t.prev_inputs;
+    { p_prev_inputs = Sample_tracker.export t.tracker;
       p_mode =
         (match t.mode with
         | Unstarted -> `Unstarted
@@ -489,38 +452,6 @@ module Stepper = struct
       p_wrong_instants = t.wrong_instants;
       p_resync_events = t.resync_events;
       p_bans = List.rev t.ban_log }
-
-  let decode_prev_inputs t = function
-    | None -> Ok None
-    | Some strs ->
-        let iface =
-          Psm_mining.Vocabulary.interface (Table.vocabulary t.table)
-        in
-        let arity = Interface.arity iface in
-        if Array.length strs <> arity then
-          Error
-            (Printf.sprintf "previous sample has %d signals, interface has %d"
-               (Array.length strs) arity)
-        else begin
-          try
-            Ok
-              (Some
-                 (Array.mapi
-                    (fun i s ->
-                      let b = Bits.of_binary_string s in
-                      let w = (Interface.signal iface i).Psm_trace.Signal.width in
-                      if Bits.width b <> w then
-                        failwith
-                          (Printf.sprintf
-                             "previous sample signal %d is %d bits wide, \
-                              expected %d"
-                             i (Bits.width b) w);
-                      b)
-                    strs))
-          with
-          | Failure msg -> Error msg
-          | Invalid_argument _ -> Error "previous sample is not a bit string"
-        end
 
   let import ?config hmm p =
     let t = create ?config hmm in
@@ -582,9 +513,9 @@ module Stepper = struct
       match mode with
       | Error _ as e -> e
       | Ok mode -> (
-          match decode_prev_inputs t p.p_prev_inputs with
+          match Sample_tracker.restore t.tracker p.p_prev_inputs with
           | Error _ as e -> e
-          | Ok prev_inputs ->
+          | Ok () ->
               (* [create] reset the bans, so replaying the validated log
                  in its original order rebuilds the banned A
                  float-for-float (each ban renormalizes its source row
@@ -594,7 +525,6 @@ module Stepper = struct
                 p.p_bans;
               t.ban_log <- List.rev p.p_bans;
               t.bans_active <- p.p_bans <> [];
-              t.prev_inputs <- prev_inputs;
               t.mode <- mode;
               t.entered_via <- p.p_entered_via;
               t.progressed <- p.p_progressed;

@@ -2,7 +2,6 @@ module Bits = Psm_bits.Bits
 module Functional_trace = Psm_trace.Functional_trace
 module Interface = Psm_trace.Interface
 module Signal = Psm_trace.Signal
-module Runs = Psm_trace.Runs
 
 type config = {
   min_support : float;
@@ -171,24 +170,16 @@ let const_candidates config traces iface total =
   let offset = ref 0 in
   List.iter
     (fun trace ->
-      if Runs.use () then
-        (* A run of identical samples is a run of identical values on
-           every signal; one bulk observation per signal per run. *)
-        Functional_trace.iter_runs
-          (fun ~start ~len sample ->
-            Array.iteri
-              (fun s v ->
-                if narrow s then
-                  Value_counter.observe_run counters.(s) (!offset + start) v len)
-              sample)
-          trace
-      else
-        Functional_trace.iter
-          (fun time sample ->
-            Array.iteri
-              (fun s v -> if narrow s then Value_counter.observe counters.(s) (!offset + time) v)
-              sample)
-          trace;
+      (* A run of identical samples is a run of identical values on
+         every signal; one bulk observation per signal per run. *)
+      Functional_trace.iter_runs
+        (fun ~start ~len sample ->
+          Array.iteri
+            (fun s v ->
+              if narrow s then
+                Value_counter.observe_run counters.(s) (!offset + start) v len)
+            sample)
+        trace;
       offset := !offset + Functional_trace.length trace + 2)
     traces;
   consts_of_counters ~total counters
@@ -249,9 +240,10 @@ module Run_acc = struct
 end
 
 (* One fused pass over all traces scoring every (pair x {=,<,>}) atom of
-   [pairs]: each sample costs one three-way [Bits.compare] per pair
-   instead of three predicate evaluations in three separate trace
-   passes. Produces exactly [predicate_stats]'s counts per atom. *)
+   [pairs]: each run of identical samples costs one three-way
+   [Bits.compare] per pair instead of three predicate evaluations in
+   three separate trace passes. Produces exactly [predicate_stats]'s
+   counts per atom. *)
 (* Stats list construction shared by the chunked batch path and the
    incremental accumulator: ⟨=, <, >⟩ per pair, in pair order. *)
 let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
@@ -274,30 +266,18 @@ let pair_chunk_stats ~short_below ~total traces (pairs : (int * int) array) =
   let gts = Array.init k (fun _ -> Run_acc.create ()) in
   List.iter
     (fun trace ->
-      if Runs.use () then
-        (* Identical samples compare identically: one three-way compare
-           per pair per run, bulk-stepped over the run length. *)
-        Functional_trace.iter_runs
-          (fun ~start:_ ~len sample ->
-            for j = 0 to k - 1 do
-              let a, b = Array.unsafe_get pairs j in
-              let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-              Run_acc.step_run ~short_below (Array.unsafe_get eqs j) (c = 0) len;
-              Run_acc.step_run ~short_below (Array.unsafe_get lts j) (c < 0) len;
-              Run_acc.step_run ~short_below (Array.unsafe_get gts j) (c > 0) len
-            done)
-          trace
-      else
-        Functional_trace.iter
-          (fun _ sample ->
-            for j = 0 to k - 1 do
-              let a, b = Array.unsafe_get pairs j in
-              let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-              Run_acc.step ~short_below (Array.unsafe_get eqs j) (c = 0);
-              Run_acc.step ~short_below (Array.unsafe_get lts j) (c < 0);
-              Run_acc.step ~short_below (Array.unsafe_get gts j) (c > 0)
-            done)
-          trace;
+      (* Identical samples compare identically: one three-way compare
+         per pair per run, bulk-stepped over the run length. *)
+      Functional_trace.iter_runs
+        (fun ~start:_ ~len sample ->
+          for j = 0 to k - 1 do
+            let a, b = Array.unsafe_get pairs j in
+            let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
+            Run_acc.step_run ~short_below (Array.unsafe_get eqs j) (c = 0) len;
+            Run_acc.step_run ~short_below (Array.unsafe_get lts j) (c < 0) len;
+            Run_acc.step_run ~short_below (Array.unsafe_get gts j) (c > 0) len
+          done)
+        trace;
       Array.iter (Run_acc.boundary ~short_below) eqs;
       Array.iter (Run_acc.boundary ~short_below) lts;
       Array.iter (Run_acc.boundary ~short_below) gts)
@@ -330,8 +310,7 @@ let pair_candidates ?pool config traces iface total =
     let short_below = short_below_of config in
     (* Materialize the lazy run caches before fanning out: domains share
        the trace values, and the cache write is not synchronized. *)
-    if Runs.use () then
-      List.iter (fun trace -> ignore (Functional_trace.runs trace)) traces;
+    List.iter (fun trace -> ignore (Functional_trace.runs trace)) traces;
     (* Parallelize by chunking the pair set across domains; every chunk
        makes its own fused trace pass, and chunk results concatenate in
        pair order, so the output is identical at any job count. *)

@@ -50,8 +50,9 @@ val mine_vocabulary :
     interfaces.
 
     Pair mining is a single fused pass per chunk of signal pairs —
-    every sample pays one three-way comparison per pair, scoring the
-    [=], [<] and [>] atoms at once — and chunks are fanned out over
+    every run of identical samples pays one three-way comparison per
+    pair, scoring the [=], [<] and [>] atoms at once — and chunks are
+    fanned out over
     [pool] (default: the global {!Psm_par} pool). Chunk results merge
     in pair order, so the mined vocabulary is identical at any job
     count. *)

@@ -122,16 +122,17 @@ let of_functional ?pool table trace =
   let ids = Array.make n 0 in
   let segs = ref None in
   let jobs = Psm_par.effective_jobs ?pool () in
-  let use_rle =
-    Runs.use ()
-    && (jobs <= 1
-       || n < min_parallel_length
-       || Runs.count (Functional_trace.runs trace) * jobs <= n)
+  (* Per-run classification unless the trace has so many runs that
+     packing keys across the pool is the faster walk. *)
+  let per_run =
+    jobs <= 1
+    || n < min_parallel_length
+    || Runs.count (Functional_trace.runs trace) * jobs <= n
   in
-  if use_rle then begin
+  if per_run then begin
     (* One classification per run of identical samples; ids fill in
        bulk, in time order, so interning order (and hence every id)
-       matches the sequential per-cycle path. Adjacent runs with equal
+       matches a sequential per-cycle walk. Adjacent runs with equal
        ids (distinct samples, same truth row) merge into one segment. *)
     let rev = ref [] in
     Functional_trace.iter_runs
@@ -144,14 +145,10 @@ let of_functional ?pool table trace =
       trace;
     segs := Some (Array.of_list (List.rev !rev))
   end
-  else if jobs <= 1 || n < min_parallel_length then
-    Functional_trace.iter
-      (fun time sample -> ids.(time) <- Table.classify_or_add table sample)
-      trace
   else begin
     (* Phase 1 (parallel, pure): pack every instant's truth row into a
        key. Phase 2 (sequential): intern the keys in time order, so ids
-       are assigned in first-occurrence order exactly as the sequential
+       are assigned in first-occurrence order exactly as the per-run
        path assigns them. *)
     let vocabulary = Table.vocabulary table in
     let keys = Array.make n "" in

@@ -48,11 +48,12 @@ type t
 (** A proposition trace Γ: one proposition id per instant. *)
 
 val of_functional : ?pool:Psm_par.Pool.t -> Table.t -> Psm_trace.Functional_trace.t -> t
-(** Classifies (and interns) every instant. On traces long enough to be
-    worth it, truth rows are packed in parallel over [pool] (default:
+(** Classifies (and interns) every instant, once per run of identical
+    samples. On traces with more runs than instants per pool domain, truth
+    rows are instead packed per instant in parallel over [pool] (default:
     the global {!Psm_par} pool) and then interned sequentially in time
-    order — proposition ids, and hence Γ, are identical to a
-    [PSM_JOBS=1] run. *)
+    order — proposition ids, and hence Γ, are identical either way and
+    to a [PSM_JOBS=1] run. *)
 
 val table : t -> Table.t
 val length : t -> int

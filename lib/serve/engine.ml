@@ -234,23 +234,30 @@ let close_session t ~id =
 
 (* ---------- feeding ---------- *)
 
+(* The first observation a session must not queue: a proposition outside
+   the model's vocabulary, or an input Hamming distance that is not a
+   finite non-negative number (an [Affine] state would turn it into a
+   non-finite power estimate). *)
+let invalid_observation ~nprops obs =
+  let rec scan i =
+    if i = Array.length obs then None
+    else
+      match obs.(i) with
+      | Some p, _ when p < 0 || p >= nprops ->
+          Some (Printf.sprintf "proposition %d out of range (model has %d)" p nprops)
+      | _, hd when not (Float.is_finite hd && hd >= 0.) ->
+          Some
+            (Printf.sprintf "hd entry %d is %g, not a finite non-negative number" i hd)
+      | _ -> scan (i + 1)
+  in
+  scan 0
+
 let submit t ~id obs =
   match find_session t id with
   | Error _ as e -> e
   | Ok session ->
-      let nprops = session.nprops in
-      let bad = ref None in
-      Array.iter
-        (function
-          | Some p, _ when p < 0 || p >= nprops ->
-              if !bad = None then bad := Some p
-          | _ -> ())
-        obs;
-      match !bad with
-      | Some p ->
-          Error
-            (Printf.sprintf "proposition %d out of range (model has %d)" p
-               nprops)
+      match invalid_observation ~nprops:session.nprops obs with
+      | Some e -> Error e
       | None ->
           Array.iter
             (fun (p, hd) ->
@@ -261,14 +268,23 @@ let submit t ~id obs =
           session.last_active <- t.now ();
           Ok (Array.length obs)
 
+let max_vcd_upload = 64 * 1024 * 1024
+
 let vcd_chunk t ~id ~chunk ~last =
   match find_session t id with
   | Error e -> Error e
   | Ok session ->
       session.last_active <- t.now ();
-      Buffer.add_string session.vcd_buf chunk;
-      if not last then Ok 0
+      if Buffer.length session.vcd_buf + String.length chunk > max_vcd_upload then begin
+        Buffer.reset session.vcd_buf;
+        Error (Printf.sprintf "vcd: upload exceeds %d bytes" max_vcd_upload)
+      end
+      else if not last then begin
+        Buffer.add_string session.vcd_buf chunk;
+        Ok 0
+      end
       else begin
+        Buffer.add_string session.vcd_buf chunk;
         let text = Buffer.contents session.vcd_buf in
         Buffer.clear session.vcd_buf;
         match Vcd.parse text with
@@ -293,32 +309,20 @@ let vcd_chunk t ~id ~chunk ~last =
                  upload rides the same proposition queue as [observe]. *)
               let hd = Functional_trace.input_hamming_series trace in
               let n = Functional_trace.length trace in
-              if Psm_trace.Runs.use () then
-                (* One classification per run of identical samples; the
-                   queued codes and Hamming values are exactly the
-                   per-cycle loop's (identical samples classify
-                   identically, and [hd] is still read per instant). *)
-                Functional_trace.iter_runs
-                  (fun ~start ~len sample ->
-                    let code =
-                      match Table.classify table sample with
-                      | Some p -> p
-                      | None -> -1
-                    in
-                    for time = start to start + len - 1 do
-                      Ring.push session.queue code hd.(time)
-                    done)
-                  trace
-              else
-                for time = 0 to n - 1 do
-                  let sample = Functional_trace.sample trace ~time in
+              (* One classification per run of identical samples: they
+                 classify identically, and [hd] is still read per
+                 instant. *)
+              Functional_trace.iter_runs
+                (fun ~start ~len sample ->
                   let code =
                     match Table.classify table sample with
                     | Some p -> p
                     | None -> -1
                   in
-                  Ring.push session.queue code hd.(time)
-                done;
+                  for time = start to start + len - 1 do
+                    Ring.push session.queue code hd.(time)
+                  done)
+                trace;
               Ok n
             end
       end

@@ -75,15 +75,22 @@ val close_session : t -> id:string -> (unit, string) result
 
 val submit : t -> id:string -> (int option * float) array -> (int, string) result
 (** Enqueue (proposition, input Hamming) pairs, one per cycle. Rejects
-    out-of-vocabulary propositions. Returns the cycles enqueued. *)
+    the whole batch, queueing nothing, on an out-of-vocabulary
+    proposition or an input Hamming distance that is negative, NaN or
+    infinite; the error names the first bad entry. Returns the cycles
+    enqueued. *)
+
+val max_vcd_upload : int
+(** Bytes one VCD upload may buffer before its final chunk (64 MiB). *)
 
 val vcd_chunk : t -> id:string -> chunk:string -> last:bool -> (int, string) result
 (** Buffer a VCD fragment; [last:true] parses the whole upload
     ({!Psm_trace.Vcd.parse} — malformed text returns the reader's
     positioned error), checks the interface against the session's model,
     classifies every sample and enqueues it. Returns cycles enqueued
-    (0 while buffering). The error is per-session: the buffer is reset
-    and the session remains usable. *)
+    (0 while buffering). An upload that would grow past
+    {!max_vcd_upload} is rejected. Every error is per-session: the buffer
+    is reset and the session remains usable. *)
 
 val tick : t -> int
 (** One scheduler step: every session with a pending observation advances

@@ -1,9 +1,13 @@
 type listen = [ `Tcp of int | `Unix of string ]
 
+(* [Oversized] stands in for a line past [max_line]: it is answered with
+   an error after the frames queued before it, and ends the connection. *)
+type frame = Line of string | Oversized
+
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t; (* raw bytes until the next newline *)
-  lines : string Queue.t; (* complete frames awaiting processing *)
+  lines : frame Queue.t; (* complete frames awaiting processing *)
   outbuf : Buffer.t; (* responses awaiting the socket *)
   mutable closed : bool;
   mutable write_blocked : bool;
@@ -53,33 +57,49 @@ let shutdown_requested t = t.shutdown
 
 (* ---------- connection plumbing ---------- *)
 
+(* A stalled client that never reads can buffer responses without bound;
+   past this the connection is dropped (its sessions live on in the
+   engine until close/eviction, like any disconnect). *)
+let max_outbuf = 64 * 1024 * 1024
+
+(* A client that never sends a newline could grow [inbuf] without bound;
+   past this its connection gets an error and is closed. Large VCD
+   uploads span several [vcd] frames ({!Engine.max_vcd_upload} bounds
+   their total). *)
+let max_line = 16 * 1024 * 1024
+
 let close_conn conn =
   if not conn.closed then begin
     conn.closed <- true;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ())
   end
 
-let extract_lines conn =
-  let s = Buffer.contents conn.inbuf in
-  Buffer.clear conn.inbuf;
-  let rec loop start =
-    match String.index_from_opt s start '\n' with
-    | Some nl ->
-        let stop = if nl > start && s.[nl - 1] = '\r' then nl - 1 else nl in
-        Queue.add (String.sub s start (stop - start)) conn.lines;
-        loop (nl + 1)
-    | None -> Buffer.add_substring conn.inbuf s start (String.length s - start)
-  in
-  loop 0
+(* Frame the bytes [bytes[0, n)] just read. Only the new bytes are
+   scanned, so a long line costs one copy into [inbuf], not one per
+   read. *)
+let extract_lines conn bytes n =
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get bytes i = '\n' then begin
+      Buffer.add_subbytes conn.inbuf bytes !start (i - !start);
+      let line = Buffer.contents conn.inbuf in
+      Buffer.clear conn.inbuf;
+      let len = String.length line in
+      let line = if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1) else line in
+      Queue.add (Line line) conn.lines;
+      start := i + 1
+    end
+  done;
+  Buffer.add_subbytes conn.inbuf bytes !start (n - !start);
+  if Buffer.length conn.inbuf > max_line then begin
+    Buffer.reset conn.inbuf;
+    Queue.add Oversized conn.lines
+  end
 
 let respond conn line =
   Buffer.add_string conn.outbuf line;
   Buffer.add_char conn.outbuf '\n'
 
-(* A stalled client that never reads can buffer responses without bound;
-   past this the connection is dropped (its sessions live on in the
-   engine until close/eviction, like any disconnect). *)
-let max_outbuf = 64 * 1024 * 1024
 
 (* One bounded non-blocking write ([single_write] on an fd accept marked
    non-blocking, so it can never retry internally): a partial write keeps
@@ -224,25 +244,32 @@ let process_waves t =
         if not conn.closed then begin
           let streaming = ref false in
           while (not !streaming) && not (Queue.is_empty conn.lines) do
-            let line = Queue.pop conn.lines in
             progress := true;
-            if String.trim line <> "" then begin
-              let outcome =
-                match Protocol.parse_request line with
-                | Error e -> `Respond (Protocol.error e)
-                | Ok req -> (
-                    try handle_immediate t req
-                    with exn ->
-                      `Respond
-                        (Protocol.error
-                           ("internal error: " ^ Printexc.to_string exn)))
-              in
-              match outcome with
-              | `Respond r -> respond conn r
-              | `Defer (session, cycles) ->
-                  deferred := (conn, session, cycles) :: !deferred;
-                  streaming := true
-            end
+            match Queue.pop conn.lines with
+            | Oversized ->
+                respond conn
+                  (Protocol.error
+                     (Printf.sprintf "request line longer than %d bytes" max_line));
+                flush_out conn;
+                close_conn conn;
+                Queue.clear conn.lines
+            | Line line when String.trim line = "" -> ()
+            | Line line -> (
+                let outcome =
+                  match Protocol.parse_request line with
+                  | Error e -> `Respond (Protocol.error e)
+                  | Ok req -> (
+                      try handle_immediate t req
+                      with exn ->
+                        `Respond
+                          (Protocol.error
+                             ("internal error: " ^ Printexc.to_string exn)))
+                in
+                match outcome with
+                | `Respond r -> respond conn r
+                | `Defer (session, cycles) ->
+                    deferred := (conn, session, cycles) :: !deferred;
+                    streaming := true)
           done
         end)
       t.conns;
@@ -307,9 +334,7 @@ let run t =
               (* A disconnect closes the transport only: the client's
                  sessions stay live in the engine until close/eviction. *)
               | 0 -> close_conn conn
-              | n ->
-                  Buffer.add_subbytes conn.inbuf buf 0 n;
-                  extract_lines conn
+              | n -> extract_lines conn buf n
               | exception
                   Unix.Unix_error
                     ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->

@@ -8,6 +8,13 @@ type t = {
 
 let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
 
+(* Explicit recursion: no closure per call on the steppers' hot path. *)
+let rec hamming_over a b acc = function
+  | [] -> acc
+  | i :: rest -> hamming_over a b (acc + Bits.hamming_distance a.(i) b.(i)) rest
+
+let input_hamming inputs a b = hamming_over a b 0 inputs
+
 let check_sample iface sample =
   let n = Interface.arity iface in
   if Array.length sample <> n then
@@ -116,13 +123,8 @@ let input_hamming_series t =
   let n = length t in
   let series = Array.make (max n 0) 0. in
   for time = 1 to n - 1 do
-    let d =
-      List.fold_left
-        (fun acc i ->
-          acc + Bits.hamming_distance t.samples.(time).(i) t.samples.(time - 1).(i))
-        0 input_idx
-    in
-    series.(time) <- float_of_int d
+    series.(time) <-
+      float_of_int (input_hamming input_idx t.samples.(time) t.samples.(time - 1))
   done;
   series
 

@@ -63,5 +63,14 @@ val input_hamming_series : t -> float array
     primary-input values at instants [i] and [i - 1]; element 0 is 0.
     This is the regressor of the data-dependent-state calibration. *)
 
+val same_sample : Psm_bits.Bits.t array -> Psm_bits.Bits.t array -> bool
+(** Whether two samples have the same arity and equal values on every
+    signal — the equality the run structure is built on. *)
+
+val input_hamming : int list -> Psm_bits.Bits.t array -> Psm_bits.Bits.t array -> int
+(** [input_hamming inputs a b] sums the Hamming distances between [a] and
+    [b] over the signal indexes [inputs] (in practice the interface's
+    primary inputs): one element of {!input_hamming_series}. *)
+
 val equal : t -> t -> bool
 val pp_summary : Format.formatter -> t -> unit

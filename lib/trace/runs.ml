@@ -4,20 +4,8 @@
    interning, pair mining, Xu extension, serve-side classification —
    collapses its per-cycle work to one unit of work per run. The
    structure is descriptive only: consumers must prove (and the test
-   suite pins) that their per-run arithmetic replicates the per-cycle
-   reference bit-for-bit. *)
-
-(* Always on in production; only [with_enabled false] switches every
-   consumer back to the per-cycle reference path, which the tests and the
-   bench's [compress] stage compare against. *)
-let enabled = ref true
-
-let use () = !enabled
-
-let with_enabled b f =
-  let saved = !enabled in
-  enabled := b;
-  Fun.protect ~finally:(fun () -> enabled := saved) f
+   suite pins, against its own per-cycle oracle) that their per-run
+   arithmetic replicates a per-cycle walk bit-for-bit. *)
 
 (* [starts] has one sentinel past the end: run [i] covers instants
    [starts.(i), starts.(i+1)). An empty trace is [| 0 |]. *)

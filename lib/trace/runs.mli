@@ -1,22 +1,10 @@
 (** Run-length structure of a trace: the maximal stretches of identical
     samples, as run start offsets. Built incrementally during ingestion
     (see {!Functional_trace.Builder}) or lazily on demand; consumed by
-    the run-aware mining/training/classification paths, which must stay
-    bit-identical to the per-cycle reference. *)
-
-(** {1 The per-cycle reference switch} *)
-
-val use : unit -> bool
-(** Whether the run-length-compacted pipeline paths are enabled: [true]
-    except inside {!with_enabled}[ false], which selects the per-cycle
-    reference paths everywhere. *)
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run [f] with the toggle forced to [b], restoring the previous value
-    afterwards (exception-safe). For the equivalence tests and the
-    bench's RLE-vs-per-cycle comparison. *)
-
-(** {1 Run structure} *)
+    the run-aware mining/training/classification paths. These are the
+    only trace walks in the library; the per-cycle reference they must
+    match bit-for-bit lives in the test suite ([test/per_cycle.ml]),
+    not behind a library switch. *)
 
 type t
 

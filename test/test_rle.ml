@@ -1,9 +1,9 @@
-(* Run-length compaction equivalence: every RLE-gated fast path must be
-   bit-identical to the per-cycle reference path (Runs.with_enabled
-   false). Pinned here the same three ways PR 7 pinned stream≡batch:
-   deterministic adversarial run shapes, the bundled-IP captures, and a QCheck
-   property over random traces — with *exact* float comparison, because
-   the optimization's contract is bit-identity, not tolerance. *)
+(* Run-length compaction equivalence: every run-aware library path must
+   be bit-identical to the per-cycle oracle in [Per_cycle]. Pinned the
+   same three ways stream≡batch is pinned: deterministic adversarial run
+   shapes, the bundled-IP captures, and a QCheck property over random
+   traces — with *exact* float comparison, because the optimization's
+   contract is bit-identity, not tolerance. *)
 
 module Flow = Psm_flow.Flow
 module Stream = Psm_flow.Stream_train
@@ -22,6 +22,9 @@ module Bits = Psm_bits.Bits
 module Miner = Psm_mining.Miner
 module Prop_trace = Psm_mining.Prop_trace
 module Multi_sim = Psm_hmm.Multi_sim
+module Hmm = Psm_hmm.Hmm
+module Engine = Psm_serve.Engine
+module Vcd = Psm_trace.Vcd
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -29,8 +32,6 @@ let check_bool = Alcotest.(check bool)
 let exact label expected actual =
   if not (Float.equal expected actual) then
     Alcotest.failf "%s: per-cycle %.17g, RLE %.17g" label expected actual
-
-let with_rle b f = Runs.with_enabled b f
 
 (* ---------- the Runs structure itself ---------- *)
 
@@ -186,84 +187,135 @@ let check_psm_exact name ap bp =
         a.Psm.components b.Psm.components)
     (sorted_states ap) (sorted_states bp)
 
-let check_trained_exact name (a : Flow.trained) (b : Flow.trained) =
-  check_int (name ^ " props")
-    (Prop_trace.Table.prop_count a.Flow.table)
-    (Prop_trace.Table.prop_count b.Flow.table);
-  Array.iter2
-    (fun ga gb ->
-      Alcotest.(check (array int)) (name ^ " gamma")
-        (Prop_trace.prop_ids ga) (Prop_trace.prop_ids gb))
-    a.Flow.gammas b.Flow.gammas;
-  check_psm_exact (name ^ " raw") a.Flow.raw b.Flow.raw;
-  check_psm_exact name a.Flow.optimized b.Flow.optimized;
-  check_counts (name ^ " transition counts") a.Flow.transition_counts b.Flow.transition_counts;
-  check_counts (name ^ " emission counts") a.Flow.emission_counts b.Flow.emission_counts;
-  check_int (name ^ " reports")
-    (List.length a.Flow.optimize_reports) (List.length b.Flow.optimize_reports);
+let check_table_exact name (a : Prop_trace.Table.t) (b : Prop_trace.Table.t) =
+  let atoms t = Array.to_list (Psm_mining.Vocabulary.atoms (Prop_trace.Table.vocabulary t)) in
+  check_bool (name ^ " vocabulary") true
+    (List.equal Psm_mining.Atomic.equal (atoms a) (atoms b));
+  check_int (name ^ " props") (Prop_trace.Table.prop_count a) (Prop_trace.Table.prop_count b);
+  for p = 0 to Prop_trace.Table.prop_count a - 1 do
+    Alcotest.(check (array bool)) (name ^ " row") (Prop_trace.Table.row a p)
+      (Prop_trace.Table.row b p)
+  done
+
+let check_reports_exact name a b =
+  check_int (name ^ " reports") (List.length a) (List.length b);
   List.iter2
     (fun (ra : Optimize.report) (rb : Optimize.report) ->
       check_int (name ^ " report state") ra.Optimize.state_id rb.Optimize.state_id;
       check_bool (name ^ " report upgraded") ra.Optimize.upgraded rb.Optimize.upgraded;
       exact (name ^ " report sigma") ra.Optimize.relative_sigma rb.Optimize.relative_sigma;
       exact (name ^ " report r") ra.Optimize.correlation rb.Optimize.correlation)
-    a.Flow.optimize_reports b.Flow.optimize_reports
+    a b
 
-let check_stream_exact name (a : Stream.result) (b : Stream.result) =
-  check_int (name ^ " props")
-    (Prop_trace.Table.prop_count a.Stream.table)
-    (Prop_trace.Table.prop_count b.Stream.table);
-  check_int (name ^ " cycles") a.Stream.cycles b.Stream.cycles;
-  check_psm_exact name a.Stream.optimized b.Stream.optimized;
-  check_counts (name ^ " transition counts") a.Stream.transition_counts
-    b.Stream.transition_counts;
-  check_counts (name ^ " emission counts") a.Stream.emission_counts b.Stream.emission_counts
+let check_hmm_exact name a b =
+  let m = Hmm.state_count a in
+  check_int (name ^ " hmm states") m (Hmm.state_count b);
+  check_int (name ^ " hmm observations") (Hmm.observation_count a) (Hmm.observation_count b);
+  Array.iter2 (exact (name ^ " hmm pi")) (Hmm.pi a) (Hmm.pi b);
+  for i = 0 to m - 1 do
+    check_int (name ^ " hmm row state") (Hmm.state_of_row a i) (Hmm.state_of_row b i);
+    Array.iter2 (exact (name ^ " hmm A")) (Hmm.a_row a i) (Hmm.a_row b i);
+    for o = 0 to Hmm.observation_count a - 1 do
+      exact (name ^ " hmm B") (Hmm.b_obs a i o) (Hmm.b_obs b i o)
+    done
+  done
 
-(* Simulation-side equivalence on one model: Multi_sim's memoized stepper
-   and the filtering posterior stream, per-cycle exact. *)
-let check_simulation_exact name (reference : Flow.trained) traces =
+let check_trained_exact name (o : Per_cycle.model) (a : Flow.trained) =
+  check_table_exact name o.Per_cycle.table a.Flow.table;
+  check_int (name ^ " gammas") (Array.length o.Per_cycle.gammas) (Array.length a.Flow.gammas);
+  Array.iter2
+    (fun ids g -> Alcotest.(check (array int)) (name ^ " gamma") ids (Prop_trace.prop_ids g))
+    o.Per_cycle.gammas a.Flow.gammas;
+  check_psm_exact (name ^ " raw") o.Per_cycle.raw a.Flow.raw;
+  check_psm_exact name o.Per_cycle.optimized a.Flow.optimized;
+  check_counts (name ^ " transition counts") o.Per_cycle.transition_counts
+    a.Flow.transition_counts;
+  check_counts (name ^ " emission counts") o.Per_cycle.emission_counts a.Flow.emission_counts;
+  check_reports_exact name o.Per_cycle.optimize_reports a.Flow.optimize_reports;
+  check_hmm_exact name o.Per_cycle.hmm a.Flow.hmm
+
+(* The streamed model against the oracle: everything the trainer derives
+   from Γ exactly; its floats against the same trainer on toggled traces
+   (see [Per_cycle.with_toggle]). *)
+let check_stream_exact name (o : Per_cycle.model) ~(per_cycle : Stream.result)
+    (a : Stream.result) =
+  check_table_exact name o.Per_cycle.table a.Stream.table;
+  check_int (name ^ " cycles")
+    (Array.fold_left (fun n g -> n + Array.length g) 0 o.Per_cycle.gammas)
+    a.Stream.cycles;
+  check_counts (name ^ " transition counts") o.Per_cycle.transition_counts
+    a.Stream.transition_counts;
+  check_counts (name ^ " emission counts") o.Per_cycle.emission_counts a.Stream.emission_counts;
+  check_int (name ^ " toggled cycles") per_cycle.Stream.cycles a.Stream.cycles;
+  check_psm_exact name per_cycle.Stream.optimized a.Stream.optimized;
+  check_reports_exact name per_cycle.Stream.optimize_reports a.Stream.optimize_reports
+
+(* Simulation-side equivalence on one model: Multi_sim's memoized
+   stepper, the filtering posterior stream and the serve engine's VCD
+   upload, each against steps fed the oracle's per-instant
+   classification and input Hamming distance. *)
+let check_simulation_exact name (trained : Flow.trained) traces =
   let model =
-    { Persist.table = reference.Flow.table;
-      psm = reference.Flow.optimized;
-      hmm = reference.Flow.hmm }
+    { Persist.table = trained.Flow.table; psm = trained.Flow.optimized; hmm = trained.Flow.hmm }
+  in
+  let check_served what expected actual =
+    check_int (name ^ what ^ " cycles") (Array.length expected) (Array.length actual);
+    Array.iter2
+      (fun (pa, sa) (pb, sb) ->
+        exact (name ^ what ^ " power") pa pb;
+        check_int (name ^ what ^ " state") sa sb)
+      expected actual
   in
   List.iter
     (fun trace ->
-      let sim_ref = with_rle false (fun () -> Multi_sim.simulate reference.Flow.hmm trace) in
-      let sim_rle = with_rle true (fun () -> Multi_sim.simulate reference.Flow.hmm trace) in
-      Alcotest.(check (array int)) (name ^ " sim states")
-        sim_ref.Multi_sim.state_trace sim_rle.Multi_sim.state_trace;
-      Array.iter2 (exact (name ^ " sim estimate")) sim_ref.Multi_sim.estimate
-        sim_rle.Multi_sim.estimate;
-      check_int (name ^ " sim wrong") sim_ref.Multi_sim.wrong_instants
-        sim_rle.Multi_sim.wrong_instants;
-      let filter_outputs enabled =
-        with_rle enabled (fun () ->
-            let est = Estimate.of_model ~mode:`Filter model in
-            let n = Functional_trace.length trace in
-            Array.init n (fun time ->
-                Estimate.step_sample est (Functional_trace.sample trace ~time)))
+      let n = Functional_trace.length trace in
+      let expected, wrong = Per_cycle.simulate trained.Flow.hmm trace in
+      let sim = Multi_sim.simulate trained.Flow.hmm trace in
+      check_served " sim" expected
+        (Array.map2 (fun e s -> (e, s)) sim.Multi_sim.estimate sim.Multi_sim.state_trace);
+      check_int (name ^ " sim wrong") wrong sim.Multi_sim.wrong_instants;
+      let reference = Estimate.of_model ~mode:`Filter model in
+      let expected =
+        Array.map
+          (fun (o, hd) -> Estimate.step reference ~hd o)
+          (Per_cycle.observations trained.Flow.table trace)
       in
-      Array.iter2
-        (fun (pa, sa) (pb, sb) ->
-          exact (name ^ " filter power") pa pb;
-          check_int (name ^ " filter state") sa sb)
-        (filter_outputs false) (filter_outputs true))
+      let est = Estimate.of_model ~mode:`Filter model in
+      check_served " filter" expected
+        (Array.init n (fun time -> Estimate.step_sample est (Functional_trace.sample trace ~time)));
+      let engine = Engine.create [ ("m", model) ] in
+      let get = function Ok x -> x | Error e -> Alcotest.fail e in
+      get (Engine.open_session engine ~id:"v" ~model:"m" ~mode:`Filter);
+      check_int (name ^ " vcd enqueued") n
+        (get (Engine.vcd_chunk engine ~id:"v" ~chunk:(Vcd.to_string trace) ~last:true));
+      ignore (Engine.drain engine);
+      check_served " vcd" expected (get (Engine.take_results engine ~id:"v" ~count:n)))
     traces
+
+(* Every scored mining candidate, before the vocabulary filter drops
+   most of them. *)
+let check_candidates_exact name traces =
+  let key (s : Miner.atom_stats) = (s.Miner.occurrences, s.Miner.runs, s.Miner.short_runs) in
+  let expected = Per_cycle.candidate_stats traces and actual = Miner.candidate_stats traces in
+  check_int (name ^ " candidates") (List.length expected) (List.length actual);
+  List.iter2
+    (fun (a : Miner.atom_stats) (b : Miner.atom_stats) ->
+      check_bool (name ^ " candidate atom") true (Psm_mining.Atomic.equal a.Miner.atom b.Miner.atom);
+      Alcotest.(check (triple int int int)) (name ^ " candidate counts") (key a) (key b))
+    expected actual
 
 let check_all_exact name pairs =
   let traces, powers = List.split pairs in
-  let batch_ref = with_rle false (fun () -> Flow.train ~traces ~powers ()) in
-  let batch_rle = with_rle true (fun () -> Flow.train ~traces ~powers ()) in
-  check_trained_exact name batch_ref batch_rle;
-  let stream_ref =
-    with_rle false (fun () -> Stream.train_traces ~watermark:32 ~traces ~powers ())
-  in
-  let stream_rle =
-    with_rle true (fun () -> Stream.train_traces ~watermark:32 ~traces ~powers ())
-  in
-  check_stream_exact (name ^ " stream") stream_ref stream_rle;
-  check_simulation_exact name batch_ref traces
+  check_candidates_exact name traces;
+  let oracle = Per_cycle.train ~traces ~powers () in
+  let trained = Flow.train ~traces ~powers () in
+  check_trained_exact name oracle trained;
+  check_stream_exact (name ^ " stream") oracle
+    ~per_cycle:
+      (Stream.train_traces ~watermark:32 ~traces:(List.map Per_cycle.with_toggle traces)
+         ~powers ())
+    (Stream.train_traces ~watermark:32 ~traces ~powers ());
+  check_simulation_exact name trained traces
 
 let test_adversarial_shapes () =
   check_all_exact "all-distinct" [ all_distinct 120 ];
@@ -310,13 +362,10 @@ let test_iter_prop_runs () =
         (Printf.sprintf "window [%d,%d]" start stop)
         !expect (List.rev !got))
     [ (0, n - 1); (0, 0); (n - 1, n - 1); (3, 17); (1, n - 2) ];
-  (* Γ itself is identical with and without RLE classification. *)
-  let gamma_ref =
-    with_rle false (fun () ->
-        Prop_trace.of_functional (Prop_trace.Table.create vocabulary) trace)
-  in
+  (* Γ itself is the per-instant classification. *)
   Alcotest.(check (array int)) "gamma ids"
-    (Prop_trace.prop_ids gamma_ref) (Prop_trace.prop_ids gamma)
+    (Per_cycle.gamma_ids (Prop_trace.Table.create vocabulary) trace)
+    (Prop_trace.prop_ids gamma)
 
 let suite =
   ( "rle",

@@ -361,6 +361,57 @@ let test_vcd_faults_and_equivalence () =
         Alcotest.failf "vcd/observe divergence at cycle %d" i)
     via_obs
 
+(* Input Hamming distances cross the wire as JSON numbers; one that is
+   infinite (1e400 overflows), negative or NaN would make an [Affine]
+   state emit a non-finite estimate. The batch is rejected whole, naming
+   the entry, before anything is queued. *)
+let test_observe_rejects_bad_hd () =
+  let m = model_of "RAM" in
+  let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  get (Engine.open_session engine ~id:"s" ~model:"RAM" ~mode:`Filter);
+  let submit_line line =
+    match Protocol.parse_request line with
+    | Ok (Protocol.Observe { session; obs }) -> Engine.submit engine ~id:session obs
+    | _ -> Alcotest.failf "observe frame not parsed: %s" line
+  in
+  List.iter
+    (fun (line, entry) ->
+      match submit_line line with
+      | Error e -> check_bool ("bad entry named: " ^ e) true (contains e entry)
+      | Ok _ -> Alcotest.failf "accepted %s" line)
+    [ ({|{"op":"observe","session":"s","props":[0,1],"hd":[1e400,-3]}|}, "hd entry 0");
+      ({|{"op":"observe","session":"s","props":[0,1],"hd":[1,-3]}|}, "hd entry 1");
+      ({|{"op":"observe","session":"s","props":[0,1],"hd":[2,1e400]}|}, "hd entry 1") ];
+  (match Engine.submit engine ~id:"s" [| (Some 0, 0.); (None, Float.nan) |] with
+  | Error e -> check_bool "NaN entry named" true (contains e "hd entry 1")
+  | Ok _ -> Alcotest.fail "NaN hd accepted");
+  ignore (Engine.drain engine);
+  check_int "nothing queued" 0 (get (Engine.available_results engine ~id:"s"));
+  check_int "valid neighbour accepted" 2
+    (get (submit_line {|{"op":"observe","session":"s","props":[0,1],"hd":[1,3]}|}));
+  ignore (Engine.drain engine);
+  Array.iter
+    (fun (p, _) -> check_bool "finite estimate" true (Float.is_finite p))
+    (get (Engine.take_results engine ~id:"s" ~count:2))
+
+(* A VCD upload buffers until its last chunk; past
+   [Engine.max_vcd_upload] it is dropped with a [vcd:] error and the
+   session takes a fresh upload. *)
+let test_vcd_upload_bound () =
+  let m = model_of "RAM" in
+  let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  get (Engine.open_session engine ~id:"v" ~model:"RAM" ~mode:`Filter);
+  let mib = String.make (1 lsl 20) ' ' in
+  for _ = 1 to Engine.max_vcd_upload / String.length mib do
+    check_int "buffered" 0 (get (Engine.vcd_chunk engine ~id:"v" ~chunk:mib ~last:false))
+  done;
+  (match Engine.vcd_chunk engine ~id:"v" ~chunk:" " ~last:false with
+  | Error e -> check_bool ("oversized upload: " ^ e) true (contains e "vcd: upload exceeds")
+  | Ok _ -> Alcotest.fail "upload past the bound accepted");
+  let trace = ram_trace () in
+  check_int "fresh upload served" (Functional_trace.length trace)
+    (get (Engine.vcd_chunk engine ~id:"v" ~chunk:(Vcd.to_string trace) ~last:true))
+
 let test_idle_eviction () =
   let clock = ref 0. in
   let m = model_of "RAM" in
@@ -762,6 +813,28 @@ let test_server_faults () =
       check_served ~what:"restored session" tail_r tail_r2;
       disconnect c2)
 
+(* A client that never sends a newline cannot grow the daemon's input
+   buffer without bound: past the line limit it gets an error and its
+   connection is closed; the daemon keeps serving others. *)
+let test_server_line_bound () =
+  with_server (fun path ->
+      let c = connect path in
+      (* A daemon that never answers fails the test instead of hanging it. *)
+      Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 30.;
+      check_bool "hello first" true (response_ok (rpc c (req "hello" [])));
+      output_string c.oc (String.make ((16 * 1024 * 1024) + 1) 'x');
+      flush c.oc;
+      let r = input_line c.ic in
+      check_bool "oversized line rejected" false (response_ok r);
+      check_bool ("limit named: " ^ r) true (contains r "longer than");
+      (match input_line c.ic with
+      | exception End_of_file -> ()
+      | line -> Alcotest.failf "connection left open: %s" line);
+      disconnect c;
+      let c2 = connect path in
+      check_bool "daemon still serves" true (response_ok (rpc c2 (req "hello" [])));
+      disconnect c2)
+
 (* ---------- golden protocol transcripts ---------- *)
 
 (* One scripted client conversation per bundled IP, pinned request line
@@ -882,6 +955,9 @@ let suite =
       Alcotest.test_case "batched = loop (jobs 1 and 4)" `Slow
         test_batched_equals_loop;
       Alcotest.test_case "engine fault injection" `Quick test_engine_faults;
+      Alcotest.test_case "observe rejects non-finite or negative hd" `Quick
+        test_observe_rejects_bad_hd;
+      Alcotest.test_case "vcd upload bound" `Quick test_vcd_upload_bound;
       Alcotest.test_case "vcd faults + observe equivalence" `Slow
         test_vcd_faults_and_equivalence;
       Alcotest.test_case "idle eviction (injected clock)" `Quick
@@ -895,7 +971,9 @@ let suite =
       Alcotest.test_case "hostile checkpoints rejected" `Quick
         test_hostile_checkpoints;
       Alcotest.test_case "daemon fault injection over socket" `Slow
-        test_server_faults ]
+        test_server_faults;
+      Alcotest.test_case "daemon closes on an oversized line" `Slow
+        test_server_line_bound ]
     @ List.map
         (fun ip ->
           Alcotest.test_case
