@@ -66,9 +66,11 @@ let run ?(config = default) ctx =
      measurably SLOWER parallel than sequential. Only models big enough
      to amortize the fan-out take the pool; the report is byte-identical
      either way. *)
-  let states = List.length (Psm_core.Psm.states ctx.Rule.psm) in
-  let transitions = List.length (Psm_core.Psm.transitions ctx.Rule.psm) in
-  let work = List.length enabled * (states + transitions) in
+  let psm = ctx.Rule.psm in
+  let work =
+    List.length enabled
+    * (Psm_core.Psm.state_count psm + Psm_core.Psm.transition_count psm)
+  in
   let check (r : Rule.t) =
     Psm_obs.span ("analyze." ^ r.Rule.name) (fun () -> r.Rule.check ctx)
   in

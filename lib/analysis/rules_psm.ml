@@ -17,7 +17,7 @@ let check_determinism (ctx : Rule.context) =
   let emit x = findings := x :: !findings in
   List.iter
     (fun (s : Psm.state) ->
-      let out = Scan.successors ctx.Rule.scan s.Psm.id in
+      let out = Psm.successors psm s.Psm.id in
       List.iter
         (fun (tr : Psm.transition) ->
           if tr.Psm.guard < 0 || tr.Psm.guard >= nprops then
@@ -93,17 +93,11 @@ let check_reachability (ctx : Rule.context) =
       [ v ~rule:"reachability" ~severity:Finding.Error ~location:Finding.Model
           "S₀ is empty: no state is reachable and the HMM's π is uniform noise" ]
     else begin
-      let succ = Hashtbl.create 64 in
-      List.iter
-        (fun (tr : Psm.transition) ->
-          Hashtbl.replace succ tr.Psm.src
-            (tr.Psm.dst :: Option.value ~default:[] (Hashtbl.find_opt succ tr.Psm.src)))
-        (Psm.transitions psm);
       let visited = Hashtbl.create 64 in
       let rec visit id =
         if not (Hashtbl.mem visited id) then begin
           Hashtbl.replace visited id ();
-          List.iter visit (Option.value ~default:[] (Hashtbl.find_opt succ id))
+          List.iter (fun (tr : Psm.transition) -> visit tr.Psm.dst) (Psm.successors psm id)
         end
       in
       List.iter visit initial;
@@ -117,7 +111,7 @@ let check_reachability (ctx : Rule.context) =
                   "unreachable from every initial state" ]
           in
           let sink =
-            if Hashtbl.mem succ s.Psm.id then []
+            if Psm.successors psm s.Psm.id <> [] then []
             else
               [ v ~rule:"reachability" ~severity:Finding.Info
                   ~location:(Finding.State s.Psm.id)
@@ -141,7 +135,7 @@ let check_stall (ctx : Rule.context) =
         (fun (s : Psm.state) ->
           let guards =
             List.map (fun (tr : Psm.transition) -> tr.Psm.guard)
-              (Scan.successors ctx.Rule.scan s.Psm.id)
+              (Psm.successors psm s.Psm.id)
           in
           List.concat_map
             (fun (trace, runs) ->

@@ -2,19 +2,16 @@ module Psm = Psm_core.Psm
 module Power_attr = Psm_core.Power_attr
 module Power_trace = Psm_trace.Power_trace
 
-(* The profiled hot path of the analyzer was not the trace arithmetic but
-   the per-state [Psm.successors] calls: that accessor filters the full
-   transition list per call, so the determinism and stall rules together
-   were O(states × edges) — ~7.4 s of Camellia's 7.9 s analyze, whose raw
-   chains hold ~9k states. The scan builds every shared derivative once:
-   successor adjacency, per-state activation runs, the Welford rescan of
-   each state's intervals (list order preserved, so results are
-   bit-identical to [Power_attr.recompute]), and the per-trace interval
-   claims the conservation walk consumes. One pass per (trace, power)
-   pair in total, because states partition the training instants. *)
+(* The scan builds every per-state derivative the rules share once:
+   per-state activation runs, the Welford rescan of each state's
+   intervals (list order preserved, so results are bit-identical to
+   [Power_attr.recompute]), and the per-trace interval claims the
+   conservation walk consumes. One pass per (trace, power) pair in
+   total, because states partition the training instants. Out-edges are
+   not cached here: [Psm.successors] is already a range read of the
+   ordered transition set. *)
 
 type t = {
-  successors : (int, Psm.transition list) Hashtbl.t;
   activations : (int, (int * (int * int) list) list) Hashtbl.t;
   recomputed : (int, Power_attr.t) Hashtbl.t;
       (* states whose intervals are non-empty and all within the power
@@ -92,15 +89,6 @@ let activation_runs intervals =
 let create ?powers psm =
   Psm_obs.span "analyze.scan" @@ fun () ->
   let states = Psm.states psm in
-  let successors = Hashtbl.create 64 in
-  (* The global transition list is ordered; grouping in encounter order
-     reproduces [Psm.successors]'s per-source sublists exactly. *)
-  List.iter
-    (fun (tr : Psm.transition) ->
-      Hashtbl.replace successors tr.Psm.src
-        (tr :: Option.value ~default:[] (Hashtbl.find_opt successors tr.Psm.src)))
-    (Psm.transitions psm);
-  Hashtbl.filter_map_inplace (fun _ trs -> Some (List.rev trs)) successors;
   let activations = Hashtbl.create 64 in
   List.iter
     (fun (s : Psm.state) ->
@@ -139,9 +127,8 @@ let create ?powers psm =
         ( Array.map (List.sort compare) claims,
           Array.fold_left (fun acc p -> acc + Power_trace.length p) 0 powers )
   in
-  { successors; activations; recomputed; claims; total_n; instants_total }
+  { activations; recomputed; claims; total_n; instants_total }
 
-let successors t id = Option.value ~default:[] (Hashtbl.find_opt t.successors id)
 let activations t id = Option.value ~default:[] (Hashtbl.find_opt t.activations id)
 let recomputed_attr t id = Hashtbl.find_opt t.recomputed id
 let claims t ~trace = if trace < Array.length t.claims then t.claims.(trace) else []

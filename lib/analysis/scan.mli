@@ -1,21 +1,17 @@
 (** Shared single-pass trace/model statistics for the analyzer rules.
 
     Built once per {!Rule.context}; rules read it instead of re-deriving
-    per-state data (the per-state [Psm.successors] filter made the
-    determinism + stall rules O(states × edges) before). All fields are
-    immutable after {!create}, so a scan can be read concurrently from
-    the analyzer's worker domains.
+    per-state trace data. All fields are immutable after {!create}, so a
+    scan can be read concurrently from the analyzer's worker domains.
+    Out-edges are not part of the scan: rules call [Psm.successors],
+    which costs O(log E + out-degree).
 
-    Field consumers: [successors] — determinism, stall; [activations] —
-    stall; [recomputed_attr], [claims], [total_n], [instants_total] —
-    conservation. *)
+    Field consumers: [activations] — stall; [recomputed_attr],
+    [claims], [total_n], [instants_total] — conservation. *)
 
 type t
 
 val create : ?powers:Psm_trace.Power_trace.t array -> Psm_core.Psm.t -> t
-
-val successors : t -> int -> Psm_core.Psm.transition list
-(** Outgoing transitions of a state, in [Psm.successors] order. *)
 
 val activations : t -> int -> (int * (int * int) list) list
 (** Per-trace maximal activation runs of a state's intervals: sorted by

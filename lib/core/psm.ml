@@ -70,8 +70,13 @@ let initial t = t.initial
 let state_count t = IntMap.cardinal t.states
 let transition_count t = TransSet.cardinal t.transitions
 
-let successors t id = List.filter (fun tr -> tr.src = id) (transitions t)
-let predecessors t id = List.filter (fun tr -> tr.dst = id) (transitions t)
+(* The transition set is ordered by (src, guard, dst): a state's
+   out-edges are one contiguous range of it. *)
+let successors t id =
+  TransSet.to_seq_from (id, min_int, min_int) t.transitions
+  |> Seq.take_while (fun (src, _, _) -> src = id)
+  |> Seq.map (fun (src, guard, dst) -> { src; guard; dst })
+  |> List.of_seq
 
 let machine_count t =
   (* Weakly-connected components by union-find over transition endpoints. *)

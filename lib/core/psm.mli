@@ -79,7 +79,10 @@ val state_count : t -> int
 val transition_count : t -> int
 
 val successors : t -> int -> transition list
-val predecessors : t -> int -> transition list
+(** Outgoing transitions of a state, ordered by [(guard, dst)] — the
+    order of {!transitions} restricted to [src = id]. A range read of
+    the ordered transition set: O(log E + out-degree). [[]] for a sink
+    or an unknown id. *)
 
 val machine_count : t -> int
 (** Number of weakly-connected components — the number of constituent

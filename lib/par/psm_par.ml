@@ -284,39 +284,3 @@ let parallel_map_weighted ?pool ~cost f xs =
         Array.to_list
           (run_indexed ~order pool (Array.length arr) (fun i -> f arr.(i)))
       end
-
-(* Fold chunk boundaries are a function of the array length alone — not
-   of the job count — so a float-merging fold produces byte-identical
-   results at any PSM_JOBS. The atomic cursor balances the fixed chunks
-   dynamically; [target_chunks] leaves enough slack for skewed chunk
-   costs on any realistic pool width. *)
-let fold_target_chunks = 32
-
-let parallel_fold ?pool ?chunk ~init ~fold ~merge arr =
-  let n = Array.length arr in
-  let pool = resolve pool in
-  if n = 0 then init ()
-  else if sequential pool n then Array.fold_left fold (init ()) arr
-  else begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 ((n + fold_target_chunks - 1) / fold_target_chunks)
-    in
-    let chunks = (n + chunk - 1) / chunk in
-    let partials =
-      run_indexed pool chunks (fun c ->
-          let start = c * chunk in
-          let stop = min n (start + chunk) - 1 in
-          let acc = ref (init ()) in
-          for i = start to stop do
-            acc := fold !acc arr.(i)
-          done;
-          !acc)
-    in
-    let acc = ref partials.(0) in
-    for c = 1 to chunks - 1 do
-      acc := merge !acc partials.(c)
-    done;
-    !acc
-  end

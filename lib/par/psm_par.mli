@@ -5,8 +5,8 @@
     [Condition] — no Domainslib. It exists for the embarrassingly parallel
     stages of the PSM flow (per-benchmark experiments, per-atom-chunk
     mining passes, per-trace-chunk proposition classification), so the
-    API is deliberately tiny: ordered map over lists and arrays (plain
-    and cost-weighted) plus a chunked fold.
+    API is deliberately tiny: ordered map over lists and arrays, plain
+    and cost-weighted.
 
     {2 Scheduling}
 
@@ -34,11 +34,7 @@
     whenever [f] is pure. With granted parallelism 1 no domains are
     spawned at all and the sequential code path runs — [PSM_JOBS=1]
     therefore gives the exact allocation and evaluation order of a build
-    without this library. [parallel_fold] is deterministic provided
-    [merge] is associative over chunk results (chunks are merged
-    left-to-right in chunk order, and the chunk boundaries depend only on
-    the array length — never on the job count — so even float-merging
-    folds agree byte-for-byte at every PSM_JOBS).
+    without this library.
 
     {2 Exceptions}
 
@@ -124,24 +120,3 @@ val parallel_map_weighted :
 
 val parallel_map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!parallel_map}. *)
-
-val parallel_fold :
-  ?pool:Pool.t ->
-  ?chunk:int ->
-  init:(unit -> 'acc) ->
-  fold:('acc -> 'a -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  'a array ->
-  'acc
-(** [parallel_fold ~init ~fold ~merge xs] folds [xs] in chunks of
-    [chunk] elements (default: array length / 32, at least 1 — a function
-    of the input alone, so chunk boundaries and hence float-merge results
-    are identical at every job count): each chunk is folded left-to-right
-    from a fresh [init ()], and chunk accumulators are [merge]d
-    left-to-right in chunk order; chunks are claimed dynamically, so
-    skewed chunk costs still balance. On the sequential path this is
-    exactly [Array.fold_left fold (init ()) xs] — so parallel and
-    sequential runs agree whenever [merge (fold a x) b = fold (merge a b) x]-style
-    associativity holds, which it does for the independent-accumulator
-    folds this library is used for. [init] must return a fresh
-    accumulator on every call. *)

@@ -131,7 +131,6 @@ let test_psm_construction () =
   check_int "states" 2 (Psm.state_count psm);
   check_int "transitions deduped" 1 (Psm.transition_count psm);
   check_int "successors" 1 (List.length (Psm.successors psm s0));
-  check_int "predecessors" 1 (List.length (Psm.predecessors psm s1));
   Alcotest.(check (list int)) "initial" [ s0 ] (Psm.initial psm);
   check_int "machines" 1 (Psm.machine_count psm)
 
@@ -701,6 +700,55 @@ let rec no_nested_alt = function
   | Assertion.Seq xs -> List.for_all no_nested_alt xs
   | Assertion.Until _ | Assertion.Next _ -> true
 
+(* Random machines over [empty_world]'s six guards plus the corrupt
+   guard -1 (which the determinism rule reports): [n] states, each with
+   one interval at a random start (so [Psm.renumber] permutes ids), and
+   edge shapes that force self-loops and several guards on one
+   (src, dst) pair. Sources stop short of the last state, which is
+   therefore always a sink. *)
+type edge_shape = Edge of int * int * int | Self of int * int | Fan of int * int * int * int
+
+let gen_machine =
+  QCheck.Gen.(
+    int_range 2 12 >>= fun n ->
+    let src = int_bound (n - 2) and dst = int_bound (n - 1) and guard = int_range (-1) 5 in
+    let shape =
+      frequency
+        [ (3, map3 (fun s g d -> Edge (s, g, d)) src guard dst);
+          (1, map2 (fun s g -> Self (s, g)) src guard);
+          (1, map2 (fun (s, d) (g1, g2) -> Fan (s, d, g1, g2)) (pair src dst) (pair guard guard)) ]
+    in
+    pair (list_repeat n (int_bound 50)) (list_size (int_bound 30) shape))
+
+let build_machine table (starts, shapes) =
+  let psm =
+    List.fold_left
+      (fun psm start ->
+        let iv = { Power_attr.trace = 0; start; stop = start } in
+        fst (Psm.add_state psm (Assertion.Until (0, 1)) { (attr 1. 1) with intervals = [ iv ] }))
+      (Psm.empty table) starts
+  in
+  List.fold_left
+    (fun psm -> function
+      | Edge (src, guard, dst) -> Psm.add_transition psm ~src ~guard ~dst
+      | Self (src, guard) -> Psm.add_transition psm ~src ~guard ~dst:src
+      | Fan (src, dst, g1, g2) ->
+          Psm.add_transition (Psm.add_transition psm ~src ~guard:g1 ~dst) ~src ~guard:g2 ~dst)
+    psm shapes
+
+let arb_machine_pair = QCheck.make QCheck.Gen.(pair gen_machine gen_machine)
+
+(* [Psm.successors] is a range read of the ordered transition set; the
+   reference is the whole-list filter it replaced. *)
+let successors_match_filter psm =
+  let ids = List.map (fun (s : Psm.state) -> s.Psm.id) (Psm.states psm) in
+  let past_last = List.fold_left max (-1) ids + 1 in
+  List.for_all
+    (fun id ->
+      Psm.successors psm id
+      = List.filter (fun (tr : Psm.transition) -> tr.Psm.src = id) (Psm.transitions psm))
+    (ids @ [ past_last ])
+
 let test_assertion_nested_entry_exit () =
   (* Seq of Alts: entry comes from every branch of the FIRST element,
      exit from every branch of the LAST. *)
@@ -815,6 +863,11 @@ let properties =
         let joined = Join.join simplified in
         Psm.state_count joined <= Psm.state_count simplified
         && Psm.machine_count joined >= 1);
+    prop "successors equal the transition filter" arb_machine_pair (fun (a, b) ->
+        let table = empty_world () in
+        let a = build_machine table a and b = build_machine table b in
+        List.for_all successors_match_filter
+          [ a; b; Psm.union [ a; b ]; fst (Psm.renumber a); fst (Psm.renumber (Psm.union [ b; a ])) ]);
     prop "merge is symmetric"
       (QCheck.pair (QCheck.pair (QCheck.float_range 0.1 100.) (QCheck.int_range 1 50))
          (QCheck.pair (QCheck.float_range 0.1 100.) (QCheck.int_range 1 50)))

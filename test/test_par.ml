@@ -90,21 +90,6 @@ let test_nested_calls () =
               (List.init 100 Fun.id)))
        outer)
 
-let test_parallel_fold () =
-  let xs = Array.init 1001 Fun.id in
-  let sum =
-    Par.parallel_fold ~pool:(Lazy.force pool4) ~chunk:7
-      ~init:(fun () -> 0)
-      ~fold:( + ) ~merge:( + ) xs
-  in
-  check_int "sum" (1000 * 1001 / 2) sum;
-  let seq =
-    Par.parallel_fold ~pool:(Lazy.force pool1)
-      ~init:(fun () -> 0)
-      ~fold:( + ) ~merge:( + ) xs
-  in
-  check_int "sequential path" sum seq
-
 let test_default_jobs_env () =
   check_bool "positive" true (Par.default_jobs () >= 1);
   (* The global fan-outs never spawn more domains than the hardware
@@ -298,7 +283,6 @@ let suite =
       Alcotest.test_case "pool survives exception" `Quick test_exception_leaves_pool_usable;
       Alcotest.test_case "pool lifecycle" `Quick test_pool_lifecycle;
       Alcotest.test_case "nested calls" `Quick test_nested_calls;
-      Alcotest.test_case "parallel fold" `Quick test_parallel_fold;
       Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
       Alcotest.test_case "hardware clamp" `Quick test_hardware_clamp;
       Alcotest.test_case "weighted map order" `Quick test_weighted_map_order;
