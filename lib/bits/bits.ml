@@ -16,9 +16,18 @@ let top_mask w =
 
 let check_width w = if w <= 0 then invalid_arg "Bits: width must be positive"
 
+(* Literals for the common widths (up to 128 bits) are allocated inline;
+   [Array.make] is a call into the runtime. *)
+let zero_limbs = function
+  | 1 -> [| 0 |]
+  | 2 -> [| 0; 0 |]
+  | 3 -> [| 0; 0; 0 |]
+  | 4 -> [| 0; 0; 0; 0 |]
+  | n -> Array.make n 0
+
 let zero w =
   check_width w;
-  { width = w; limbs = Array.make (nlimbs w) 0 }
+  { width = w; limbs = zero_limbs (nlimbs w) }
 
 let normalize v =
   let n = Array.length v.limbs in
@@ -89,6 +98,26 @@ let of_binary_string s =
   let bits = Array.of_list !digits in
   if Array.length bits = 0 then invalid_arg "Bits.of_binary_string: empty";
   init ~width:(Array.length bits) (fun i -> bits.(i))
+
+(* One limb at a time: digit [len - 1 - i] of the span is bit [i]. *)
+let of_binary_sub ~width s ~pos ~len =
+  check_width width;
+  if pos < 0 || len < 0 || len > width || pos > String.length s - len then
+    invalid_arg "Bits.of_binary_sub";
+  let v = zero width in
+  let last = pos + len - 1 in
+  for j = 0 to ((len + limb_bits - 1) / limb_bits) - 1 do
+    let lo = j * limb_bits in
+    let hi = min len (lo + limb_bits) - 1 in
+    let acc = ref 0 in
+    for i = hi downto lo do
+      let bit = Char.code (String.unsafe_get s (last - i)) - Char.code '0' in
+      if bit lsr 1 <> 0 then invalid_arg "Bits.of_binary_sub: expected 0 or 1";
+      acc := (!acc lsl 1) lor bit
+    done;
+    v.limbs.(j) <- !acc
+  done;
+  v
 
 let hex_digit c =
   match c with
@@ -276,7 +305,12 @@ let concat_list = function
   | [] -> invalid_arg "Bits.concat_list: empty list"
   | v :: vs -> List.fold_left (fun acc x -> concat acc x) v vs
 
-let equal a b = a.width = b.width && a.limbs = b.limbs
+let rec limbs_equal a b i =
+  i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && limbs_equal a b (i - 1))
+
+(* Equal widths imply equal limb counts. *)
+let equal a b =
+  a == b || (a.width = b.width && limbs_equal a.limbs b.limbs (Array.length a.limbs - 1))
 
 let compare a b =
   let c = Int.compare a.width b.width in

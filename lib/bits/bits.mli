@@ -36,6 +36,14 @@ val of_binary_string : string -> t
     literal (most significant bit first); underscores are ignored. The width
     is the number of binary digits. *)
 
+val of_binary_sub : width:int -> string -> pos:int -> len:int -> t
+(** [of_binary_sub ~width s ~pos ~len] reads the [len] characters of [s]
+    at [pos] as big-endian binary digits into a vector of width [width]:
+    the last character is bit 0, and the bits above [len] are 0. No
+    intermediate string is made. Raises [Invalid_argument] if the span is
+    outside [s], if [len > width], or if a character is not ['0'] or
+    ['1']. *)
+
 val of_hex_string : width:int -> string -> t
 (** [of_hex_string ~width s] parses a big-endian hexadecimal literal;
     underscores are ignored. Raises [Invalid_argument] if the value does not

@@ -36,32 +36,34 @@ module Builder = struct
 
   type t = {
     iface : Interface.t;
-    mutable rev : Bits.t array list;
-    mutable n : int;
-    (* Run starts in reverse order, maintained with one sample comparison
-       per append so ingestion yields the run structure at zero extra pass. *)
-    mutable rev_starts : int list;
+    rows : Bits.t array Column.t;
+    (* Run starts, maintained as samples arrive so ingestion yields the
+       run structure at zero extra pass. *)
+    starts : int Column.t;
   }
 
-  let create iface = { iface; rev = []; n = 0; rev_starts = [] }
+  let create iface = { iface; rows = Column.create (); starts = Column.create () }
+  let length b = Column.length b.rows
+
+  let adopt b row =
+    Column.push b.starts (Column.length b.rows);
+    Column.push b.rows row
+
+  let repeat b =
+    if length b = 0 then invalid_arg "Functional_trace.Builder.repeat: no sample yet";
+    Column.push b.rows (Column.last b.rows)
 
   let append b sample =
     check_sample b.iface sample;
-    (match b.rev with
-    | prev :: _ when same_sample prev sample -> ()
-    | _ -> b.rev_starts <- b.n :: b.rev_starts);
-    b.rev <- Array.copy sample :: b.rev;
-    b.n <- b.n + 1
-
-  let length b = b.n
+    if length b = 0 || not (same_sample (Column.last b.rows) sample) then
+      Column.push b.starts (length b);
+    Column.push b.rows (Array.copy sample)
 
   let finish b : trace =
-    let samples = Array.make b.n [||] in
-    List.iteri (fun i s -> samples.(b.n - 1 - i) <- s) b.rev;
     {
       interface = b.iface;
-      samples;
-      runs_cache = Some (Runs.of_rev_starts ~length:b.n b.rev_starts);
+      samples = Column.to_array b.rows;
+      runs_cache = Some (Runs.of_starts ~length:(length b) (Column.to_array b.starts));
     }
 end
 

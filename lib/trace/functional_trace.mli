@@ -15,6 +15,18 @@ module Builder : sig
   (** Append one sample; the array must be aligned with the interface
       (length and per-signal widths are checked). The array is copied. *)
 
+  val repeat : t -> unit
+  (** Append the previous sample again: the new instant shares its row
+      and extends its run, with no compare and no copy. Raises
+      [Invalid_argument] on an empty builder. *)
+
+  val adopt : t -> Psm_bits.Bits.t array -> unit
+  (** Append [row] as the first instant of a new run, without checking or
+      copying it. The caller guarantees that [row] is aligned with the
+      interface, differs from the previous sample, and is never mutated
+      afterwards (later instants may share it). This is how the VCD
+      reader hands over its held sample. *)
+
   val length : t -> int
   val finish : t -> trace
 end

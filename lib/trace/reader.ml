@@ -1,74 +1,128 @@
 type t = {
-  refill : bytes -> int;  (* refills [buf] from the start; 0 means EOF *)
-  buf : bytes;
+  refill : bytes -> int -> int -> int;
+      (* [refill buf off len] reads at most [len] bytes into [buf] at
+         [off]; 0 means EOF *)
+  mutable buf : bytes;
   mutable pos : int;  (* next unread byte in [buf] *)
   mutable len : int;  (* valid bytes in [buf] *)
   mutable eof : bool;
-  mutable base : int;  (* bytes consumed in previous buffer fills *)
+  mutable base : int;  (* input offset of [buf.[0]] *)
   mutable cur_line : int;
-  mutable cur_column : int;
+  mutable line_start : int;  (* input offset of the current line's first byte *)
   tok_buf : Buffer.t;
   mutable tok_line : int;
   mutable tok_column : int;
   mutable last_lexeme : string;
+  (* The last two tokens returned by [next_span], as [start, stop) in
+     [buf], or -1 when the last token came from another lexer. A refill
+     keeps both in the buffer. *)
+  mutable span_start : int;
+  mutable span_stop : int;
+  mutable prev_start : int;
+  mutable prev_stop : int;
 }
 
-let make ?(line = 1) ~buf ~pos ~len ~refill () =
+let make ?(line = 1) ~buf ~pos ~len ~eof ~refill () =
   { refill;
     buf;
     pos;
     len;
-    eof = false;
+    eof;
     base = -pos;
     cur_line = line;
-    cur_column = 1;
+    line_start = 0;
     tok_buf = Buffer.create 64;
     tok_line = line;
     tok_column = 1;
-    last_lexeme = "" }
+    last_lexeme = "";
+    span_start = -1;
+    span_stop = -1;
+    prev_start = -1;
+    prev_stop = -1 }
 
 let of_channel ?(buffer = 65536) ic =
   let buf = Bytes.create (max 1 buffer) in
-  make ~buf ~pos:0 ~len:0 ~refill:(fun b -> input ic b 0 (Bytes.length b)) ()
+  make ~buf ~pos:0 ~len:0 ~eof:false ~refill:(fun b off len -> input ic b off len) ()
 
+(* In-memory readers start at EOF: there is nothing to refill, and the
+   string under [buf] is never written. *)
 let of_string s =
-  make ~buf:(Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-    ~refill:(fun _ -> 0) ()
+  make ~buf:(Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s) ~eof:true
+    ~refill:(fun _ _ _ -> 0) ()
 
 let of_substring ?(line = 1) s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Reader.of_substring";
-  make ~line ~buf:(Bytes.unsafe_of_string s) ~pos ~len:(pos + len)
-    ~refill:(fun _ -> 0) ()
+  let t =
+    make ~line ~buf:(Bytes.unsafe_of_string s) ~pos ~len:(pos + len) ~eof:true
+      ~refill:(fun _ _ _ -> 0) ()
+  in
+  (* Columns count from the start of the line in [s], not of the slice. *)
+  (match if pos = 0 then None else String.rindex_from_opt s (pos - 1) '\n' with
+  | Some nl -> t.line_start <- nl + 1 - pos
+  | None -> t.line_start <- -pos);
+  t
 
-let peek t =
-  if t.pos < t.len then Some (Bytes.unsafe_get t.buf t.pos)
-  else if t.eof then None
+(* Read more input after [len], first sliding the bytes from [keep] on to
+   the front of the buffer (and doubling it when they fill it). *)
+let fill t ~keep =
+  if t.eof then false
   else begin
-    t.base <- t.base + t.len;
-    t.pos <- 0;
-    let n = t.refill t.buf in
-    t.len <- n;
+    if keep > 0 then begin
+      let live = t.len - keep in
+      Bytes.blit t.buf keep t.buf 0 live;
+      t.base <- t.base + keep;
+      t.pos <- t.pos - keep;
+      t.len <- live;
+      if t.span_start >= 0 then begin
+        t.span_start <- t.span_start - keep;
+        t.span_stop <- t.span_stop - keep
+      end;
+      if t.prev_start >= 0 then begin
+        t.prev_start <- t.prev_start - keep;
+        t.prev_stop <- t.prev_stop - keep
+      end
+    end;
+    if t.len = Bytes.length t.buf then begin
+      let bigger = Bytes.create (2 * Bytes.length t.buf) in
+      Bytes.blit t.buf 0 bigger 0 t.len;
+      t.buf <- bigger
+    end;
+    let n = t.refill t.buf t.len (Bytes.length t.buf - t.len) in
     if n = 0 then begin
       t.eof <- true;
-      None
+      false
     end
-    else Some (Bytes.unsafe_get t.buf 0)
+    else begin
+      t.len <- t.len + n;
+      true
+    end
   end
+
+let peek t =
+  if t.pos < t.len || fill t ~keep:t.pos then Some (Bytes.unsafe_get t.buf t.pos)
+  else None
 
 let advance t c =
   t.pos <- t.pos + 1;
   if c = '\n' then begin
     t.cur_line <- t.cur_line + 1;
-    t.cur_column <- 1
+    t.line_start <- t.base + t.pos
   end
-  else t.cur_column <- t.cur_column + 1
 
 let is_space = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
 
+(* The character lexers copy their token into [tok_buf]; any span they
+   leave behind is stale. *)
+let drop_spans t =
+  t.span_start <- -1;
+  t.span_stop <- -1;
+  t.prev_start <- -1;
+  t.prev_stop <- -1
+
 let mark_token t =
   t.tok_line <- t.cur_line;
-  t.tok_column <- t.cur_column;
+  t.tok_column <- t.base + t.pos - t.line_start + 1;
   Buffer.clear t.tok_buf
 
 let finish_token t =
@@ -77,6 +131,7 @@ let finish_token t =
   Some s
 
 let next_token t =
+  drop_spans t;
   let rec skip () =
     match peek t with
     | Some c when is_space c ->
@@ -100,6 +155,7 @@ let next_token t =
       finish_token t
 
 let next_sexp_token t =
+  drop_spans t;
   let rec skip () =
     match peek t with
     | Some c when is_space c ->
@@ -128,6 +184,7 @@ let next_sexp_token t =
       finish_token t
 
 let next_line t =
+  drop_spans t;
   match peek t with
   | None -> None
   | Some _ ->
@@ -147,15 +204,96 @@ let next_line t =
         Buffer.truncate t.tok_buf (n - 1);
       finish_token t
 
+(* ---------- span scanning ---------- *)
+
+(* Everything from the older kept token on survives a refill. *)
+let keep_from t =
+  if t.prev_start >= 0 then t.prev_start
+  else if t.span_start >= 0 then t.span_start
+  else t.pos
+
+(* Top-level loops over a local buffer and index: no closure and no
+   field traffic per byte. Every separator is at most ' ', so one
+   comparison settles most bytes. *)
+let rec space_stop t buf len i =
+  if i < len then
+    let c = Bytes.unsafe_get buf i in
+    if c > ' ' then i
+    else
+      match c with
+      | '\n' ->
+          t.cur_line <- t.cur_line + 1;
+          t.line_start <- t.base + i + 1;
+          space_stop t buf len (i + 1)
+      | ' ' | '\t' | '\r' -> space_stop t buf len (i + 1)
+      | _ -> i
+  else i
+
+let rec token_stop buf len i =
+  if i < len then
+    let c = Bytes.unsafe_get buf i in
+    if c > ' ' then token_stop buf len (i + 1)
+    else
+      match c with ' ' | '\t' | '\r' | '\n' -> i | _ -> token_stop buf len (i + 1)
+  else i
+
+(* Eight bytes at a time while none of them is below 0x21: the word test
+   flags a word exactly when one of its bytes is, and [token_stop] then
+   settles it byte by byte. *)
+let rec token_words buf len i =
+  if i + 8 > len then token_stop buf len i
+  else
+    let w = Bytes.get_int64_le buf i in
+    if
+      Int64.equal
+        (Int64.logand
+           (Int64.logand (Int64.sub w 0x2121212121212121L) (Int64.lognot w))
+           0x8080808080808080L)
+        0L
+    then token_words buf len (i + 8)
+    else token_stop buf len i
+
+let rec skip_space t =
+  t.pos <- space_stop t t.buf t.len t.pos;
+  t.pos < t.len || (fill t ~keep:(keep_from t) && skip_space t)
+
+let rec token_end t =
+  t.pos <- token_words t.buf t.len t.pos;
+  if t.pos = t.len && fill t ~keep:(keep_from t) then token_end t
+
+let next_span t =
+  skip_space t
+  && begin
+       t.tok_line <- t.cur_line;
+       t.tok_column <- t.base + t.pos - t.line_start + 1;
+       t.prev_start <- t.span_start;
+       t.prev_stop <- t.span_stop;
+       t.span_start <- t.pos;
+       token_end t;
+       t.span_stop <- t.pos;
+       true
+     end
+
+let span_bytes t = t.buf
+let span_start t = t.span_start
+let span_stop t = t.span_stop
+let prev_start t = t.prev_start
+let prev_stop t = t.prev_stop
+
 let position t = (t.tok_line, t.tok_column)
 let line t = t.tok_line
+let column t = t.tok_column
 let bytes_read t = t.base + t.pos
+
+let lexeme t =
+  if t.span_start >= 0 then Bytes.sub_string t.buf t.span_start (t.span_stop - t.span_start)
+  else t.last_lexeme
 
 type error = { line : int; column : int; message : string; snippet : string }
 
 let error_at t message =
   let snippet =
-    let s = t.last_lexeme in
+    let s = lexeme t in
     if String.length s > 60 then String.sub s 0 57 ^ "..." else s
   in
   { line = t.tok_line; column = t.tok_column; message; snippet }

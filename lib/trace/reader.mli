@@ -1,10 +1,24 @@
 (** Shared incremental lexer for the trace readers (VCD, CSV, SAIF) and
     the model loader.
 
-    A {!t} pulls characters from an [in_channel] through a fixed-size
-    buffer (or walks an in-memory string without copying it), hands out
-    whitespace-separated tokens, s-expression tokens or whole lines, and
-    tracks the line/column position and the total byte count as it goes.
+    A {!t} pulls bytes from an [in_channel] through a buffer (or walks an
+    in-memory string without copying it) and tracks the line/column
+    position and the total byte count as it goes. It offers two kinds of
+    lexing:
+
+    - {e copying} lexers ({!next_token}, {!next_sexp_token},
+      {!next_line}) that return each token as a fresh string — used by
+      headers, CSV, SAIF and the model loader;
+    - a {e span} scanner ({!next_span}) that returns no string at all:
+      the token is left in place in the reader's own buffer and exposed
+      as a [start, stop) span. When a refill lands mid-token, the partial
+      token (and the token before it) slide to the front of the buffer
+      first, and the buffer doubles when they fill it, so a span is
+      always contiguous. Columns are computed from the offset of the
+      current line's start, so scanning a byte costs one comparison, and
+      a token's end is found eight bytes at a time. The VCD value-change
+      section is read this way.
+
     Live memory is the buffer plus the token being assembled — a reader
     over a channel never materializes the file as a string or a token
     list, so ingestion of arbitrarily long traces runs in O(#signals)
@@ -26,8 +40,9 @@ val of_string : string -> t
 
 val of_substring : ?line:int -> string -> pos:int -> len:int -> t
 (** Walk [len] bytes of [s] starting at [pos], reporting positions as if
-    the slice began on line [line] (default 1). Used by the parallel VCD
-    body lexer to lex one timestamp-aligned chunk. *)
+    the slice began on line [line] (default 1); columns count from the
+    start of [pos]'s line in [s]. Used by the parallel VCD body scanner to
+    scan one timestamp-aligned chunk. *)
 
 (** {1 Lexing} *)
 
@@ -43,6 +58,27 @@ val next_line : t -> string option
 (** The next line (without the trailing newline; a trailing ['\r'] is
     dropped), or [None] at end of input. *)
 
+(** {1 Span scanning} *)
+
+val next_span : t -> bool
+(** Advance to the next whitespace-delimited token without copying it,
+    or return [false] at end of input. The token is
+    [span_bytes t] from [span_start t] to [span_stop t] (exclusive); the
+    token before it stays readable at [prev_start t], [prev_stop t] (-1
+    when the previous token came from a copying lexer). Both spans, and
+    the buffer itself, are valid until the next call on [t]: read
+    {!span_bytes} again after every call, and never write to it. At end
+    of input the spans keep pointing at the last token. *)
+
+val span_bytes : t -> bytes
+val span_start : t -> int
+val span_stop : t -> int
+val prev_start : t -> int
+val prev_stop : t -> int
+
+val lexeme : t -> string
+(** A copy of the last token returned by any of the lexers. *)
+
 (** {1 Positions, errors, totals} *)
 
 val position : t -> int * int
@@ -51,6 +87,9 @@ val position : t -> int * int
 
 val line : t -> int
 (** First component of {!position}. *)
+
+val column : t -> int
+(** Second component of {!position}. *)
 
 val bytes_read : t -> int
 (** Total bytes consumed so far; after the input is exhausted this is

@@ -43,17 +43,11 @@ let iter t f =
     f ~index:i ~start:t.starts.(i) ~len:(t.starts.(i + 1) - t.starts.(i))
   done
 
-let of_rev_starts ~length rev_starts =
-  let k = List.length rev_starts in
-  let starts = Array.make (k + 1) length in
-  let i = ref (k - 1) in
-  List.iter
-    (fun s ->
-      starts.(!i) <- s;
-      decr i)
-    rev_starts;
+let of_starts ~length starts =
+  let k = Array.length starts in
   if k > 0 && starts.(0) <> 0 then invalid_arg "Runs: first run must start at 0";
   if k = 0 && length <> 0 then invalid_arg "Runs: no runs over a non-empty trace";
+  let starts = Array.append starts [| length |] in
   for i = 0 to k - 1 do
     if starts.(i) >= starts.(i + 1) then invalid_arg "Runs: starts not increasing"
   done;
@@ -65,7 +59,7 @@ let scan ~equal n =
   for i = 0 to n - 1 do
     if i = 0 || not (equal (i - 1) i) then rev := i :: !rev
   done;
-  of_rev_starts ~length:n !rev
+  of_starts ~length:n (Array.of_list (List.rev !rev))
 
 (* Run-length histogram in power-of-two buckets: entry (b, c) counts the
    [c] runs whose length lies in [2^b, 2^(b+1)). *)

@@ -36,8 +36,8 @@ val scan : equal:(int -> int -> bool) -> int -> t
     where [equal i j] decides whether instants [i] and [j] carry the same
     sample. *)
 
-val of_rev_starts : length:int -> int list -> t
-(** Run starts in reverse order (the incremental builder's accumulator);
-    validates coverage of [0, length). *)
+val of_starts : length:int -> int array -> t
+(** Run starts in increasing order (the incremental builder's
+    accumulator); validates coverage of [0, length). *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,11 +4,22 @@
     interface signal, plus an optional [real] variable carrying the
     per-cycle dynamic energy, so a functional trace and its power trace
     travel in a single artifact that standard waveform viewers can open.
+    It appends straight to a [Buffer.t]; only power values go through
+    [Printf] (["%.17g"], so they read back bit-exact).
 
-    The reader is a streaming parser over {!Reader.t}: declarations and
-    the value-change section are lexed incrementally, so a channel-backed
-    read never materializes the file as a string or token list. It
-    implements real VCD semantics, not just the writer's subset:
+    The reader lexes the declarations with {!Reader.next_token}, then
+    reads the value-change section with one span scanner
+    ({!Reader.next_span}) that works in the reader's buffer: no token
+    string is made, identifier codes resolve through a table built from
+    the header (one-character codes index an array), [#digits]
+    timestamps and vector digits are decoded in place, and each change
+    is applied straight to the held sample. An instant with no value
+    change shares the previous instant's sample array and extends its
+    run, with no compare and no copy; an instant with changes gets one
+    new array. A channel-backed read never materializes the file as a
+    string or token list. {!read}, {!parse} (sequential and parallel)
+    and {!stream} all run this one scanner. It implements real VCD
+    semantics, not just the writer's subset:
 
     - timestamps are {e decoded}, values are held across gaps, and one
       sample is produced per sampling-grid instant (stride = explicit
@@ -17,7 +28,23 @@
     - 4-state values follow the spec: undersized vectors left-extend with
       [x]/[z] when the leftmost digit is [x]/[z] (0 otherwise), and every
       unknown bit is routed through the {!Reader.unknown_policy};
-    - errors carry line/column positions and the offending lexeme. *)
+    - a repeated identifier code of the same width and kind aliases its
+      first declaration (IEEE 1364 aliasing); a duplicate signal name
+      under another code, or a width above {!max_width}, is a
+      {!Parse_error} at its [$var];
+    - gap expansion is sized before it runs: a grid of more than
+      {!max_samples} instants is a {!Parse_error} at the last timestamp;
+    - errors carry line/column positions and the offending lexeme.
+
+    Malformed input raises {!Parse_error} and nothing else. *)
+
+val max_width : int
+(** Widest [$var] the reader accepts: 65,536 bits. *)
+
+val max_samples : int
+(** Most samples gap expansion may produce: 2{^24}. A trace whose
+    timestamps already sit on a uniform grid is not expanded and not
+    bounded. *)
 
 val write :
   ?timescale:string ->
@@ -93,5 +120,3 @@ val power_var_name : string
 
 val id_code : int -> string
 (** Identifier code for the [n]-th variable ('!'..'~', then multi-char). *)
-
-val vector_value : Psm_bits.Bits.t -> string

@@ -179,10 +179,77 @@ let test_golden_files_well_formed () =
           end)
         cases
 
+(* ---------- VCD writer bytes ---------- *)
+
+(* A trace that exercises every writer path: 1-, 2-, 33- and 128-bit
+   signals, vectors whose leading zeros are trimmed, more than 94
+   variables (so two-character identifier codes appear in value changes
+   and in the power variable's code), repeated samples (timestamps with
+   no change records) and power values that need all 17 digits. *)
+let writer_trace () =
+  let module Bits = Psm_bits.Bits in
+  let module Signal = Psm_trace.Signal in
+  let named =
+    [ Signal.input "clk" 1; Signal.input "mode" 2; Signal.input "data" 33;
+      Signal.output "block" 128 ]
+  in
+  let filler =
+    List.init 96 (fun i ->
+        if i mod 2 = 0 then Signal.input (Printf.sprintf "f%d" i) 1
+        else Signal.output (Printf.sprintf "g%d" i) 3)
+  in
+  let iface = Psm_trace.Interface.create (named @ filler) in
+  let data = [| 0; 1; 5; 1 lsl 32; (1 lsl 33) - 1; 5; 5; 6 |] in
+  let block t =
+    match t with
+    | 0 -> Bits.zero 128
+    | 1 -> Bits.of_int ~width:128 1
+    | 2 -> Bits.shift_left (Bits.of_int ~width:128 1) 127
+    | 3 -> Bits.ones 128
+    | _ -> Bits.of_hex_string ~width:128 "0000_0000_0000_0000_dead_beef_0000_0f00"
+  in
+  let sample t =
+    Array.of_list
+      ([ Bits.of_int ~width:1 (t land 1);
+         Bits.of_int ~width:2 (t mod 4);
+         Bits.of_int ~width:33 data.(t);
+         block t ]
+      @ List.init 96 (fun i ->
+            let w = if i mod 2 = 0 then 1 else 3 in
+            Bits.of_int ~width:w (if i >= 90 then (t * (i + 1)) land ((1 lsl w) - 1) else 0)))
+  in
+  (* Instant 6 repeats instant 5: its timestamp carries no value change. *)
+  let samples = Array.init 8 (fun t -> sample (if t = 6 then 5 else t)) in
+  let power =
+    Psm_trace.Power_trace.of_array
+      [| 0.; 0.1; 1e-7; 3.; 2.5e-300; 123456.789; 1. /. 3.; 4.5e-05 |]
+  in
+  (Psm_trace.Functional_trace.of_samples iface samples, power)
+
+let writer_golden = "vcd_writer.vcd"
+
+let test_vcd_writer_golden () =
+  let trace, power = writer_trace () in
+  let text = Psm_trace.Vcd.to_string ~power trace in
+  if regen_requested () then begin
+    let path = Filename.concat (regen_dir ()) writer_golden in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Printf.printf "regenerated %s\n" path
+  end
+  else
+    match read_dir () with
+    | None -> Alcotest.failf "golden directory not found from %s" (Sys.getcwd ())
+    | Some dir ->
+        let golden =
+          In_channel.with_open_bin (Filename.concat dir writer_golden) In_channel.input_all
+        in
+        Alcotest.(check string) "writer output is byte-identical" golden text
+
 let suite =
   ( "golden",
     Alcotest.test_case "golden files well-formed" `Quick
       test_golden_files_well_formed
+    :: Alcotest.test_case "vcd writer bytes" `Quick test_vcd_writer_golden
     :: List.map
          (fun ((name, _, _, _) as case) ->
            Alcotest.test_case (name ^ " matches golden") `Slow (run_case case))

@@ -412,6 +412,52 @@ let test_vcd_upload_bound () =
   check_int "fresh upload served" (Functional_trace.length trace)
     (get (Engine.vcd_chunk engine ~id:"v" ~chunk:(Vcd.to_string trace) ~last:true))
 
+(* Header and gap faults in an upload come back as located
+   [vcd: line N, ...] errors on that session, and an aliased identifier
+   code is served like the plain upload. *)
+let test_vcd_typed_errors () =
+  let m = model_of "RAM" in
+  let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  get (Engine.open_session engine ~id:"v" ~model:"RAM" ~mode:`Filter);
+  let trace = ram_trace () in
+  let text = Vcd.to_string trace in
+  let lines = String.split_on_char '\n' text in
+  (* The writer's first variable: "$var wire W CODE NAME $end". *)
+  let var_index =
+    let rec find i = function
+      | l :: rest -> if String.starts_with ~prefix:"$var " l then i else find (i + 1) rest
+      | [] -> Alcotest.fail "no $var line"
+    in
+    find 0 lines
+  in
+  let width, code, name =
+    match String.split_on_char ' ' (List.nth lines var_index) with
+    | [ _; _; w; c; n; _ ] -> (w, c, n)
+    | _ -> Alcotest.fail "unexpected $var line"
+  in
+  let with_var extra =
+    String.concat "\n"
+      (List.concat (List.mapi (fun i l -> if i = var_index then [ l; extra ] else [ l ]) lines))
+  in
+  let extra_line = var_index + 2 in
+  let located what ~line upload =
+    match Engine.vcd_chunk engine ~id:"v" ~chunk:upload ~last:true with
+    | Error e ->
+        check_bool (what ^ ": " ^ e) true
+          (String.starts_with ~prefix:(Printf.sprintf "vcd: line %d, column 1:" line) e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  located "duplicate name" ~line:extra_line
+    (with_var (Printf.sprintf "$var wire %s ~~ %s $end" width name));
+  located "oversized width" ~line:extra_line
+    (with_var "$var wire 4611686018427387903 ~~ huge $end");
+  located "timestamp gap" ~line:(List.length lines) (text ^ "#100000001\n");
+  check_int "alias served" (Functional_trace.length trace)
+    (get
+       (Engine.vcd_chunk engine ~id:"v"
+          ~chunk:(with_var (Printf.sprintf "$var wire %s %s also_%s $end" width code name))
+          ~last:true))
+
 let test_idle_eviction () =
   let clock = ref 0. in
   let m = model_of "RAM" in
@@ -958,6 +1004,7 @@ let suite =
       Alcotest.test_case "observe rejects non-finite or negative hd" `Quick
         test_observe_rejects_bad_hd;
       Alcotest.test_case "vcd upload bound" `Quick test_vcd_upload_bound;
+      Alcotest.test_case "vcd typed header and gap errors" `Quick test_vcd_typed_errors;
       Alcotest.test_case "vcd faults + observe equivalence" `Slow
         test_vcd_faults_and_equivalence;
       Alcotest.test_case "idle eviction (injected clock)" `Quick

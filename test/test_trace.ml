@@ -157,21 +157,21 @@ let test_vcd_preserves_directions () =
   Alcotest.(check bool) "interface equal" true
     (Interface.equal (FT.interface t) (FT.interface parsed.Vcd.trace))
 
+(* A hand-written VCD in a style other tools emit: x values, $dumpvars,
+   sparse change records. *)
+let foreign_vcd =
+  "$timescale 10 ps $end\n\
+   $scope module top $end\n\
+   $var wire 4 ! count $end\n\
+   $var wire 1 \" clk $end\n\
+   $upscope $end\n\
+   $enddefinitions $end\n\
+   #0\n$dumpvars\nbxxxx !\n0\"\n$end\n\
+   #1\nb101 !\n1\"\n\
+   #2\n0\"\n"
+
 let test_vcd_foreign_input () =
-  (* A hand-written VCD in a style other tools emit: x values, $dumpvars,
-     sparse change records. *)
-  let text =
-    "$timescale 10 ps $end\n\
-     $scope module top $end\n\
-     $var wire 4 ! count $end\n\
-     $var wire 1 \" clk $end\n\
-     $upscope $end\n\
-     $enddefinitions $end\n\
-     #0\n$dumpvars\nbxxxx !\n0\"\n$end\n\
-     #1\nb101 !\n1\"\n\
-     #2\n0\"\n"
-  in
-  let parsed = Vcd.parse text in
+  let parsed = Vcd.parse foreign_vcd in
   Alcotest.(check int) "instants" 3 (FT.length parsed.Vcd.trace);
   Alcotest.(check int) "x maps to 0" 0
     (Bits.to_int (FT.value_by_name parsed.Vcd.trace ~time:0 "count"));
@@ -315,14 +315,15 @@ let test_vcd_error_position () =
 
 (* ---------- VCD streaming / parallel ---------- *)
 
+let stream_vcd =
+  "$timescale 1ns $end\n\
+   $var wire 2 ! a $end\n\
+   $var real 64 \" __power__ $end\n\
+   $enddefinitions $end\n\
+   #0\nb10 !\nr1.5 \"\n#5\nb01 !\nr2.5 \"\n#20\nb11 !\nr0 \"\n"
+
 let test_vcd_stream () =
-  let text =
-    "$timescale 1ns $end\n\
-     $var wire 2 ! a $end\n\
-     $var real 64 \" __power__ $end\n\
-     $enddefinitions $end\n\
-     #0\nb10 !\nr1.5 \"\n#5\nb01 !\nr2.5 \"\n#20\nb11 !\nr0 \"\n"
-  in
+  let text = stream_vcd in
   let times = ref [] and vals = ref [] and pows = ref [] in
   let stats =
     Vcd.stream (Reader.of_string text)
@@ -461,6 +462,88 @@ let test_vcd_parallel_comment_fallback () =
   Alcotest.(check bool) "comment spanning cuts" true
     (FT.equal seq.Vcd.trace par.Vcd.trace);
   Alcotest.(check bool) "roundtrip" true (FT.equal t par.Vcd.trace)
+
+(* ---------- VCD header limits and gap bound ---------- *)
+
+let parse_error what text =
+  match Vcd.parse text with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Vcd.Parse_error e -> e
+
+let check_located what ~line (e : Reader.error) message =
+  Alcotest.(check int) (what ^ " line") line e.Reader.line;
+  Alcotest.(check int) (what ^ " column") 1 e.Reader.column;
+  Alcotest.(check string) (what ^ " message") message e.Reader.message
+
+let with_vars vars body = "$timescale 1ns $end\n" ^ vars ^ "$enddefinitions $end\n" ^ body
+
+let test_vcd_duplicate_name () =
+  (* Two variables named a under different codes: a located parse error
+     at the second $var, not an escape from Interface.create. *)
+  let e =
+    parse_error "duplicate"
+      (with_vars "$var wire 1 ! a $end\n$var wire 2 \" a $end\n" "#0\n1!\n")
+  in
+  check_located "duplicate name" ~line:3 e "duplicate signal name a";
+  Alcotest.(check string) "snippet" "$var" e.Reader.snippet
+
+let test_vcd_alias () =
+  (* IEEE 1364 aliases: b reuses a's code, so both name one variable. *)
+  let p =
+    Vcd.parse
+      (with_vars "$var wire 2 ! a $end\n$var wire 2 ! b $end\n" "#0\nb10 !\n#1\nb01 !\n")
+  in
+  let iface = FT.interface p.Vcd.trace in
+  Alcotest.(check int) "one signal" 1 (Interface.arity iface);
+  Alcotest.(check string) "first name kept" "a" (Interface.signal iface 0).Signal.name;
+  Alcotest.(check (array int)) "values" [| 2; 1 |] (values_of p);
+  (* A code reused at another width is no alias. *)
+  let e =
+    parse_error "alias width"
+      (with_vars "$var wire 2 ! a $end\n$var wire 3 ! b $end\n" "#0\nb10 !\n")
+  in
+  Alcotest.(check int) "alias width line" 3 e.Reader.line
+
+let test_vcd_max_width () =
+  let e =
+    parse_error "huge width"
+      (with_vars "$var wire 4611686018427387903 ! a $end\n" "#0\nb1 !\n")
+  in
+  check_located "huge width" ~line:2 e
+    (Printf.sprintf "$var a is 4611686018427387903 bits wide, over the %d-bit limit"
+       Vcd.max_width);
+  let e =
+    parse_error "one bit over"
+      (with_vars
+         (Printf.sprintf "$var wire 1 ! a $end\n$var wire %d \" b $end\n" (Vcd.max_width + 1))
+         "#0\n1!\n")
+  in
+  Alcotest.(check int) "one bit over line" 3 e.Reader.line;
+  let p = Vcd.parse (with_vars (Printf.sprintf "$var wire %d ! a $end\n" Vcd.max_width) "#0\nb1 !\n") in
+  Alcotest.(check int) "the limit itself" Vcd.max_width
+    (Bits.width (FT.value p.Vcd.trace ~time:0 ~signal:0));
+  Alcotest.(check (array int)) "its value" [| 1 |] (values_of p)
+
+let test_vcd_gap_bound () =
+  (* A million held samples are under the bound; the run structure still
+     comes from the reader. *)
+  let p = Vcd.parse (vcd_1bit "#0\n1!\n#1\n0!\n#1000000\n1!\n") in
+  Alcotest.(check int) "expanded" 1_000_001 (FT.length p.Vcd.trace);
+  Alcotest.(check int) "three runs" 3 (Psm_trace.Runs.count (FT.runs p.Vcd.trace));
+  (* One grid point past the bound, and far past it: rejected at the last
+     timestamp before anything is expanded. *)
+  List.iter
+    (fun last ->
+      let e =
+        parse_error "gap" (vcd_1bit (Printf.sprintf "#0\n1!\n#1\n0!\n#%d\n1!\n" last))
+      in
+      check_located
+        (Printf.sprintf "gap to #%d" last)
+        ~line:8 e
+        (Printf.sprintf
+           "timestamps #0..#%d at stride 1 make %d samples, over the %d-sample limit" last
+           (last + 1) Vcd.max_samples))
+    [ Vcd.max_samples; 100_000_001 ]
 
 (* ---------- CSV ---------- *)
 
@@ -831,6 +914,187 @@ let properties =
         FT.equal t
           (FT.append (FT.sub t ~start:0 ~stop:(k - 1)) (FT.sub t ~start:k ~stop:(n - 1)))) ]
 
+(* ---------- differential fuzzing: span scanner vs. token oracle ---------- *)
+
+type 'a outcome = Parsed of 'a | Failed of Reader.error | Escaped of string
+
+let outcome f =
+  match f () with
+  | v -> Parsed v
+  | exception Vcd.Parse_error e -> Failed e
+  | exception e -> Escaped (Printexc.to_string e)
+
+let same_parsed (a : Vcd.parsed) (b : Vcd.parsed) =
+  let runs t =
+    let r = FT.runs t in
+    List.init (Psm_trace.Runs.count r) (Psm_trace.Runs.start r)
+  in
+  let bits p = Option.map (fun p -> Array.map Int64.bits_of_float (PT.to_array p)) p in
+  FT.equal a.Vcd.trace b.Vcd.trace
+  && runs a.Vcd.trace = runs b.Vcd.trace
+  && bits a.Vcd.power = bits b.Vcd.power
+  && a.Vcd.timescale = b.Vcd.timescale
+  && a.Vcd.stats = b.Vcd.stats
+
+(* Stream output: one (time, values, power) per distinct timestamp. *)
+let same_stream (raw : Vcd_oracle.raw) (samples, (stats : Reader.stats)) =
+  stats = raw.Vcd_oracle.stats
+  && List.length samples = List.length raw.Vcd_oracle.samples
+  && List.for_all2
+       (fun (t, v, p) (t', v', p') ->
+         t = t' && FT.same_sample v v' && Int64.bits_of_float p = Int64.bits_of_float p')
+       samples raw.Vcd_oracle.samples
+
+let describe = function
+  | Parsed _ -> "parsed"
+  | Failed e -> "Parse_error " ^ Reader.error_to_string e
+  | Escaped s -> "escaped " ^ s
+
+(* The readers agree with the oracle on the result or on the error
+   record; where the oracle escapes (headers it never checked), each
+   reader raises a Parse_error instead. *)
+let agree ~what ~same oracle reader =
+  let ok =
+    match (oracle, reader) with
+    | Escaped _, Failed _ -> true
+    | Parsed a, Parsed b -> same a b
+    | Failed a, Failed b -> a = b
+    | _ -> false
+  in
+  if not ok then
+    Alcotest.failf "%s: oracle %s, reader %s" what (describe oracle) (describe reader)
+
+let fuzz_inputs () =
+  let ip (create, stimulus) =
+    let trace, power = Psm_ips.Capture.run (create ()) stimulus in
+    Vcd.to_string ~power trace
+  in
+  let wide =
+    FT.of_samples wide_iface
+      (Array.init 6 (fun t ->
+           Array.init 100 (fun i ->
+               let w = 1 + (i mod 8) in
+               Bits.of_int ~width:w ((t * (i + 3)) land ((1 lsl w) - 1)))))
+  in
+  let power = PT.of_array (Array.init 6 (fun i -> 0.5 *. float_of_int i)) in
+  let module W = Psm_ips.Workloads in
+  List.map ip
+    [ (Psm_ips.Ram.create, W.ram_short ~length:120 ());
+      (Psm_ips.Multsum.create, W.multsum_short ~length:120 ());
+      (Psm_ips.Aes.create, W.aes_short ~length:120 ());
+      (Psm_ips.Camellia.create, W.camellia_short ~length:120 ());
+      (Psm_ips.Fifo.create, W.fifo_short ~length:120 ()) ]
+  @ [ Vcd.to_string ~power wide;
+      foreign_vcd;
+      stream_vcd;
+      vcd_1bit "#0\n1!\n#5\n0!\n#20\n1!\n";
+      vcd_1bit "#0\n1!\n#0\n0!\n#1\n1!\n";
+      vcd_4bit "#0\nbx1 !\n#1\nbz !\n#3\nb01 !\n";
+      vcd_4bit "#0\n$comment note #9 $end\nb10 !\n#0x10\nb1 !\n#1_7\n" ]
+
+(* Bytes a mutation writes: VCD syntax, digits, whitespace, any byte. *)
+let palette = "01xXzZbBrR#$!\"%&' \n\t-+._e59"
+
+let mutate rng inputs text =
+  let n = String.length text in
+  let pos () = Random.State.int rng (n + 1) in
+  match Random.State.int rng 6 with
+  | 0 | 1 ->
+      let b = Bytes.of_string text in
+      for _ = 0 to Random.State.int rng 3 do
+        if n > 0 then
+          Bytes.set b (Random.State.int rng n)
+            (if Random.State.int rng 4 = 0 then Char.chr (Random.State.int rng 256)
+             else palette.[Random.State.int rng (String.length palette)])
+      done;
+      Bytes.to_string b
+  | 2 -> String.sub text 0 (pos ())
+  | 3 ->
+      let other = inputs.(Random.State.int rng (Array.length inputs)) in
+      let j = Random.State.int rng (String.length other + 1) in
+      String.sub text 0 (pos ()) ^ String.sub other j (String.length other - j)
+  | 4 ->
+      (* Duplicate, drop or swap lines: repeated or missing timestamps,
+         time going backwards, aliased or undeclared variables. *)
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let k = Array.length lines in
+      let i = Random.State.int rng k and j = Random.State.int rng k in
+      String.concat "\n"
+        (match Random.State.int rng 3 with
+        | 0 -> List.concat (List.mapi (fun x l -> if x = i then [ l; l ] else [ l ]) (Array.to_list lines))
+        | 1 -> List.filteri (fun x _ -> x <> i) (Array.to_list lines)
+        | _ ->
+            let t = lines.(i) in
+            lines.(i) <- lines.(j);
+            lines.(j) <- t;
+            Array.to_list lines)
+  | _ ->
+      (* Give one $var another's identifier code or name: aliases,
+         redeclarations and duplicate names. *)
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let vars =
+        List.filter
+          (fun i -> String.starts_with ~prefix:"$var " lines.(i))
+          (List.init (Array.length lines) Fun.id)
+      in
+      (match vars with
+      | [] -> ()
+      | _ ->
+          let nth () = List.nth vars (Random.State.int rng (List.length vars)) in
+          let a = nth () and b = nth () in
+          let fa = Array.of_list (String.split_on_char ' ' lines.(a)) in
+          let fb = String.split_on_char ' ' lines.(b) in
+          let field = if Random.State.bool rng then 3 else 4 in
+          if Array.length fa > field && List.length fb > field then begin
+            fa.(field) <- List.nth fb field;
+            lines.(a) <- String.concat " " (Array.to_list fa)
+          end);
+      String.concat "\n" (Array.to_list lines)
+
+let check_readers ~tmp ~what ?period ~unknowns text =
+  let expected = outcome (fun () -> Vcd_oracle.parse ?period ~unknowns text) in
+  let reader name f = agree ~what:(what ^ " " ^ name) ~same:same_parsed expected (outcome f) in
+  reader "parse" (fun () -> Vcd.parse ?period ~unknowns ~parallel:false text);
+  with_jobs 2 (fun () ->
+      reader "parallel parse" (fun () -> Vcd.parse ?period ~unknowns ~parallel:true text));
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
+  reader "read over a 7-byte buffer" (fun () ->
+      In_channel.with_open_bin tmp (fun ic ->
+          Vcd.read ?period ~unknowns (Reader.of_channel ~buffer:7 ic)));
+  let raw = outcome (fun () -> Vcd_oracle.raw ~unknowns text) in
+  agree ~what:(what ^ " stream") ~same:same_stream raw
+    (outcome (fun () ->
+         let out = ref [] in
+         let stats =
+           Vcd.stream ~unknowns (Reader.of_string text) ~init:ignore
+             ~sample:(fun ~time values ~power ->
+               out := (time, Array.copy values, power) :: !out)
+         in
+         (List.rev !out, stats)))
+
+let test_vcd_differential_fuzz () =
+  let rng = Random.State.make [| 16 |] in
+  let inputs = Array.of_list (fuzz_inputs ()) in
+  (* Large enough for the parallel path to cut its body into chunks. *)
+  let big = Vcd.to_string (big_trace 12_000) in
+  let tmp = Filename.temp_file "fuzz" ".vcd" in
+  Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
+  let policies = [| Reader.Count; Reader.Zero; Reader.Reject |] in
+  let run text k =
+    let unknowns = policies.(k mod 3) in
+    let period = if k mod 7 = 0 then Some (1 + (k mod 3)) else None in
+    check_readers ~tmp ~what:(Printf.sprintf "mutant %d" k) ?period ~unknowns text
+  in
+  Array.iteri (fun k text -> run text k) inputs;
+  for k = 0 to 799 do
+    let text = inputs.(k mod Array.length inputs) in
+    run (mutate rng inputs text) k
+  done;
+  run big 0;
+  for k = 0 to 23 do
+    run (mutate rng [| big |] big) k
+  done
+
 let suite =
   ( "trace",
     [ Alcotest.test_case "signal validation" `Quick test_signal_validation;
@@ -872,6 +1136,12 @@ let suite =
         test_vcd_parallel_error_order;
       Alcotest.test_case "vcd parallel comment fallback" `Quick
         test_vcd_parallel_comment_fallback;
+      Alcotest.test_case "vcd duplicate signal name" `Quick test_vcd_duplicate_name;
+      Alcotest.test_case "vcd identifier alias" `Quick test_vcd_alias;
+      Alcotest.test_case "vcd width limit" `Quick test_vcd_max_width;
+      Alcotest.test_case "vcd gap expansion bound" `Quick test_vcd_gap_bound;
+      Alcotest.test_case "vcd readers = token oracle (fuzz)" `Quick
+        test_vcd_differential_fuzz;
       Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
       Alcotest.test_case "csv without power" `Quick test_csv_no_power;
       Alcotest.test_case "csv bad header" `Quick test_csv_rejects_bad_header;
