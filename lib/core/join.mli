@@ -4,11 +4,16 @@
     predecessor and successor transition of their members.
 
     Clustering is greedy in state-id order: each state joins the first
-    existing cluster whose accumulated attributes it is mergeable with
-    (O(S·C) instead of the quadratic all-pairs search; C is the number of
-    distinct power modes, which is small). Transitions between members of
-    one cluster become self-loops. The procedure iterates until no two
-    clusters can merge.
+    existing cluster whose accumulated attributes it is mergeable with,
+    so a pass makes O(S·C) mergeability tests instead of the all-pairs
+    search (C is the number of clusters the pass opens, which tracks
+    the distinct power modes and is small). A cluster folds its ⟨μ, σ, n⟩
+    with {!Power_attr.merge_stats} and joins its members' interval lists
+    once, when the pass ends, so the interval bookkeeping is linear in
+    the intervals; the rest of a pass is {!Psm.merge_clusters} and
+    {!Psm.renumber}, O((S + E) log (S + E)). Transitions between members
+    of one cluster become self-loops. The procedure iterates until no
+    two clusters can merge.
 
     When a cluster absorbs states with identical assertions (and matching
     guards), the result is a non-deterministic PSM — resolved during

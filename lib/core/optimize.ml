@@ -13,18 +13,28 @@ type report = {
   upgraded : bool;
 }
 
+(* The state's (Hamming distance, power) samples over its intervals,
+   filled back to front: the regression sums then run over the same
+   order as they always have (last instant of the last interval first). *)
 let samples_of_state hamming_series powers (attr : Power_attr.t) =
-  let xs = ref [] and ys = ref [] in
+  let total =
+    List.fold_left
+      (fun acc { Power_attr.start; stop; _ } -> acc + (stop - start + 1))
+      0 attr.Power_attr.intervals
+  in
+  let xs = Array.make total 0. and ys = Array.make total 0. in
+  let pos = ref total in
   List.iter
     (fun { Power_attr.trace; start; stop } ->
       let hd : float array = hamming_series.(trace) in
       let p = powers.(trace) in
       for i = start to stop do
-        xs := hd.(i) :: !xs;
-        ys := Power_trace.get p i :: !ys
+        decr pos;
+        xs.(!pos) <- hd.(i);
+        ys.(!pos) <- Power_trace.get p i
       done)
     attr.Power_attr.intervals;
-  (Array.of_list !xs, Array.of_list !ys)
+  (xs, ys)
 
 let optimize ?(config = default) ~traces ~powers psm =
   Psm_obs.span "combine.optimize" @@ fun () ->

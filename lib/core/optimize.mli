@@ -32,4 +32,7 @@ val optimize :
   Psm.t * report list
 (** [traces] and [powers] are the training pairs indexed by the trace tags
     recorded in the states' power-attribute intervals. Returns the
-    optimized PSM set and a per-candidate report. *)
+    optimized PSM set and a per-candidate report. The Hamming series
+    is computed at run starts only (every other instant is 0) and a
+    candidate's samples go into two preallocated float arrays: linear in
+    the training instants. *)

@@ -9,7 +9,7 @@ let of_interval power ~trace ~start ~stop =
   let mu, sigma, n = Power_trace.attributes power ~start ~stop in
   { mu; sigma; n; intervals = [ { trace; start; stop } ] }
 
-let merge a b =
+let merge_stats a b =
   (* Chan et al. parallel combination of (μ, σ, n) summaries; exact. *)
   let na = float_of_int a.n and nb = float_of_int b.n in
   let n = a.n + b.n in
@@ -22,7 +22,15 @@ let merge a b =
   let delta = b.mu -. a.mu in
   let m2_total = m2 a +. m2 b +. (delta *. delta *. na *. nb /. nf) in
   let sigma = if n < 2 then 0. else sqrt (m2_total /. (nf -. 1.)) in
-  { mu; sigma; n; intervals = a.intervals @ b.intervals }
+  { mu; sigma; n; intervals = [] }
+
+let merge a b = { (merge_stats a b) with intervals = a.intervals @ b.intervals }
+
+(* Member lists arrive newest first. Each is copied once, except the
+   newest, which becomes the shared tail. *)
+let concat_rev = function
+  | [] -> []
+  | last :: earlier -> List.fold_left (fun acc l -> l @ acc) last earlier
 
 let recompute powers t =
   let acc = Online.create () in

@@ -3,7 +3,13 @@ module IntMap = Map.Make (Int)
 module TransSet = Set.Make (struct
   type t = int * int * int
 
-  let compare = compare
+  (* Lexicographic, the order polymorphic [compare] gives int triples. *)
+  let compare (s1, g1, d1) (s2, g2, d2) =
+    let c = Int.compare s1 s2 in
+    if c <> 0 then c
+    else
+      let c = Int.compare g1 g2 in
+      if c <> 0 then c else Int.compare d1 d2
 end)
 
 type output = Const of float | Affine of { slope : float; intercept : float }
@@ -67,6 +73,7 @@ let transitions t =
 
 let initial t = t.initial
 
+let id_bound t = t.next_id
 let state_count t = IntMap.cardinal t.states
 let transition_count t = TransSet.cardinal t.transitions
 
@@ -145,38 +152,41 @@ let union parts =
    first instant (intervals partition the training instants), but the old
    id breaks ties defensively for interval-less states (loaded models). *)
 let renumber t =
-  let first_interval (s : state) =
-    match s.attr.Power_attr.intervals with
-    | { Power_attr.trace; start; _ } :: _ -> (trace, start, s.id)
-    | [] -> (max_int, max_int, s.id)
-  in
-  let ordered =
-    List.sort
-      (fun a b -> compare (first_interval a) (first_interval b))
-      (IntMap.bindings t.states |> List.map snd)
-  in
-  let map = Hashtbl.create (List.length ordered) in
-  List.iteri (fun i s -> Hashtbl.replace map s.id i) ordered;
+  let ordered = Array.of_list (IntMap.bindings t.states |> List.map snd) in
+  let n = Array.length ordered in
+  (* Sort keys computed once per state, compared without allocation. *)
+  let trace = Array.make n max_int and start = Array.make n max_int in
+  Array.iteri
+    (fun i (s : state) ->
+      match s.attr.Power_attr.intervals with
+      | { Power_attr.trace = tr; start = st; _ } :: _ ->
+          trace.(i) <- tr;
+          start.(i) <- st
+      | [] -> ())
+    ordered;
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare trace.(a) trace.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare start.(a) start.(b) in
+        if c <> 0 then c else Int.compare ordered.(a).id ordered.(b).id)
+    order;
+  let map = Array.make t.next_id (-1) in
+  Array.iteri (fun i k -> map.(ordered.(k).id) <- i) order;
   let renum id =
-    match Hashtbl.find_opt map id with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Psm.renumber: unknown state %d" id)
+    if id >= 0 && id < Array.length map && map.(id) >= 0 then map.(id)
+    else invalid_arg (Printf.sprintf "Psm.renumber: unknown state %d" id)
   in
-  let states =
-    List.fold_left
-      (fun acc s -> IntMap.add (renum s.id) { s with id = renum s.id } acc)
-      IntMap.empty ordered
-  in
+  let states = ref IntMap.empty in
+  Array.iteri (fun i k -> states := IntMap.add i { (ordered.(k)) with id = i } !states) order;
   let transitions =
     TransSet.fold
       (fun (src, guard, dst) acc -> TransSet.add (renum src, guard, renum dst) acc)
       t.transitions TransSet.empty
   in
-  ( { t with
-      states;
-      transitions;
-      initial = List.map renum t.initial;
-      next_id = List.length ordered },
+  ( { t with states = !states; transitions; initial = List.map renum t.initial; next_id = n },
     renum )
 
 type cluster = {

@@ -78,6 +78,12 @@ val initial : t -> int list
 val state_count : t -> int
 val transition_count : t -> int
 
+val id_bound : t -> int
+(** One past the largest id ever allocated: every state id lies in
+    [\[0, id_bound t)], so id-indexed arrays of this length cover the
+    machine even when its ids are sparse (after {!merge_clusters} or
+    {!union}). [state_count t] after {!renumber}. *)
+
 val successors : t -> int -> transition list
 (** Outgoing transitions of a state, ordered by [(guard, dst)] — the
     order of {!transitions} restricted to [src = id]. A range read of

@@ -8,6 +8,13 @@
     The chain's internal transitions are absorbed; the new state connects
     to the predecessor of the first and the successor of the last member.
 
+    A pass keeps its degree, chain-link and membership tables in arrays
+    indexed by state id ({!Psm.id_bound} long) and joins each run's
+    interval lists once, when the run closes, so it is linear in
+    states, transitions and intervals apart from the
+    O((S + E) log (S + E)) rebuild in {!Psm.merge_clusters} and
+    {!Psm.renumber}.
+
     Runs at most {!max_simplify_passes} greedy passes rather than a full
     fixpoint: a later pass can reach one commit further *backwards* per
     pass (a merged run's widened attributes may newly absorb the state
@@ -36,5 +43,7 @@ val compose_passes :
   Psm.t ->
   Psm.t * (int -> int)
 (** Internal: iterate a merge pass (to fixpoint by default, or at most
-    [max_passes] times) while composing its redirect maps. Shared with
-    {!Join}, whose cross-chain pass keeps the unbounded fixpoint. *)
+    [max_passes] times) while composing its redirect maps, updated in
+    place in one array over the input's ids: O(id_bound) per pass.
+    Shared with {!Join}, whose cross-chain pass keeps the unbounded
+    fixpoint. *)

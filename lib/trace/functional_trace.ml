@@ -122,12 +122,13 @@ let append a b =
 
 let input_hamming_series t =
   let input_idx = List.map fst (Interface.inputs t.interface) in
-  let n = length t in
-  let series = Array.make (max n 0) 0. in
-  for time = 1 to n - 1 do
-    series.(time) <-
-      float_of_int (input_hamming input_idx t.samples.(time) t.samples.(time - 1))
-  done;
+  let series = Array.make (length t) 0. in
+  (* Consecutive instants of one run carry the same sample: only a run's
+     first instant can differ from its predecessor. *)
+  Runs.iter (runs t) (fun ~index:_ ~start ~len:_ ->
+      if start > 0 then
+        series.(start) <-
+          float_of_int (input_hamming input_idx t.samples.(start) t.samples.(start - 1)));
   series
 
 let equal a b =

@@ -73,7 +73,9 @@ val append : t -> t -> t
 val input_hamming_series : t -> float array
 (** Element [i] is the Hamming distance between the concatenated
     primary-input values at instants [i] and [i - 1]; element 0 is 0.
-    This is the regressor of the data-dependent-state calibration. *)
+    This is the regressor of the data-dependent-state calibration.
+    Only a run's first instant can be non-zero, so only run starts are
+    compared (see {!runs}). *)
 
 val same_sample : Psm_bits.Bits.t array -> Psm_bits.Bits.t array -> bool
 (** Whether two samples have the same arity and equal values on every
