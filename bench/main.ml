@@ -939,7 +939,7 @@ let run_serve () =
               posts.(t);
             (!acc, Psm_hmm.Hmm.state_of_row hmm rows.(t)))
     | `Sim ->
-        let stepper = Psm_hmm.Multi_sim.Stepper.create (Psm_hmm.Hmm.copy hmm) in
+        let stepper = Psm_hmm.Multi_sim.Stepper.create hmm in
         Array.map
           (fun o ->
             Psm_hmm.Multi_sim.Stepper.step_classified stepper ~hamming:0. o)
@@ -1249,7 +1249,8 @@ let micro_tests () =
   let vocabulary = Table.vocabulary trained.Flow.table in
   let sample = Psm_trace.Functional_trace.sample trace ~time:100 in
   let gamma = Psm_mining.Prop_trace.of_functional trained.Flow.table trace in
-  let stepper = ref (Psm_hmm.Multi_sim.Stepper.create trained.Flow.hmm) in
+  let plan = Psm_hmm.Multi_sim.Plan.create trained.Flow.hmm in
+  let stepper = ref (Psm_hmm.Multi_sim.Stepper.of_plan plan) in
   [ Test.make ~name:"ip-step/RAM"
       (Staged.stage (fun () ->
            ram.Psm_ips.Ip.reset ();
@@ -1277,7 +1278,7 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Psm_hmm.Multi_sim.Stepper.step !stepper sample)));
     Test.make ~name:"hmm/stepper-256-cycles"
       (Staged.stage (fun () ->
-           stepper := Psm_hmm.Multi_sim.Stepper.create trained.Flow.hmm;
+           stepper := Psm_hmm.Multi_sim.Stepper.of_plan plan;
            for t = 0 to 255 do
              ignore
                (Psm_hmm.Multi_sim.Stepper.step !stepper

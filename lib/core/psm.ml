@@ -223,6 +223,20 @@ let merge_clusters t ~internal_edges clusters =
         :: !merged_states)
     clusters;
   let target id = match Hashtbl.find_opt redirect id with Some m -> m | None -> id in
+  (* Under [`Drop], member i -> member i + 1: the links a sequential
+     assertion absorbs. *)
+  let chain_next = Hashtbl.create 64 in
+  if internal_edges = `Drop then
+    List.iter
+      (fun c ->
+        let rec link = function
+          | a :: (b :: _ as rest) ->
+              Hashtbl.replace chain_next a b;
+              link rest
+          | [ _ ] | [] -> ()
+        in
+        link c.members)
+      clusters;
   let states =
     IntMap.fold
       (fun id s acc -> if Hashtbl.mem redirect id then acc else IntMap.add id s acc)
@@ -235,8 +249,8 @@ let merge_clusters t ~internal_edges clusters =
     TransSet.fold
       (fun (src0, guard, dst0) acc ->
         let src = target src0 and dst = target dst0 in
-        let was_internal = src = dst && src0 <> dst0 in
-        if was_internal && internal_edges = `Drop then acc
+        let chain_link = src = dst && Hashtbl.find_opt chain_next src0 = Some dst0 in
+        if chain_link then acc
         else TransSet.add (src, guard, dst) acc)
       t.transitions TransSet.empty
   in

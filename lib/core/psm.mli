@@ -125,10 +125,12 @@ val merge_clusters :
     members are replaced by one fresh state carrying the given assertion
     and attributes (output = [Const new_attr.mu]); every transition
     endpoint and initial-state entry is redirected to the replacement
-    (initial multiplicity preserved). Transitions that end up connecting a
-    merged state to itself are dropped under [`Drop] (simplify: the chain's
-    internal edges are absorbed into the sequential assertion) or kept as
-    self-loops under [`Self_loop] (join). Duplicate transitions collapse.
-    Clusters must be disjoint. *)
+    (initial multiplicity preserved). Under [`Drop] (simplify), a
+    transition from a member to the next one in [members] order is
+    dropped: the sequential assertion absorbs it. Every other transition
+    that ends up connecting a merged state to itself — under [`Drop],
+    say, the edge closing a ring of members back to its head — is kept as
+    a self-loop, as all of them are under [`Self_loop] (join). Duplicate
+    transitions collapse. Clusters must be disjoint. *)
 
 val pp : Format.formatter -> t -> unit

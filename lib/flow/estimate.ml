@@ -16,13 +16,16 @@ type t = {
       (* [step_sample]'s filter arm; the sim stepper tracks its own. *)
 }
 
-let of_model ?filtering ~mode (model : Persist.model) =
+let plan_or_own plan (model : Persist.model) =
+  match plan with Some p -> p | None -> Multi_sim.Plan.create model.Persist.hmm
+
+let of_model ?filtering ?plan ~mode (model : Persist.model) =
   let backend =
     match mode with
     | `Sim ->
-        (* Own transition state: this session's resynchronization bans
-           must not leak into siblings sharing the model. *)
-        Sim (Multi_sim.Stepper.create (Hmm.copy model.Persist.hmm))
+        (* The plan is read-only; this session's resynchronization bans
+           live in its own stepper, never in the shared model. *)
+        Sim (Multi_sim.Stepper.of_plan (plan_or_own plan model))
     | `Filter ->
         let filt =
           match filtering with
@@ -38,6 +41,8 @@ let model t = t.model
 
 let filter_state t =
   match t.backend with Sim _ -> None | Filter (f, s) -> Some (f, s)
+
+let sim_state t = match t.backend with Sim st -> Some st | Filter _ -> None
 
 (* The per-instant result once the belief has advanced: (power estimate,
    PSM state id). *)
@@ -103,7 +108,7 @@ let export t =
       | Filter (_, s) -> Portable_filter (Filtering.Stream.export s));
     portable_prev_inputs = Sample_tracker.export t.tracker }
 
-let import ?filtering (model : Persist.model) p =
+let import ?filtering ?plan (model : Persist.model) p =
   (* The sample-level tracker's previous inputs: the serve path never
      populates them, but a checkpoint is untrusted input end to end. *)
   let tracker = Sample_tracker.create model.Persist.table in
@@ -113,9 +118,7 @@ let import ?filtering (model : Persist.model) p =
       let finish backend = Ok { model; backend; tracker } in
       match p.portable_backend with
       | Portable_sim sp -> (
-          match
-            Multi_sim.Stepper.import (Hmm.copy model.Persist.hmm) sp
-          with
+          match Multi_sim.Stepper.import (plan_or_own plan model) sp with
           | Error e -> Error ("sim state: " ^ e)
           | Ok st -> finish (Sim st))
       | Portable_filter fp -> (

@@ -8,8 +8,10 @@
 
     - [`Sim] — the assertion-cursor co-simulation ({!Psm_hmm.Multi_sim}):
       state ids are exact PSM states, -1 while desynchronized, and the
-      WSP / resynchronization counters are live. Each session simulates
-      on its own {!Psm_hmm.Hmm.copy}, so its A bans never touch siblings.
+      WSP / resynchronization counters are live. Sessions can share one
+      read-only {!Psm_hmm.Multi_sim.Plan.t} (pass [?plan]); each keeps
+      its A bans in its own stepper's overlay of banned rows, so they
+      never touch siblings or the model's {!Psm_hmm.Hmm.t}.
     - [`Filter] — the probabilistic α recursion
       ({!Psm_hmm.Filtering.Stream}): power is the posterior-weighted
       output mean, the state id is the marginal MAP state. Sessions can
@@ -24,9 +26,17 @@ type mode = [ `Filter | `Sim ]
 
 type t
 
-val of_model : ?filtering:Psm_hmm.Filtering.t -> mode:mode -> Persist.model -> t
+val of_model :
+  ?filtering:Psm_hmm.Filtering.t ->
+  ?plan:Psm_hmm.Multi_sim.Plan.t ->
+  mode:mode ->
+  Persist.model ->
+  t
 (** [?filtering] (filter mode only): share a prebuilt filtering context
-    across sessions of the same model; default builds a private one. *)
+    across sessions of the same model; default builds a private one.
+    [?plan] (sim mode only): likewise for the stepper's plan, which must
+    be of [model]'s HMM. A sim session on a shared plan costs O(m) words
+    of its own for m states. *)
 
 val mode : t -> mode
 val model : t -> Persist.model
@@ -56,6 +66,11 @@ val filter_state : t -> (Psm_hmm.Filtering.t * Psm_hmm.Filtering.Stream.state) o
     batch scheduler can sweep many sessions at once
     ({!Psm_hmm.Filtering.Stream.sweep}); [None] for sim sessions. *)
 
+val sim_state : t -> Psm_hmm.Multi_sim.Stepper.t option
+(** Sim sessions expose their stepper, so a scheduler can step it
+    through {!Psm_hmm.Multi_sim.Stepper.advance} without a result pair;
+    [None] for filter sessions. *)
+
 type portable_backend =
   | Portable_sim of Psm_hmm.Multi_sim.Stepper.portable
   | Portable_filter of Psm_hmm.Filtering.Stream.portable
@@ -76,10 +91,14 @@ type portable = {
 val export : t -> portable
 
 val import :
-  ?filtering:Psm_hmm.Filtering.t -> Persist.model -> portable ->
+  ?filtering:Psm_hmm.Filtering.t ->
+  ?plan:Psm_hmm.Multi_sim.Plan.t ->
+  Persist.model ->
+  portable ->
   (t, string) result
 (** A session continuing exactly where {!export} was taken — stepping it
     is bit-identical to never having stopped. Every field is validated
     against [model] before any session state is built; a checkpoint that
     does not fit the model earns an [Error]. [model] must be the model
-    the export was taken on; [?filtering] as in {!of_model}. *)
+    the export was taken on; [?filtering] and [?plan] as in
+    {!of_model}. *)

@@ -130,15 +130,6 @@ let build ?transition_counts ?emission_counts psm =
     pi;
     observations }
 
-let copy t =
-  (* Only the transition state is session-local: [ban] / [reset_bans] /
-     [unsafe_set_a] mutate [a], so the copy gets its own rows while
-     sharing everything the API never mutates — the PSM, emissions, π,
-     and the row interning tables. *)
-  { t with
-    a = Array.map Array.copy t.a;
-    a_original = Array.map Array.copy t.a_original }
-
 let psm t = t.psm
 let state_count t = Array.length t.ids
 let observation_count t = Array.length t.observations
@@ -150,6 +141,7 @@ let state_of_row t row = t.ids.(row)
 
 let a t i j = t.a.(i).(j)
 let a_row t i = Array.copy t.a.(i)
+let trained_a_row t i = Array.copy t.a_original.(i)
 let b_entry t i prop =
   if prop < 0 || prop >= Array.length t.b_by_prop.(i) then 0. else t.b_by_prop.(i).(prop)
 
@@ -167,9 +159,8 @@ let predict t belief =
   normalize_row out;
   out
 
-let ban t ~src_row ~dst_row =
-  let row = t.a.(src_row) in
-  row.(dst_row) <- 0.;
+let ban_row row ~dst =
+  row.(dst) <- 0.;
   let total = Array.fold_left ( +. ) 0. row in
   if total > 0. then normalize_row row
   else begin
@@ -177,9 +168,11 @@ let ban t ~src_row ~dst_row =
        filtering can still propose a jump. *)
     let m = Array.length row in
     for j = 0 to m - 1 do
-      row.(j) <- (if j = dst_row then 0. else 1. /. float_of_int (max 1 (m - 1)))
+      row.(j) <- (if j = dst then 0. else 1. /. float_of_int (max 1 (m - 1)))
     done
   end
+
+let ban t ~src_row ~dst_row = ban_row t.a.(src_row) ~dst:dst_row
 
 let unsafe_set_a t ~row ~col v = t.a.(row).(col) <- v
 

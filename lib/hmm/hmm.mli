@@ -35,14 +35,6 @@ val build :
     full emission matrix used by offline (Viterbi) decoding; without them
     emission falls back to the entry-proposition projection. *)
 
-val copy : t -> t
-(** An independent transition state: {!ban}, {!reset_bans} and
-    {!unsafe_set_a} on the copy leave the original untouched (and vice
-    versa). The PSM, emission matrices and π are shared — the API never
-    mutates them. Concurrent estimation sessions each simulate on their
-    own copy so one session's resynchronization bans cannot leak into a
-    sibling's A. *)
-
 val psm : t -> Psm_core.Psm.t
 
 val state_count : t -> int
@@ -58,6 +50,11 @@ val a : t -> int -> int -> float
 
 val a_row : t -> int -> float array
 (** A copy of row [i] of A. *)
+
+val trained_a_row : t -> int -> float array
+(** A copy of row [i] of A as {!build} made it: {!ban}s and
+    {!unsafe_set_a} writes since do not show. What the simulation
+    stepper reads, so a model's bans never reach a stepper on it. *)
 
 val b_entry : t -> int -> int -> float
 (** [b_entry t i prop] — probability mass of state row [i]'s
@@ -82,6 +79,12 @@ val ban : t -> src_row:int -> dst_row:int -> unit
 (** Set A[src][dst] to 0 and renormalize the row (the paper's "fixing to 0
     the probability of reaching again the same wrong state"). If the row
     becomes all-zero it is reset to uniform-over-others. *)
+
+val ban_row : float array -> dst:int -> unit
+(** The renormalization {!ban} applies, on one A row held by the caller:
+    [ban t ~src_row ~dst_row] is [ban_row] on row [src_row] of A. The
+    simulation stepper bans its own copies of rows with it, so both give
+    the same floats. *)
 
 val reset_bans : t -> unit
 

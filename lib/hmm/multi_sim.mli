@@ -16,7 +16,11 @@
     observation; failing that it remains in the last valid state — whose
     power output keeps being emitted but is counted as unreliable — until
     a known behaviour reappears. These unreliable instants over the total
-    gives the WSP (wrong-state prediction) metric of Table III. *)
+    gives the WSP (wrong-state prediction) metric of Table III.
+
+    Bans are per session: a stepper keeps its own copy of each A row it
+    banned and never writes the {!Hmm.t} it runs on, so any number of
+    steppers, filters and analyzer passes may read one model at once. *)
 
 type config = {
   resync_enabled : bool;
@@ -39,23 +43,71 @@ type result = {
 }
 
 val simulate : ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result
-(** Runs a {!Stepper} over every sample of the trace. *)
+(** Runs a {!Stepper} over every sample of the trace. Reads [hmm]'s
+    trained A and never writes it: the run's bans stay in the stepper. *)
 
 val simulate_timed :
   ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result * float
 (** Result plus wall-clock seconds (Table III's IP+PSMs overhead
     accounting). *)
 
+(** The read-only per-model half of the stepper, built once per model and
+    shared by every session on it (as {!Filtering.t} is for filter
+    sessions). It holds the trained A with its row totals, π, the entry
+    emissions and the state outputs, every cursor of every state's
+    assertion, and three tables indexed by [row * nprops + o]: the start
+    cursors of row [row] on entry proposition [o], its graph successors
+    through guard [o], and (by [o] alone) the rows entered by [o].
+    Nothing writes a plan after {!create}, so sessions on several domains
+    may share one. Building it costs O(m² + m·nprops + |assertions| +
+    |transitions|) for m states. Propositions outside the model's table
+    enter no state. *)
+module Plan : sig
+  type t
+
+  val create : Hmm.t -> t
+  (** Reads [hmm] ({!Hmm.trained_a_row}: the A it was built with, not
+      any {!Hmm.ban}s since) and never writes it. *)
+
+  (**/**)
+
+  val successor_rows : t -> row:int -> o:int -> int list
+  (** Graph successors of state row [row] through guard [o], ascending
+      (table lookup). Exposed so tests can pin the table against a scan
+      of {!Psm_core.Psm.transitions}. *)
+
+  val entry_rows : t -> o:int -> int list
+  (** State rows with an alternative entered by proposition [o],
+      ascending (table lookup). *)
+end
+
 (** Streaming interface for cycle-by-cycle co-simulation with a live IP
-    model ({!simulate} is implemented on top of it). *)
+    model ({!simulate} is implemented on top of it). A stepper is the
+    small per-session half: mode, live cursors, counters, and an overlay
+    holding its own copy of each A row it banned since the last reset
+    (with the row's total). A reset drops only those rows. *)
 module Stepper : sig
   type t
 
+  val of_plan : ?config:config -> Plan.t -> t
+  (** A fresh session on a shared plan: O(m) words of its own (overlay
+      index and candidate scratch), nothing copied from A. *)
+
   val create : ?config:config -> Hmm.t -> t
-  (** Resets the HMM's banned transitions and indexes the PSM graph once:
-      successors by (state, guard) and states by entry proposition, so a
-      step scans the active state's successor lists instead of the
-      transition list. *)
+  (** [of_plan] on a private {!Plan.create}. *)
+
+  val advance : t -> hamming:float -> int option -> unit
+  (** {!step_classified} without the result pair: the power estimate and
+      state id are read with {!power} and {!state}. A step that stays in
+      the current state, advances a cascade or exits through a
+      transition allocates nothing; a resynchronization allocates a
+      constant amount (its ban-log entry, a first-ban row copy). *)
+
+  val power : t -> float
+  (** The power estimate of the last step. *)
+
+  val state : t -> int
+  (** The PSM state id of the last step, -1 when desynchronized. *)
 
   val step : t -> Psm_bits.Bits.t array -> float * int
   (** [step t sample] consumes one full interface sample (inputs then
@@ -104,32 +156,27 @@ module Stepper : sig
 
   val export : t -> portable
 
-  val import : ?config:config -> Hmm.t -> portable -> (t, string) Stdlib.result
+  val import : ?config:config -> Plan.t -> portable -> (t, string) Stdlib.result
   (** A stepper continuing exactly where {!export} was taken: every
-      field is validated against [hmm]'s model (row bounds, cursor
+      field is validated against the plan's model (row bounds, cursor
       alternative/position bounds, ban-log bounds, sample widths) before
       any state is built, then the logged bans are replayed in order
-      onto [hmm] (whose bans are reset first), reproducing the banned A
+      onto the new stepper's overlay, reproducing its banned rows
       float-for-float — stepping the imported stepper is bit-identical
-      to never having stopped. [hmm] must be (a {!Hmm.copy} of) the
-      model the export was taken on. *)
+      to never having stopped. The plan must be of the model the export
+      was taken on. *)
 
   (**/**)
 
-  val successor_rows : t -> row:int -> o:int -> int list
-  (** Graph successors of state row [row] through guard [o], ascending
-      (index lookup). Exposed so tests can pin the index against a scan
-      of {!Psm_core.Psm.transitions}. *)
-
-  val entry_rows : t -> o:int -> int list
-  (** State rows with an alternative entered by proposition [o],
-      ascending (index lookup). *)
+  val ban : t -> src:int -> dst:int -> unit
+  (** Ban A(src, dst) in this stepper's overlay, as a wrong prediction
+      does. Exposed so tests can pin the overlay against {!Hmm.ban}. *)
 
   val choice_scores :
     t -> origin_row:int -> prop:int -> int list -> (int * float) list
   (** The filtered score of each candidate row when leaving
       [origin_row] on entry proposition [prop]: A(origin, r) normalized
-      over the row, times [Hmm.b_entry r prop]. Equal to
-      {!Hmm.predict} on the one-hot belief at [origin_row], read at [r],
-      times the same emission. *)
+      over the row (this stepper's bans included), times
+      [Hmm.b_entry r prop]. Equal to {!Hmm.predict} on the one-hot
+      belief at [origin_row], read at [r], times the same emission. *)
 end

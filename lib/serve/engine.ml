@@ -7,6 +7,8 @@ module Reader = Psm_trace.Reader
 module Vcd = Psm_trace.Vcd
 module Hmm = Psm_hmm.Hmm
 module Filtering = Psm_hmm.Filtering
+module Stepper = Psm_hmm.Multi_sim.Stepper
+module Plan = Psm_hmm.Multi_sim.Plan
 module Persist = Psm_flow.Persist
 module Estimate = Psm_flow.Estimate
 
@@ -69,6 +71,7 @@ type session = {
   est : Estimate.t;
   nprops : int; (* the model's vocabulary size, resolved at open *)
   fstate : (Filtering.t * Filtering.Stream.state) option; (* filter hot path *)
+  stepper : Stepper.t option; (* sim hot path *)
   seq : int; (* open order: the deterministic processing order *)
   queue : Ring.t; (* pending (proposition | -1 = unknown, hd) *)
   results : Ring.t; (* produced (state id, power) *)
@@ -114,6 +117,7 @@ type model_info = { name : string; states : int; props : int }
 type t = {
   models : (string * Persist.model) list; (* sorted by name, unique *)
   filters : (string, Filtering.t) Hashtbl.t; (* lazily shared per model *)
+  plans : (string, Plan.t) Hashtbl.t; (* likewise, for sim sessions *)
   sessions : (string, session) Hashtbl.t;
   idle_timeout : float; (* seconds; <= 0 disables eviction *)
   now : unit -> float;
@@ -146,6 +150,7 @@ let create ?pool ?(idle_timeout = 300.) ?now models =
   check_unique models;
   { models;
     filters = Hashtbl.create 8;
+    plans = Hashtbl.create 8;
     sessions = Hashtbl.create 64;
     idle_timeout;
     now = (match now with Some f -> f | None -> Unix.gettimeofday);
@@ -172,6 +177,14 @@ let filtering_for t name model =
       Hashtbl.replace t.filters name f;
       f
 
+let plan_for t name (model : Persist.model) =
+  match Hashtbl.find_opt t.plans name with
+  | Some p -> p
+  | None ->
+      let p = Plan.create model.Persist.hmm in
+      Hashtbl.replace t.plans name p;
+      p
+
 let models t =
   List.map
     (fun (name, (m : Persist.model)) ->
@@ -194,6 +207,7 @@ let add_session t ~id ~model_name ~nprops est =
       est;
       nprops;
       fstate = Estimate.filter_state est;
+      stepper = Estimate.sim_state est;
       seq = t.next_seq;
       queue = Ring.create ();
       results = Ring.create ();
@@ -216,7 +230,7 @@ let open_session t ~id ~model ~mode =
     | Some m ->
         let est =
           match mode with
-          | `Sim -> Estimate.of_model ~mode m
+          | `Sim -> Estimate.of_model ~plan:(plan_for t model m) ~mode m
           | `Filter ->
               Estimate.of_model ~filtering:(filtering_for t model m) ~mode m
         in
@@ -351,14 +365,17 @@ let run_batched (members : session array) states obss hds powers rows =
   done;
   (n, true)
 
+(* Sim sessions step one by one; the stepper keeps its result, so no
+   (power, state) pair is built per cycle. *)
 let run_loop (members : session array) =
   let code = ref 0 and value = ref 0. in
   Array.iter
     (fun s ->
       Ring.pop s.queue ~code ~value;
       let obs = if !code >= 0 then s.some_props.(!code) else None in
-      let power, state = Estimate.step s.est ~hd:!value obs in
-      Ring.push s.results state power)
+      let st = Option.get s.stepper in
+      Stepper.advance st ~hamming:!value obs;
+      Ring.push s.results (Stepper.state st) (Stepper.power st))
     members;
   (Array.length members, false)
 
@@ -579,16 +596,15 @@ let restore_session t ~id data =
             Error
               (Printf.sprintf "checkpoint names unknown model %S" model_name)
         | Some m -> (
-            (* The shared per-model filter only matters (and only gets
-               built) for filter sessions; a sim checkpoint must not pay
-               for it. *)
-            let filtering =
+            (* Each session kind builds (and pays for) only its own
+               shared per-model context. *)
+            let filtering, plan =
               match portable.Estimate.portable_backend with
               | Estimate.Portable_filter _ ->
-                  Some (filtering_for t model_name m)
-              | Estimate.Portable_sim _ -> None
+                  (Some (filtering_for t model_name m), None)
+              | Estimate.Portable_sim _ -> (None, Some (plan_for t model_name m))
             in
-            match Estimate.import ?filtering m portable with
+            match Estimate.import ?filtering ?plan m portable with
             | Error e -> Error ("checkpoint: " ^ e)
             | Ok est ->
                 add_session t ~id ~model_name ~nprops:(prop_count m) est;

@@ -13,8 +13,18 @@
     exactly one cycle. Sessions are grouped by (model, mode); filter
     groups advance in {e one batched sparse sweep}
     ({!Psm_hmm.Filtering.Stream.sweep} over the model's shared CSC
-    kernel), sim sessions step one by one, and groups shard across the
+    kernel), sim sessions step one by one through
+    {!Psm_hmm.Multi_sim.Stepper.advance}, and groups shard across the
     {!Psm_par} pool. {!drain} ticks until idle.
+
+    Each model's read-only contexts are built once, on the first session
+    that needs them, and shared by all its sessions: the
+    {!Psm_hmm.Filtering.t} of filter sessions and the
+    {!Psm_hmm.Multi_sim.Plan.t} of sim sessions. A sim session then owns
+    O(m) words for m states plus a copy of each A row it has banned
+    since its last successful exit, and its steps that stay in a state,
+    advance a cascade or exit through a transition allocate nothing. No
+    session writes the model.
 
     {2 Determinism}
 

@@ -13,7 +13,10 @@
    constructors are shared with the library. One change from the old
    simplify pass is deliberate: a run stops when it comes back to its
    head. Without that, a component that is one ring of mergeable states
-   made the pass loop forever, in the library as here. *)
+   made the pass loop forever, in the library as here. The ring's
+   closing edge then survives as the merged state's self-loop: under
+   [`Drop], [merge_clusters] absorbs only the links between consecutive
+   members. *)
 
 module Power_trace = Psm_trace.Power_trace
 module Functional_trace = Psm_trace.Functional_trace

@@ -341,7 +341,8 @@ let test_worlds_cover_shapes () =
       ("upgraded states", !upgraded) ]
 
 (* A component that is one ring of mergeable states: a run must stop
-   when it comes back to its head (the pass used to loop forever). *)
+   when it comes back to its head (the pass used to loop forever), and
+   the merged state keeps the ring's closing edge as a self-loop. *)
 let test_simplify_ring () =
   let attr i = { Power_attr.mu = 1.; sigma = 0.; n = 1; intervals = [ { trace = 0; start = i; stop = i } ] } in
   let psm =
@@ -353,6 +354,11 @@ let test_simplify_ring () =
   in
   let simplified = Simplify.simplify psm in
   Alcotest.(check int) "one state" 1 (Psm.state_count simplified);
+  (* The chain links are absorbed into the cascade; the edge closing the
+     ring is not, and stays as a self-loop. *)
+  let s = (List.hd (Psm.states simplified)).Psm.id in
+  Alcotest.(check (list (triple int int int))) "the closing edge is a self-loop" [ (s, 0, s) ]
+    (List.map (fun (t : Psm.transition) -> (t.src, t.guard, t.dst)) (Psm.transitions simplified));
   Alcotest.(check int) "every instant kept" 4 (List.hd (Psm.states simplified)).Psm.attr.Power_attr.n;
   Alcotest.(check bool) "same as the oracle" true
     (same_machine simplified (fst (Oracle.simplify_traced psm)))

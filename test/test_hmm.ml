@@ -472,7 +472,8 @@ let properties =
         let powers = List.map (fun v -> float_of_int (v + 1)) values in
         let table, _, _, psm = train values powers in
         let hmm = Hmm.build psm in
-        let stepper = Multi_sim.Stepper.create hmm in
+        let plan = Multi_sim.Plan.create hmm in
+        let stepper = Multi_sim.Stepper.of_plan plan in
         let m = Hmm.state_count hmm in
         let nprops = Table.prop_count table in
         let assertion r = (Psm.state psm (Hmm.state_of_row hmm r)).Psm.assertion in
@@ -513,20 +514,24 @@ let properties =
         let indexes_agree =
           List.for_all
             (fun o ->
-              Multi_sim.Stepper.entry_rows stepper ~o = scan_entries ~o
+              Multi_sim.Plan.entry_rows plan ~o = scan_entries ~o
               && List.for_all
                    (fun row ->
-                     Multi_sim.Stepper.successor_rows stepper ~row ~o
+                     Multi_sim.Plan.successor_rows plan ~row ~o
                      = scan_successors ~row ~o)
                    (List.init m Fun.id))
             (List.init nprops Fun.id)
         in
         let fresh = scores_agree () in
-        (* Again after bans (a row that loses every entry takes the
-           uniform fallback). *)
+        (* Again after the same bans in the stepper's overlay and in the
+           model's A (a row that loses every entry takes the uniform
+           fallback): the overlay renormalizes as [Hmm.ban] does. *)
         for row = 0 to m - 1 do
           for dst = 0 to m - 1 do
-            if (row + dst) mod 2 = 0 then Hmm.ban hmm ~src_row:row ~dst_row:dst
+            if (row + dst) mod 2 = 0 then begin
+              Multi_sim.Stepper.ban stepper ~src:row ~dst;
+              Hmm.ban hmm ~src_row:row ~dst_row:dst
+            end
           done
         done;
         indexes_agree && fresh && scores_agree ()) ]

@@ -96,7 +96,7 @@ let offline_expected (model : Persist.model) (mode : Estimate.mode) obs =
             posts.(t);
           (!acc, Hmm.state_of_row hmm rows.(t)))
   | `Sim ->
-      let stepper = Multi_sim.Stepper.create (Hmm.copy hmm) in
+      let stepper = Multi_sim.Stepper.create hmm in
       Array.map (fun o -> Multi_sim.Stepper.step_classified stepper ~hamming:0. o) obs
 
 let check_served ~what expected actual =
