@@ -320,6 +320,31 @@ let test_parallel_report_identical () =
     (Report.json (seq_structural @ seq_contextual))
     (Report.json (par_structural @ par_contextual))
 
+(* The same identity on trained IP models with the full context (HMM,
+   training Γ re-derived from the functional traces, powers): the final
+   model, and the raw chains, which are big enough for the analyzer to
+   take the pool. *)
+let test_trained_parallel_report_identical () =
+  List.iter
+    (fun (name, make) ->
+      let suite = Workloads.suite ~parts:2 ~total_length:6000 ~long:false name in
+      let trained = Flow.train_on_ip (make ()) suite in
+      let reports () =
+        let gammas =
+          Array.map (Prop_trace.of_functional trained.Flow.table) trained.Flow.traces
+        in
+        let powers = trained.Flow.powers in
+        ( Report.json
+            (Analyzer.analyze ~hmm:trained.Flow.hmm ~gammas ~powers
+               trained.Flow.optimized),
+          Report.json (Analyzer.analyze ~gammas ~powers trained.Flow.raw) )
+      in
+      let seq_final, seq_raw = with_jobs 1 reports in
+      let par_final, par_raw = with_jobs 4 reports in
+      Alcotest.(check string) (name ^ " final model report") seq_final par_final;
+      Alcotest.(check string) (name ^ " raw chains report") seq_raw par_raw)
+    [ ("AES", Psm_ips.Aes.create); ("Camellia", Psm_ips.Camellia.create) ]
+
 (* ---------- persistence round-trip stays lint-clean ---------- *)
 
 let test_persist_roundtrip_lint_clean () =
@@ -394,6 +419,8 @@ let suite =
       Alcotest.test_case "rule selection" `Quick test_rule_selection;
       Alcotest.test_case "registry lists builtins" `Quick test_registry_lists_builtins;
       Alcotest.test_case "parallel report identical" `Quick test_parallel_report_identical;
+      Alcotest.test_case "trained models: parallel report identical" `Quick
+        test_trained_parallel_report_identical;
       Alcotest.test_case "persist round-trip stays clean" `Quick
         test_persist_roundtrip_lint_clean ]
     @ properties )

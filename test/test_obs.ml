@@ -211,6 +211,53 @@ let test_disabled_sink_records_nothing () =
   check_int "no events" 0 (List.length summary.Obs.events);
   check_int "no counters" 0 (List.length summary.Obs.counters)
 
+(* The disabled sink costs one atomic load and a branch per
+   instrumentation hit, so its share of a run is bounded by how often a
+   run hits it. Count the hits of a real training run deterministically
+   instead of timing the guard: one per span event, one per
+   [hmm.rows_normalized] bump (it counts calls), and one per other
+   counter name (bumped about once per phase). At a few ns per hit, one
+   hit per 100 training cycles stays far below 1 % of a training run
+   that costs microseconds per cycle; a span or counter in a per-sample
+   or per-run loop breaks the bound by orders of magnitude. *)
+let test_instrumentation_hits_per_cycle () =
+  let ips =
+    [ ("RAM", Psm_ips.Ram.create); ("MultSum", Psm_ips.Multsum.create);
+      ("AES", Psm_ips.Aes.create); ("Camellia", Psm_ips.Camellia.create) ]
+  in
+  let saved = Psm_par.default_jobs () in
+  Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Psm_par.set_jobs jobs;
+      List.iter
+        (fun (name, make) ->
+          let suite =
+            Psm_ips.Workloads.suite
+              ~total_length:(Psm_ips.Workloads.paper_short_length name) ~long:false
+              name
+          in
+          let cycles = List.fold_left (fun acc s -> acc + Array.length s) 0 suite in
+          let summary =
+            with_recording @@ fun () ->
+            ignore (Psm_flow.Flow.train_on_ip (make ()) suite);
+            Obs.snapshot ()
+          in
+          let rows_normalized =
+            Option.value ~default:0.
+              (List.assoc_opt "hmm.rows_normalized" summary.Obs.counters)
+          in
+          let hits =
+            List.length summary.Obs.events
+            + int_of_float rows_normalized
+            + List.length summary.Obs.counters
+          in
+          if hits * 100 > cycles then
+            Alcotest.failf "%s at jobs=%d: %d instrumentation hits for %d cycles" name
+              jobs hits cycles)
+        ips)
+    [ 1; 4 ]
+
 (* ---------- Chrome trace-event export ---------- *)
 
 let test_chrome_trace_schema () =
@@ -295,6 +342,8 @@ let suite =
       qcheck_disabled_sink_bit_identical;
       Alcotest.test_case "disabled sink records nothing" `Quick
         test_disabled_sink_records_nothing;
+      Alcotest.test_case "instrumentation hits per training cycle" `Slow
+        test_instrumentation_hits_per_cycle;
       Alcotest.test_case "chrome trace schema" `Quick test_chrome_trace_schema;
       Alcotest.test_case "chrome + json files" `Quick test_chrome_file_and_json_file;
       Alcotest.test_case "text summary" `Quick test_text_summary_mentions_spans ] )

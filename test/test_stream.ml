@@ -642,6 +642,77 @@ let test_stream_golden () =
       rows states
   end
 
+(* ---------- live heap is O(model), not O(trace) ---------- *)
+
+(* A deterministic cyclic workload: six behaviours revisited with a fixed
+   64-cycle dwell, so the model stays constant while the trace length
+   grows — the shape under which O(model) live memory is observable. *)
+let heap_iface =
+  Interface.create
+    [ Signal.input "mode" 2; Signal.input "req" 1; Signal.output "busy" 1 ]
+
+let write_cyclic_vcd path len =
+  let dwell = 64 in
+  let behaviours = [| (0, 0); (1, 1); (3, 0); (2, 1); (0, 1); (3, 1) |] in
+  let samples = Array.make len [||] and powers = Array.make len 0. in
+  for i = 0 to len - 1 do
+    let mode, req = behaviours.((i / dwell) mod Array.length behaviours) in
+    let busy = if mode >= 2 then 1 else req in
+    samples.(i) <-
+      [| Bits.of_int ~width:2 mode; Bits.of_int ~width:1 req;
+         Bits.of_int ~width:1 busy |];
+    powers.(i) <-
+      float_of_int ((mode * 7) + (busy * 3) + 2) +. (0.05 *. float_of_int (i mod 5))
+  done;
+  Psm_trace.Vcd.write_file ~power:(Power_trace.of_array powers) path
+    (Functional_trace.of_samples heap_iface samples)
+
+(* Peak live major heap during [f] above the live heap before it, both
+   after a full major collection; in between, sampled at the end of every
+   major cycle (post-sweep, so floating garbage is excluded). Measuring
+   growth rather than the absolute peak keeps heap left by earlier tests
+   from hiding it. *)
+let live_growth f =
+  Gc.full_major ();
+  let base = (Gc.quick_stat ()).Gc.live_words in
+  let peak = ref base in
+  let sample () =
+    let live = (Gc.quick_stat ()).Gc.live_words in
+    if live > !peak then peak := live
+  in
+  let alarm = Gc.create_alarm sample in
+  let result = Fun.protect ~finally:(fun () -> Gc.delete_alarm alarm) f in
+  Gc.full_major ();
+  sample ();
+  (result, !peak - base)
+
+let test_counts_live_heap_bounded () =
+  let measure len =
+    let path = Filename.temp_file "psm-stream-heap" ".vcd" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    write_cyclic_vcd path len;
+    let streamed, growth =
+      live_growth (fun () -> Stream.train_stream ~period:1 ~provenance:`Counts [ path ])
+    in
+    let batch, _ = Flow.train_on_vcd_files ~period:1 [ path ] in
+    let bp = batch.Flow.optimized and sp = streamed.Stream.optimized in
+    let label = Printf.sprintf "%d cycles" len in
+    check_int (label ^ " trained") len streamed.Stream.cycles;
+    check_int (label ^ " states") (Psm.state_count bp) (Psm.state_count sp);
+    check_int (label ^ " transitions") (Psm.transition_count bp)
+      (Psm.transition_count sp);
+    growth
+  in
+  let small = measure 10_000 in
+  let large = measure 100_000 in
+  check_bool "heap growth measured" true (small > 0);
+  let ratio = float_of_int large /. float_of_int small in
+  if ratio > 1.10 then
+    Alcotest.failf
+      "live heap grew by %d words at 100k cycles against %d at 10k (%.3fx, \
+       budget 1.10x)"
+      large small ratio
+
 let suite =
   ( "stream",
     [ Alcotest.test_case "stream = batch (RAM, watermark 256)" `Slow test_ram;
@@ -658,4 +729,6 @@ let suite =
       Alcotest.test_case "train_stream checkpoint resume" `Slow test_vcd_checkpoint_resume;
       Alcotest.test_case "train_stream bounds a timestamp gap" `Quick test_vcd_gap_bound;
       Alcotest.test_case "gap bound ignores file length" `Quick test_resample_bound;
+      Alcotest.test_case "counts live heap is O(model)" `Quick
+        test_counts_live_heap_bounded;
       Alcotest.test_case "streamed golden (RAM)" `Slow test_stream_golden ] )
