@@ -54,34 +54,13 @@ type table1_row = {
   memory_elements : int;
 }
 
-let count_lines path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = ref 0 in
-        (try
-           while true do
-             ignore (input_line ic);
-             incr n
-           done
-         with End_of_file -> ());
-        Some !n)
-  end
-
 let source_lines files =
-  (* The bench may run from the repo root or from _build; try both. *)
-  let prefixes = [ ""; "../"; "../../"; "../../../" ] in
-  let counts =
-    List.map
-      (fun file ->
-        List.find_map (fun prefix -> count_lines (prefix ^ file)) prefixes)
-      files
-  in
-  if List.exists Option.is_none counts then None
-  else Some (List.fold_left (fun acc c -> acc + Option.get c) 0 counts)
+  List.fold_left
+    (fun acc file ->
+      match (acc, List.assoc_opt file Source_lines.counts) with
+      | Some total, Some n -> Some (total + n)
+      | _ -> None)
+    (Some 0) files
 
 let timed f =
   let t0 = Unix.gettimeofday () in

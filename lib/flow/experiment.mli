@@ -16,7 +16,9 @@ val benchmark_ips : ip_spec list
 
 type table1_row = {
   t1_name : string;
-  lines : int option;  (** LoC of our models; [None] outside the repo. *)
+  lines : int option;
+      (** LoC of our models, counted when the library is built; [None]
+          when a source file is not among those counted. *)
   pi_bits : int;
   po_bits : int;
   elaboration_s : float option;

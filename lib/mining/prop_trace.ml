@@ -1,5 +1,4 @@
 module Functional_trace = Psm_trace.Functional_trace
-module Runs = Psm_trace.Runs
 
 module Table = struct
   (* Truth rows are stored packed (one bit per atom, {!Vocabulary.row_key}
@@ -8,9 +7,8 @@ module Table = struct
      buffer, so classifying an already-interned sample allocates
      nothing — on a 500k-instant trace the previous representation
      allocated a [bool array] and a key string per instant. The scratch
-     buffer makes a table single-domain; parallel classification goes
-     through {!Vocabulary.key_of_sample} (fresh buffers) and the
-     sequential interning loop of {!of_functional}. *)
+     buffer makes a table single-domain: {!of_functional} classifies in
+     one sequential walk. *)
   type t = {
     vocabulary : Vocabulary.t;
     index : (string, int) Hashtbl.t; (* packed truth row -> prop id *)
@@ -104,74 +102,31 @@ end
 type t = {
   table : Table.t;
   ids : int array;
-  (* Maximal constant segments as (prop, start, stop), cached: the RLE
-     classification path gets them for free, and the per-run consumers
-     (flow's emission projection, reports) reuse them. *)
-  mutable segs : (int * int * int) array option;
+  (* Maximal constant segments as (prop, start, stop): the per-run walk
+     builds them as a by-product, and the per-run consumers (flow's
+     emission projection, reports) reuse them. *)
+  segs : (int * int * int) array;
 }
 
-(* Parallelism threshold: below this many instants the fan-out overhead
-   is not worth paying. Kept low so the determinism tests exercise the
-   parallel path on modest traces. *)
-let min_parallel_length = 64
-
-let of_functional ?pool table trace =
+let of_functional table trace =
   Psm_obs.span "mine.classify" @@ fun () ->
-  let n = Functional_trace.length trace in
   let before = Table.prop_count table in
-  let ids = Array.make n 0 in
-  let segs = ref None in
-  let jobs = Psm_par.effective_jobs ?pool () in
-  (* Per-run classification unless the trace has so many runs that
-     packing keys across the pool is the faster walk. *)
-  let per_run =
-    jobs <= 1
-    || n < min_parallel_length
-    || Runs.count (Functional_trace.runs trace) * jobs <= n
-  in
-  if per_run then begin
-    (* One classification per run of identical samples; ids fill in
-       bulk, in time order, so interning order (and hence every id)
-       matches a sequential per-cycle walk. Adjacent runs with equal
-       ids (distinct samples, same truth row) merge into one segment. *)
-    let rev = ref [] in
-    Functional_trace.iter_runs
-      (fun ~start ~len sample ->
-        let id = Table.classify_or_add table sample in
-        Array.fill ids start len id;
-        match !rev with
-        | (p, s0, _) :: tl when p = id -> rev := (p, s0, start + len - 1) :: tl
-        | _ -> rev := (id, start, start + len - 1) :: !rev)
-      trace;
-    segs := Some (Array.of_list (List.rev !rev))
-  end
-  else begin
-    (* Phase 1 (parallel, pure): pack every instant's truth row into a
-       key. Phase 2 (sequential): intern the keys in time order, so ids
-       are assigned in first-occurrence order exactly as the per-run
-       path assigns them. *)
-    let vocabulary = Table.vocabulary table in
-    let keys = Array.make n "" in
-    let chunk = max 32 ((n + (4 * jobs) - 1) / (4 * jobs)) in
-    let chunks = (n + chunk - 1) / chunk in
-    ignore
-      (Psm_par.parallel_map_array ?pool
-         (fun c ->
-           let start = c * chunk in
-           let stop = min n (start + chunk) - 1 in
-           for time = start to stop do
-             keys.(time) <-
-               Vocabulary.key_of_sample vocabulary
-                 (Functional_trace.sample trace ~time)
-           done)
-         (Array.init chunks Fun.id)
-        : unit array);
-    for time = 0 to n - 1 do
-      ids.(time) <- Table.intern_key table keys.(time)
-    done
-  end;
+  let ids = Array.make (Functional_trace.length trace) 0 in
+  (* One classification per run of identical samples; ids fill in bulk,
+     in time order, so interning order (and hence every id) matches a
+     per-cycle walk. Adjacent runs with equal ids (distinct samples, same
+     truth row) merge into one segment. *)
+  let rev = ref [] in
+  Functional_trace.iter_runs
+    (fun ~start ~len sample ->
+      let id = Table.classify_or_add table sample in
+      Array.fill ids start len id;
+      match !rev with
+      | (p, s0, _) :: tl when p = id -> rev := (p, s0, start + len - 1) :: tl
+      | _ -> rev := (id, start, start + len - 1) :: !rev)
+    trace;
   Psm_obs.count "mine.props_interned" (Table.prop_count table - before);
-  { table; ids; segs = !segs }
+  { table; ids; segs = Array.of_list (List.rev !rev) }
 
 let table t = t.table
 let length t = Array.length t.ids
@@ -182,30 +137,12 @@ let prop_at t i =
 
 let prop_ids t = Array.copy t.ids
 
-let seg_array t =
-  match t.segs with
-  | Some a -> a
-  | None ->
-      let n = length t in
-      let rec go acc start =
-        if start >= n then List.rev acc
-        else begin
-          let p = t.ids.(start) in
-          let stop = ref start in
-          while !stop + 1 < n && t.ids.(!stop + 1) = p do incr stop done;
-          go ((p, start, !stop) :: acc) (!stop + 1)
-        end
-      in
-      let a = Array.of_list (go [] 0) in
-      t.segs <- Some a;
-      a
-
-let segments t = Array.to_list (seg_array t)
+let segments t = Array.to_list t.segs
 
 let iter_prop_runs t ~start ~stop f =
   if start < 0 || stop >= length t || stop < start then
     invalid_arg "Prop_trace.iter_prop_runs: window out of range";
-  let segs = seg_array t in
+  let segs = t.segs in
   (* First segment whose stop reaches the window. *)
   let lo = ref 0 and hi = ref (Array.length segs - 1) in
   while !lo < !hi do

@@ -47,13 +47,11 @@ end
 type t
 (** A proposition trace Γ: one proposition id per instant. *)
 
-val of_functional : ?pool:Psm_par.Pool.t -> Table.t -> Psm_trace.Functional_trace.t -> t
+val of_functional : Table.t -> Psm_trace.Functional_trace.t -> t
 (** Classifies (and interns) every instant, once per run of identical
-    samples. On traces with more runs than instants per pool domain, truth
-    rows are instead packed per instant in parallel over [pool] (default:
-    the global {!Psm_par} pool) and then interned sequentially in time
-    order — proposition ids, and hence Γ, are identical either way and
-    to a [PSM_JOBS=1] run. *)
+    samples, in one sequential walk: new truth rows get ids in order of
+    first occurrence, and the segments of {!segments} are built along
+    the way. *)
 
 val table : t -> Table.t
 val length : t -> int
@@ -64,15 +62,14 @@ val prop_ids : t -> int array
 
 val segments : t -> (int * int * int) list
 (** Maximal constant runs as [(prop, start, stop)] triples, in order —
-    a convenience view used by tests and reports. Cached: the RLE
-    classification path produces it as a by-product, other paths compute
-    it once on first use. *)
+    a convenience view used by tests and reports, built by
+    {!of_functional}. *)
 
 val iter_prop_runs : t -> start:int -> stop:int -> (int -> start:int -> len:int -> unit) -> unit
 (** [iter_prop_runs t ~start ~stop f] calls [f prop ~start ~len] once per
     maximal constant stretch of Γ intersected with the inclusive window
     [start, stop], in time order. O(log #segments + #covered segments)
-    via the cached segment view. *)
+    via the segment view. *)
 
 val holds_exactly_one : t -> Psm_trace.Functional_trace.t -> bool
 (** Validates the Def. 2 invariant against the originating functional

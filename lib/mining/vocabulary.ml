@@ -30,12 +30,6 @@ let eval_into t buf sample =
     end
   done
 
-let key_of_sample t sample =
-  let buf = Bytes.create (packed_size t) in
-  eval_into t buf sample;
-  (* [buf] is uniquely owned and never mutated again. *)
-  Bytes.unsafe_to_string buf
-
 let row_key row =
   let n = Array.length row in
   let bytes = Bytes.make ((n + 7) / 8) '\000' in

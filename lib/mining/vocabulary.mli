@@ -24,11 +24,6 @@ val eval_into : t -> Bytes.t -> Psm_bits.Bits.t array -> unit
     [i mod 8] of byte [i / 8], as in {!row_key}), without allocating.
     [buf] must be exactly [packed_size t] bytes. *)
 
-val key_of_sample : t -> Psm_bits.Bits.t array -> string
-(** The packed truth row of a sample as a fresh key:
-    [key_of_sample t s = row_key (eval_sample t s)], with a single
-    allocation. *)
-
 val row_key : bool array -> string
 (** Packed representation of a truth row, usable as a hash key: two rows
     have equal keys iff they are equal. *)

@@ -22,17 +22,17 @@ type t = {
   mutable prev_stop : int;
 }
 
-let make ?(line = 1) ~buf ~pos ~len ~eof ~refill () =
+let make ~buf ~len ~eof ~refill =
   { refill;
     buf;
-    pos;
+    pos = 0;
     len;
     eof;
-    base = -pos;
-    cur_line = line;
+    base = 0;
+    cur_line = 1;
     line_start = 0;
     tok_buf = Buffer.create 64;
-    tok_line = line;
+    tok_line = 1;
     tok_column = 1;
     last_lexeme = "";
     span_start = -1;
@@ -42,26 +42,13 @@ let make ?(line = 1) ~buf ~pos ~len ~eof ~refill () =
 
 let of_channel ?(buffer = 65536) ic =
   let buf = Bytes.create (max 1 buffer) in
-  make ~buf ~pos:0 ~len:0 ~eof:false ~refill:(fun b off len -> input ic b off len) ()
+  make ~buf ~len:0 ~eof:false ~refill:(fun b off len -> input ic b off len)
 
 (* In-memory readers start at EOF: there is nothing to refill, and the
    string under [buf] is never written. *)
 let of_string s =
-  make ~buf:(Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s) ~eof:true
-    ~refill:(fun _ _ _ -> 0) ()
-
-let of_substring ?(line = 1) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Reader.of_substring";
-  let t =
-    make ~line ~buf:(Bytes.unsafe_of_string s) ~pos ~len:(pos + len) ~eof:true
-      ~refill:(fun _ _ _ -> 0) ()
-  in
-  (* Columns count from the start of the line in [s], not of the slice. *)
-  (match if pos = 0 then None else String.rindex_from_opt s (pos - 1) '\n' with
-  | Some nl -> t.line_start <- nl + 1 - pos
-  | None -> t.line_start <- -pos);
-  t
+  make ~buf:(Bytes.unsafe_of_string s) ~len:(String.length s) ~eof:true
+    ~refill:(fun _ _ _ -> 0)
 
 (* Read more input after [len], first sliding the bytes from [keep] on to
    the front of the buffer (and doubling it when they fill it). *)

@@ -17,7 +17,8 @@
       always contiguous. Columns are computed from the offset of the
       current line's start, so scanning a byte costs one comparison, and
       a token's end is found eight bytes at a time. The VCD value-change
-      section is read this way.
+      section is read this way, in one sequential pass from the start of
+      the input.
 
     Live memory is the buffer plus the token being assembled — a reader
     over a channel never materializes the file as a string or a token
@@ -37,12 +38,6 @@ val of_channel : ?buffer:int -> in_channel -> t
 
 val of_string : string -> t
 (** Walk an in-memory string. No copy is made. *)
-
-val of_substring : ?line:int -> string -> pos:int -> len:int -> t
-(** Walk [len] bytes of [s] starting at [pos], reporting positions as if
-    the slice began on line [line] (default 1); columns count from the
-    start of [pos]'s line in [s]. Used by the parallel VCD body scanner to
-    scan one timestamp-aligned chunk. *)
 
 (** {1 Lexing} *)
 

@@ -17,8 +17,8 @@
     change shares the previous instant's sample array and extends its
     run, with no compare and no copy; an instant with changes gets one
     new array. A channel-backed read never materializes the file as a
-    string or token list. {!read}, {!parse} (sequential and parallel)
-    and {!stream} all run this one scanner. It implements real VCD
+    string or token list. {!read}, {!parse}, {!parse_file} and {!stream}
+    all run this one sequential scanner. It implements real VCD
     semantics, not just the writer's subset:
 
     - timestamps are {e decoded}, values are held across gaps, and one
@@ -81,17 +81,9 @@ val read : ?unknowns:Reader.unknown_policy -> ?period:int -> Reader.t -> parsed
     position and snippet) on malformed input, backwards time, or — under
     [~unknowns:Reject] — any [x]/[z] bit. *)
 
-val parse :
-  ?unknowns:Reader.unknown_policy ->
-  ?period:int ->
-  ?parallel:bool ->
-  string ->
-  parsed
-(** Like {!read} over an in-memory string. Large inputs (≥ 4 MiB body by
-    default; force with [~parallel]) lex the value-change section in
-    timestamp-aligned chunks across the {!Psm_par} pool — results,
-    including error positions and which error is reported first, are
-    identical to the sequential path. *)
+val parse : ?unknowns:Reader.unknown_policy -> ?period:int -> string -> parsed
+(** {!read} over an in-memory string, which is walked in place without
+    a copy. *)
 
 val parse_file : ?unknowns:Reader.unknown_policy -> ?period:int -> string -> parsed
 (** {!read} over a channel: constant-memory ingestion of files of any

@@ -155,6 +155,25 @@ let test_table1_shape () =
     (fun r -> check_bool "positive memory" true (r.Experiment.memory_elements > 0))
     rows
 
+(* The Lines column is fixed when the library is built, so it reads the
+   same from any working directory. *)
+let test_table1_lines_outside_checkout () =
+  let dir = Filename.temp_dir "psm-table1" "" in
+  let cwd = Sys.getcwd () in
+  let rows =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.chdir cwd;
+        Sys.rmdir dir)
+      (fun () ->
+        Sys.chdir dir;
+        Experiment.table1 ())
+  in
+  Alcotest.(check (list (pair string (option int))))
+    "lines per IP"
+    [ ("RAM", Some 96); ("MultSum", Some 137); ("AES", Some 292); ("Camellia", Some 430) ]
+    (List.map (fun r -> (r.Experiment.t1_name, r.Experiment.lines)) rows)
+
 let test_table2_row_shape () =
   let spec = List.nth Experiment.benchmark_ips 1 (* MultSum *) in
   let row = Experiment.table2_row ~total_length:6000 ~long:false spec in
@@ -253,6 +272,8 @@ let suite =
       Alcotest.test_case "Fig.5 PSM" `Quick test_fig5_psm;
       Alcotest.test_case "Fig.2 PSM" `Quick test_fig2_psm;
       Alcotest.test_case "Table I shape" `Quick test_table1_shape;
+      Alcotest.test_case "Table I lines outside the checkout" `Quick
+        test_table1_lines_outside_checkout;
       Alcotest.test_case "Table II row" `Slow test_table2_row_shape;
       Alcotest.test_case "Table III row" `Slow test_table3_row_shape;
       Alcotest.test_case "coverage on training" `Quick test_coverage_full_on_training;

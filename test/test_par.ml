@@ -256,23 +256,7 @@ let properties =
         List.length seq = List.length par
         && List.for_all2
              (fun x y -> Atomic.equal x.Miner.atom y.Miner.atom && strip x = strip y)
-             seq par);
-    prop "parallel classification = sequential" (fun trace ->
-        let vocabulary =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
-        in
-        if Vocabulary.size vocabulary = 0 then true
-        else begin
-          let t_seq = Table.create vocabulary in
-          let g_seq = Prop_trace.of_functional ~pool:(Lazy.force pool1) t_seq trace in
-          let t_par = Table.create vocabulary in
-          let g_par = Prop_trace.of_functional ~pool:(Lazy.force pool4) t_par trace in
-          Prop_trace.prop_ids g_seq = Prop_trace.prop_ids g_par
-          && Table.prop_count t_seq = Table.prop_count t_par
-          && List.for_all
-               (fun id -> Table.row t_seq id = Table.row t_par id)
-               (List.init (Table.prop_count t_seq) Fun.id)
-        end) ]
+             seq par) ]
 
 let suite =
   ( "par",

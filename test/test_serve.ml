@@ -294,10 +294,10 @@ let test_engine_faults () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "submit to closed session accepted")
 
-let ram_trace () =
+let ram_trace ?(length = 600) () =
   let trace, _ =
     Capture.run (Psm_ips.Ram.create ())
-      (List.hd (Workloads.suite ~parts:1 ~total_length:600 ~long:false "RAM"))
+      (List.hd (Workloads.suite ~parts:1 ~total_length:length ~long:false "RAM"))
   in
   trace
 
@@ -320,7 +320,6 @@ let test_vcd_faults_and_equivalence () =
   let m = model_of "RAM" in
   let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
   get (Engine.open_session engine ~id:"v" ~model:"RAM" ~mode:`Filter);
-  get (Engine.open_session engine ~id:"o" ~model:"RAM" ~mode:`Filter);
   (* Garbage upload: per-session error, buffer reset, session intact. *)
   check_int "garbage buffered" 0
     (get (Engine.vcd_chunk engine ~id:"v" ~chunk:"this is not" ~last:false));
@@ -337,29 +336,40 @@ let test_vcd_faults_and_equivalence () =
    with
   | Error e -> check_bool "truncated error prefixed" true (contains e "vcd")
   | Ok _ -> Alcotest.fail "truncated VCD accepted");
-  (* The same session then serves the full upload — and the VCD path is
-     bit-identical to submitting the classified propositions with the
-     interface's input-Hamming series. *)
-  let n = Functional_trace.length trace in
-  check_int "vcd cycles enqueued" n (feed_vcd engine ~id:"v" text ~pieces:5);
-  let hd = Functional_trace.input_hamming_series trace in
-  let classified =
-    Array.init n (fun time ->
-        ( Table.classify m.Persist.table (Functional_trace.sample trace ~time),
-          hd.(time) ))
+  (* An upload is bit-identical to submitting the classified
+     propositions with the interface's input-Hamming series. *)
+  let check_upload ~v ~o ~pieces trace text =
+    get (Engine.open_session engine ~id:o ~model:"RAM" ~mode:`Filter);
+    let n = Functional_trace.length trace in
+    check_int "vcd cycles enqueued" n (feed_vcd engine ~id:v text ~pieces);
+    let hd = Functional_trace.input_hamming_series trace in
+    let classified =
+      Array.init n (fun time ->
+          ( Table.classify m.Persist.table (Functional_trace.sample trace ~time),
+            hd.(time) ))
+    in
+    check_int "observe cycles enqueued" n (get (Engine.submit engine ~id:o classified));
+    ignore (Engine.drain engine);
+    let via_vcd = get (Engine.take_results engine ~id:v ~count:n) in
+    let via_obs = get (Engine.take_results engine ~id:o ~count:n) in
+    check_int "same cycle count" (Array.length via_obs) (Array.length via_vcd);
+    Array.iteri
+      (fun i (pe, se) ->
+        let pa, sa = via_vcd.(i) in
+        if se <> sa || Float.compare pe pa <> 0 then
+          Alcotest.failf "%s: vcd/observe divergence at cycle %d" v i)
+      via_obs
   in
-  check_int "observe cycles enqueued" n
-    (get (Engine.submit engine ~id:"o" classified));
-  ignore (Engine.drain engine);
-  let via_vcd = get (Engine.take_results engine ~id:"v" ~count:n) in
-  let via_obs = get (Engine.take_results engine ~id:"o" ~count:n) in
-  check_int "same cycle count" (Array.length via_obs) (Array.length via_vcd);
-  Array.iteri
-    (fun i (pe, se) ->
-      let pa, sa = via_vcd.(i) in
-      if se <> sa || Float.compare pe pa <> 0 then
-        Alcotest.failf "vcd/observe divergence at cycle %d" i)
-    via_obs
+  (* The same session then serves the full upload. *)
+  check_upload ~v:"v" ~o:"o" ~pieces:5 trace text;
+  (* About 5 MiB, the largest upload the tests send. *)
+  let big = ram_trace ~length:125_000 () in
+  let big_text = Vcd.to_string big in
+  check_bool "large upload above 4 MiB" true (String.length big_text > 4 * 1024 * 1024);
+  check_bool "large upload within the bound" true
+    (String.length big_text < Engine.max_vcd_upload);
+  get (Engine.open_session engine ~id:"big" ~model:"RAM" ~mode:`Filter);
+  check_upload ~v:"big" ~o:"big-o" ~pieces:7 big big_text
 
 (* Input Hamming distances cross the wire as JSON numbers; one that is
    infinite (1e400 overflows), negative or NaN would make an [Affine]

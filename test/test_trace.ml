@@ -313,7 +313,7 @@ let test_vcd_error_position () =
       Alcotest.(check int) "column" 1 e.Reader.column;
       Alcotest.(check string) "snippet" "q!" e.Reader.snippet
 
-(* ---------- VCD streaming / parallel ---------- *)
+(* ---------- VCD streaming ---------- *)
 
 let stream_vcd =
   "$timescale 1ns $end\n\
@@ -391,59 +391,20 @@ let big_trace n =
   in
   FT.of_samples (iface ()) samples
 
-let with_jobs jobs f =
-  let saved = Psm_par.default_jobs () in
-  Psm_par.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) f
-
-let test_vcd_parallel_matches_sequential () =
-  let n = 30_000 in
-  let t = big_trace n in
-  let power = PT.of_array (Array.init n (fun i -> float_of_int (i land 7))) in
-  let text = Vcd.to_string ~power t in
-  with_jobs 4 @@ fun () ->
-  let seq = Vcd.parse ~parallel:false text in
-  let par = Vcd.parse ~parallel:true text in
-  Alcotest.(check bool) "traces equal" true (FT.equal seq.Vcd.trace par.Vcd.trace);
-  Alcotest.(check bool) "roundtrip" true (FT.equal t par.Vcd.trace);
-  (match (seq.Vcd.power, par.Vcd.power) with
-  | Some a, Some b ->
-      Alcotest.(check (array (float 0.))) "powers equal" (PT.to_array a) (PT.to_array b)
-  | _ -> Alcotest.fail "power lost");
-  Alcotest.(check int) "unknowns equal" seq.Vcd.stats.Reader.unknowns_coerced
-    par.Vcd.stats.Reader.unknowns_coerced
-
-let test_vcd_parallel_error_order () =
-  (* Two injected errors: both paths must report the first, at the same
-     position, even though a later chunk hits its error "sooner". *)
+(* A writer document with [q!] (an undeclared identifier) injected at
+   two places: every reader must report the first one. *)
+let two_errors_vcd () =
   let text = Vcd.to_string (big_trace 20_000) in
   let lines = String.split_on_char '\n' text in
   let nlines = List.length lines in
   let inject = [ nlines * 2 / 5; nlines * 4 / 5 ] in
-  let text =
-    List.concat
-      (List.mapi (fun i l -> if List.mem i inject then [ "q!"; l ] else [ l ]) lines)
-    |> String.concat "\n"
-  in
-  with_jobs 4 @@ fun () ->
-  let err parallel =
-    match Vcd.parse ~parallel text with
-    | _ -> None
-    | exception Vcd.Parse_error e -> Some e
-  in
-  match (err false, err true) with
-  | Some a, Some b ->
-      Alcotest.(check int) "same line" a.Reader.line b.Reader.line;
-      Alcotest.(check int) "same column" a.Reader.column b.Reader.column;
-      Alcotest.(check string) "same message" a.Reader.message b.Reader.message
-  | _ -> Alcotest.fail "expected both paths to fail"
+  List.concat (List.mapi (fun i l -> if List.mem i inject then [ "q!"; l ] else [ l ]) lines)
+  |> String.concat "\n"
 
-let test_vcd_parallel_comment_fallback () =
-  (* A $comment block spanning chunk boundaries — full of decoy "#t"
-     lines — must not corrupt the parallel parse: the chunker either
-     avoids it or falls back to the sequential path. *)
-  let t = big_trace 20_000 in
-  let text = Vcd.to_string t in
+(* A writer document with a long $comment in its value-change section,
+   full of decoy "#t" lines that are not timestamps. *)
+let decoy_comment_vcd () =
+  let text = Vcd.to_string (big_trace 20_000) in
   let comment =
     "$comment\n"
     ^ String.concat "\n"
@@ -452,16 +413,8 @@ let test_vcd_parallel_comment_fallback () =
   in
   let lines = String.split_on_char '\n' text in
   let mid = List.length lines / 2 in
-  let text =
-    List.concat (List.mapi (fun i l -> if i = mid then [ comment; l ] else [ l ]) lines)
-    |> String.concat "\n"
-  in
-  with_jobs 4 @@ fun () ->
-  let seq = Vcd.parse ~parallel:false text in
-  let par = Vcd.parse ~parallel:true text in
-  Alcotest.(check bool) "comment spanning cuts" true
-    (FT.equal seq.Vcd.trace par.Vcd.trace);
-  Alcotest.(check bool) "roundtrip" true (FT.equal t par.Vcd.trace)
+  List.concat (List.mapi (fun i l -> if i = mid then [ comment; l ] else [ l ]) lines)
+  |> String.concat "\n"
 
 (* ---------- VCD header limits and gap bound ---------- *)
 
@@ -876,12 +829,6 @@ let properties =
         && FT.equal t zeroed.Vcd.trace
         && zeroed.Vcd.stats.Reader.unknowns_coerced = 0
         && (injected = 0 || counted.Vcd.stats.Reader.unknowns_coerced >= injected));
-    prop "vcd parallel parse equals sequential" arb_wide_trace (fun t ->
-        let text = Vcd.to_string t in
-        with_jobs 3 @@ fun () ->
-        let seq = Vcd.parse ~parallel:false text in
-        let par = Vcd.parse ~parallel:true text in
-        FT.equal seq.Vcd.trace par.Vcd.trace);
     prop "saif reader inverts writer counters" arb_trace (fun t ->
         let p = Psm_trace.Saif.parse (Psm_trace.Saif.to_string t) in
         p.Psm_trace.Saif.duration = Some (FT.length t)
@@ -1054,9 +1001,7 @@ let mutate rng inputs text =
 let check_readers ~tmp ~what ?period ~unknowns text =
   let expected = outcome (fun () -> Vcd_oracle.parse ?period ~unknowns text) in
   let reader name f = agree ~what:(what ^ " " ^ name) ~same:same_parsed expected (outcome f) in
-  reader "parse" (fun () -> Vcd.parse ?period ~unknowns ~parallel:false text);
-  with_jobs 2 (fun () ->
-      reader "parallel parse" (fun () -> Vcd.parse ?period ~unknowns ~parallel:true text));
+  reader "parse" (fun () -> Vcd.parse ?period ~unknowns text);
   Out_channel.with_open_bin tmp (fun oc -> output_string oc text);
   reader "read over a 7-byte buffer" (fun () ->
       In_channel.with_open_bin tmp (fun ic ->
@@ -1075,7 +1020,7 @@ let check_readers ~tmp ~what ?period ~unknowns text =
 let test_vcd_differential_fuzz () =
   let rng = Random.State.make [| 16 |] in
   let inputs = Array.of_list (fuzz_inputs ()) in
-  (* Large enough for the parallel path to cut its body into chunks. *)
+  (* Large enough that a channel read refills its buffer many times. *)
   let big = Vcd.to_string (big_trace 12_000) in
   let tmp = Filename.temp_file "fuzz" ".vcd" in
   Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
@@ -1093,7 +1038,9 @@ let test_vcd_differential_fuzz () =
   run big 0;
   for k = 0 to 23 do
     run (mutate rng [| big |] big) k
-  done
+  done;
+  run (two_errors_vcd ()) 1;
+  run (decoy_comment_vcd ()) 1
 
 let suite =
   ( "trace",
@@ -1130,12 +1077,6 @@ let suite =
       Alcotest.test_case "vcd error position" `Quick test_vcd_error_position;
       Alcotest.test_case "vcd stream" `Quick test_vcd_stream;
       Alcotest.test_case "vcd/csv reject bad power" `Quick test_vcd_rejects_bad_power;
-      Alcotest.test_case "vcd parallel == sequential" `Quick
-        test_vcd_parallel_matches_sequential;
-      Alcotest.test_case "vcd parallel error order" `Quick
-        test_vcd_parallel_error_order;
-      Alcotest.test_case "vcd parallel comment fallback" `Quick
-        test_vcd_parallel_comment_fallback;
       Alcotest.test_case "vcd duplicate signal name" `Quick test_vcd_duplicate_name;
       Alcotest.test_case "vcd identifier alias" `Quick test_vcd_alias;
       Alcotest.test_case "vcd width limit" `Quick test_vcd_max_width;
