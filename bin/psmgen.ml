@@ -21,9 +21,10 @@ let setup_logs verbose jobs =
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domain-pool width for the parallel stages (overrides the \
-                 PSM_JOBS environment variable; 1 = fully sequential). \
-                 Results are bit-identical at any width.")
+           ~doc:"Domain-pool width (overrides the PSM_JOBS environment \
+                 variable). Every psmgen command runs on one domain, so \
+                 the width changes neither results nor speed; only the \
+                 paper-table fan-out of the bench harness uses more.")
 
 let logs_arg =
   Term.(const setup_logs
@@ -272,8 +273,8 @@ let print_ingest path (stats : Psm_trace.Reader.stats) =
   Format.printf "ingested %s: %a@." path Psm_trace.Reader.pp_stats stats
 
 let train_vcd files dot unknowns period =
-  let ingested =
-    try Psm_par.parallel_map (Flow.load_vcd ~unknowns ?period) files
+  let trained, ingested =
+    try Flow.train_on_vcd_files ~unknowns ?period files
     with
     | Psm_trace.Vcd.Parse_error e ->
         Printf.eprintf "parse error: %s\n" (Psm_trace.Reader.error_to_string e);
@@ -283,12 +284,6 @@ let train_vcd files dot unknowns period =
         exit 1
   in
   List.iter (fun (i : Flow.ingested) -> print_ingest i.Flow.path i.Flow.ingest) ingested;
-  let trained =
-    Flow.train
-      ~traces:(List.map (fun (i : Flow.ingested) -> i.Flow.functional) ingested)
-      ~powers:(List.map (fun (i : Flow.ingested) -> i.Flow.power) ingested)
-      ()
-  in
   Format.printf "%a@." Psm.pp trained.Flow.optimized;
   (* Training-set accuracy, for a quick sanity read. *)
   List.iter

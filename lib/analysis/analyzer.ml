@@ -26,12 +26,6 @@ let () =
 
 let rules () = !registry
 
-(* Work proxy below which [run] skips the pool: rule count × (states +
-   transitions). Optimized PSMs (tens of states, ~10² proxy per rule)
-   lint in well under a pool dispatch; raw mined chains (10³..10⁴
-   states) clear it comfortably. *)
-let parallel_work_cutoff = 20_000
-
 let check_strict findings =
   match Finding.errors findings with [] -> () | errors -> raise (Strict_failure errors)
 
@@ -55,30 +49,10 @@ let run ?(config = default) ctx =
                      available))
           names
   in
-  (* Rules are independent and the context (scan included) is immutable,
-     so they fan out across the Psm_par pool. [parallel_map] returns in
-     input order and [Finding.sort] is stable, so the report is
-     byte-identical for any PSM_JOBS value; per-rule spans land in each
-     worker domain's DLS buffer and merge deterministically.
-
-     Cutoff: a rule pass over a mined PSM (tens of states) runs in
-     microseconds, below the pool's dispatch cost — linting Camellia was
-     measurably SLOWER parallel than sequential. Only models big enough
-     to amortize the fan-out take the pool; the report is byte-identical
-     either way. *)
-  let psm = ctx.Rule.psm in
-  let work =
-    List.length enabled
-    * (Psm_core.Psm.state_count psm + Psm_core.Psm.transition_count psm)
-  in
   let check (r : Rule.t) =
     Psm_obs.span ("analyze." ^ r.Rule.name) (fun () -> r.Rule.check ctx)
   in
-  let per_rule =
-    if work < parallel_work_cutoff then List.map check enabled
-    else Psm_par.parallel_map check enabled
-  in
-  let findings = Finding.sort (List.concat per_rule) in
+  let findings = Finding.sort (List.concat_map check enabled) in
   if config.strict then check_strict findings;
   findings
 

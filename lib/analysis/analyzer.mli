@@ -34,15 +34,7 @@ val run : ?config:config -> Rule.context -> Finding.t list
 (** Run the enabled rules over the context; findings come back sorted by
     severity. In strict mode, raises {!Strict_failure} if any [Error]
     finding was produced (after returning-none rules ran too, so the
-    exception carries the complete error list).
-
-    Rules fan out across the {!Psm_par} pool only when the work proxy
-    (rule count × (states + transitions)) reaches
-    {!parallel_work_cutoff}; small models run inline — cheaper than a
-    pool dispatch — with a byte-identical report either way. *)
-
-val parallel_work_cutoff : int
-(** See {!run}. *)
+    exception carries the complete error list). *)
 
 val analyze :
   ?config:config ->

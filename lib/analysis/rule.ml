@@ -9,8 +9,7 @@ type context = {
   scan : Scan.t;
 }
 
-(* The scan is built eagerly: rules may run on the analyzer's worker
-   domains, and an immutable structure needs no synchronization there. *)
+(* The scan is built eagerly, once per context; every rule reads it. *)
 let context ?hmm ?gammas ?powers ?(epsilon = 1e-6) psm =
   { psm; hmm; gammas; powers; epsilon; scan = Scan.create ?powers psm }
 

@@ -18,7 +18,7 @@ type context = {
       (** Numeric tolerance for conservation and stochasticity checks. *)
   scan : Scan.t;
       (** Shared single-pass statistics, built eagerly by {!context};
-          immutable, so safe to read from parallel rule runs. *)
+          immutable. *)
 }
 
 val context :

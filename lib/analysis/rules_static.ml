@@ -6,7 +6,7 @@
 
    Like every rule they must be pure, total and deterministic — the
    Verify checks are (validation failures become findings, never
-   exceptions), so parallel analyzer reports stay byte-identical. *)
+   exceptions), so analyzer reports stay byte-identical. *)
 
 module Verify = Psm_verify.Verify
 

@@ -1,8 +1,7 @@
 (** Shared single-pass trace/model statistics for the analyzer rules.
 
     Built once per {!Rule.context}; rules read it instead of re-deriving
-    per-state trace data. All fields are immutable after {!create}, so a
-    scan can be read concurrently from the analyzer's worker domains.
+    per-state trace data. All fields are immutable after {!create}.
     Out-edges are not part of the scan: rules call [Psm.successors],
     which costs O(log E + out-degree).
 

@@ -272,7 +272,7 @@ let load_vcd ?unknowns ?period path =
 
 let train_on_vcd_files ?config ?unknowns ?period paths =
   if paths = [] then invalid_arg "Flow.train_on_vcd_files: no files";
-  let ingested = Psm_par.parallel_map (load_vcd ?unknowns ?period) paths in
+  let ingested = List.map (load_vcd ?unknowns ?period) paths in
   let trained =
     train ?config
       ~traces:(List.map (fun i -> i.functional) ingested)

@@ -115,8 +115,9 @@ val train_on_vcd_files :
   ?period:int ->
   string list ->
   trained * ingested list
-(** Ingest every file (fanned out across the {!Psm_par} pool) and train
-    on the result. The ingested list is returned in input order. *)
+(** Ingest every file in order and train on the result. The ingested
+    list is returned in input order. Raises as {!load_vcd} does, for the
+    first file that fails. *)
 
 val train_on_ip :
   ?config:config ->

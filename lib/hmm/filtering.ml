@@ -158,9 +158,9 @@ let log_likelihood t observations = forward_iter t observations ~emit:(fun _ _ -
 
 (* CONTRACT (see the mli): everything in this module reads [t] but never
    writes it — not even [t.alpha]/[t.scratch], which belong to
-   [forward_iter] above. The serve engine steps shards sharing one [t]
-   from distinct domains in parallel; a write to [t] here is a data
-   race. *)
+   [forward_iter] above. The serve engine steps every shard of a model
+   against one shared [t], and the contract lets disjoint states be
+   stepped from distinct domains; a write to [t] here breaks both. *)
 module Stream = struct
   type state = {
     alpha : float array;

@@ -57,8 +57,8 @@ val log_likelihood : t -> int option array -> float
     operations treat the shared [t] as read-only — they consult the
     precomputed A' / emission tables but write only through the [state]s
     passed in — so disjoint [state] sets may be stepped concurrently from
-    distinct domains even when they share one [t]; this is a contract the
-    serve engine relies on to shard one model's sessions across the pool.
+    distinct domains even when they share one [t]; the serve engine relies
+    on this contract to share one [t] across all of a model's sessions.
     Any future Stream change that writes to [t] (e.g. borrowing its
     scratch buffers, which belong to the batch-analysis entry points and
     keep their single-domain rule) breaks that contract. *)

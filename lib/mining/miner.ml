@@ -239,13 +239,8 @@ module Run_acc = struct
     end
 end
 
-(* One fused pass over all traces scoring every (pair x {=,<,>}) atom of
-   [pairs]: each run of identical samples costs one three-way
-   [Bits.compare] per pair instead of three predicate evaluations in
-   three separate trace passes. Produces exactly [predicate_stats]'s
-   counts per atom. *)
-(* Stats list construction shared by the chunked batch path and the
-   incremental accumulator: ⟨=, <, >⟩ per pair, in pair order. *)
+(* Stats list construction shared by the batch pass and the incremental
+   accumulator: ⟨=, <, >⟩ per pair, in pair order. *)
 let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
   List.concat
     (Array.to_list
@@ -258,8 +253,12 @@ let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
               [ (Atomic.Eq, eqs.(j)); (Atomic.Lt, lts.(j)); (Atomic.Gt, gts.(j)) ])
           pairs))
 
-let pair_chunk_stats ~short_below ~total traces (pairs : (int * int) array) =
-  Psm_obs.span "mine.pair_chunk" @@ fun () ->
+(* One fused pass over all traces scoring every (pair x {=,<,>}) atom of
+   [pairs]: each run of identical samples costs one three-way
+   [Bits.compare] per pair instead of three predicate evaluations in
+   three separate trace passes. Produces exactly [predicate_stats]'s
+   counts per atom. *)
+let pair_stats ~short_below ~total traces (pairs : (int * int) array) =
   let k = Array.length pairs in
   let eqs = Array.init k (fun _ -> Run_acc.create ()) in
   let lts = Array.init k (fun _ -> Run_acc.create ()) in
@@ -301,37 +300,19 @@ let signal_pairs config iface =
     signals;
   Array.of_list !pairs
 
-let pair_candidates ?pool config traces iface total =
+let pair_candidates config traces iface total =
   Psm_obs.span "mine.pairs" @@ fun () ->
-  let pair_arr = signal_pairs config iface in
-  let npairs = Array.length pair_arr in
-  if npairs = 0 then []
-  else begin
-    let short_below = short_below_of config in
-    (* Materialize the lazy run caches before fanning out: domains share
-       the trace values, and the cache write is not synchronized. *)
-    List.iter (fun trace -> ignore (Functional_trace.runs trace)) traces;
-    (* Parallelize by chunking the pair set across domains; every chunk
-       makes its own fused trace pass, and chunk results concatenate in
-       pair order, so the output is identical at any job count. *)
-    let jobs = min (Psm_par.effective_jobs ?pool ()) npairs in
-    let chunk = (npairs + jobs - 1) / jobs in
-    let nchunks = (npairs + chunk - 1) / chunk in
-    let chunks =
-      Array.init nchunks (fun c ->
-          Array.sub pair_arr (c * chunk) (min chunk (npairs - (c * chunk))))
-    in
-    Psm_par.parallel_map_array ?pool (pair_chunk_stats ~short_below ~total traces) chunks
-    |> Array.to_list |> List.concat
-  end
+  let pairs = signal_pairs config iface in
+  if Array.length pairs = 0 then []
+  else pair_stats ~short_below:(short_below_of config) ~total traces pairs
 
-let candidate_stats ?pool ?(config = default) traces =
+let candidate_stats ?(config = default) traces =
   let iface = check_traces traces in
   let total = total_length traces in
   if total = 0 then invalid_arg "Miner: empty training traces";
   let consts = const_candidates config traces iface total in
   let pairs =
-    if config.mine_pairs then pair_candidates ?pool config traces iface total else []
+    if config.mine_pairs then pair_candidates config traces iface total else []
   in
   consts @ pairs
 
@@ -376,10 +357,10 @@ let vocabulary_of_candidates config iface all =
   in
   Vocabulary.create iface (List.map (fun s -> s.atom) (capped_consts @ pair_atoms))
 
-let mine_vocabulary ?pool ?(config = default) traces =
+let mine_vocabulary ?(config = default) traces =
   Psm_obs.span "mine.vocabulary" @@ fun () ->
   let iface = check_traces traces in
-  let all = candidate_stats ?pool ~config traces in
+  let all = candidate_stats ~config traces in
   vocabulary_of_candidates config iface all
 
 (* Push-mode candidate scoring: the same counters the batch passes use,

@@ -41,7 +41,6 @@ type config = {
 val default : config
 
 val mine_vocabulary :
-  ?pool:Psm_par.Pool.t ->
   ?config:config ->
   Psm_trace.Functional_trace.t list ->
   Vocabulary.t
@@ -49,13 +48,9 @@ val mine_vocabulary :
     interface). Raises [Invalid_argument] on an empty list or mismatched
     interfaces.
 
-    Pair mining is a single fused pass per chunk of signal pairs —
-    every run of identical samples pays one three-way comparison per
-    pair, scoring the [=], [<] and [>] atoms at once — and chunks are
-    fanned out over
-    [pool] (default: the global {!Psm_par} pool). Chunk results merge
-    in pair order, so the mined vocabulary is identical at any job
-    count. *)
+    Pair mining is a single fused pass over all signal pairs — every
+    run of identical samples pays one three-way comparison per pair,
+    scoring the [=], [<] and [>] atoms at once. *)
 
 type atom_stats = {
   atom : Atomic.t;
@@ -67,7 +62,6 @@ type atom_stats = {
 }
 
 val candidate_stats :
-  ?pool:Psm_par.Pool.t ->
   ?config:config ->
   Psm_trace.Functional_trace.t list ->
   atom_stats list

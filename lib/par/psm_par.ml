@@ -209,13 +209,6 @@ let set_jobs n =
 
 let resolve = function Some pool -> pool | None -> get_pool ()
 
-let effective_jobs ?pool () =
-  if Domain.DLS.get in_worker then 1
-  else
-    match pool with
-    | Some p -> Pool.parallelism p
-    | None -> min (default_jobs ()) (recommended_domains ())
-
 (* Evaluate [f i] for every i in [0, n), in parallel, storing results in
    order and re-raising the lowest-index exception as the sequential run
    would have. [order], when given, is the claiming schedule (slot ->
@@ -234,8 +227,7 @@ let run_indexed ?order pool n (f : int -> 'b) : 'b array =
     errors;
   Array.map (function Some v -> v | None -> assert false) results
 
-let sequential pool n =
-  Pool.parallelism pool <= 1 || n <= 1 || Domain.DLS.get in_worker
+let sequential pool = Pool.parallelism pool <= 1 || Domain.DLS.get in_worker
 
 (* Schedule permutation for cost-weighted batches: heaviest first, ties
    by ascending index (so the schedule — like everything else here — is
@@ -250,22 +242,13 @@ let lpt_order costs =
     order;
   order
 
-let parallel_map_array ?pool f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let pool = resolve pool in
-    if sequential pool n then Array.map f arr
-    else run_indexed pool n (fun i -> f arr.(i))
-  end
-
 let parallel_map ?pool f xs =
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
   | _ ->
       let pool = resolve pool in
-      if sequential pool 2 then List.map f xs
+      if sequential pool then List.map f xs
       else begin
         let arr = Array.of_list xs in
         Array.to_list (run_indexed pool (Array.length arr) (fun i -> f arr.(i)))
@@ -277,7 +260,7 @@ let parallel_map_weighted ?pool ~cost f xs =
   | [ x ] -> [ f x ]
   | _ ->
       let pool = resolve pool in
-      if sequential pool 2 then List.map f xs
+      if sequential pool then List.map f xs
       else begin
         let arr = Array.of_list xs in
         let order = lpt_order (Array.map cost arr) in

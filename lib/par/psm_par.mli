@@ -2,11 +2,11 @@
     adaptive scheduler.
 
     The pool fans work out over [Domain]s coordinated with [Mutex] and
-    [Condition] — no Domainslib. It exists for the embarrassingly parallel
-    stages of the PSM flow (per-benchmark experiments, per-atom-chunk
-    mining passes, per-trace-chunk proposition classification), so the
-    API is deliberately tiny: ordered map over lists and arrays, plain
-    and cost-weighted.
+    [Condition] — no Domainslib. It exists for the one embarrassingly
+    parallel stage of the repository: [Psm_flow.Experiment]'s fan-out of
+    the paper tables over benchmark IPs, workload lengths and captures.
+    The training, analysis and serving paths are sequential. The API is
+    deliberately tiny: ordered map over lists, plain and cost-weighted.
 
     {2 Scheduling}
 
@@ -97,13 +97,6 @@ val get_pool : unit -> Pool.t
 (** The global pool, created on first use with [default_jobs ()] and
     shut down automatically at exit. *)
 
-val effective_jobs : ?pool:Pool.t -> unit -> int
-(** The parallelism a parallel call would actually get right now: 1 when
-    called from inside a pool worker (nested calls run sequentially),
-    otherwise [pool]'s — or the global configuration's — granted width.
-    Never spawns domains; use it to size work chunks before fanning
-    out. *)
-
 val parallel_map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** Ordered parallel map. Uses [pool] (default: the global pool); falls
     back to [List.map] when the pool's granted parallelism is 1, the list
@@ -117,6 +110,3 @@ val parallel_map_weighted :
     Results are returned in input order and are identical to
     [parallel_map f xs] — only the wall-clock changes. [cost] need not
     be calibrated; only the ordering it induces matters. *)
-
-val parallel_map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-(** Array analogue of {!parallel_map}. *)

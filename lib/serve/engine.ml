@@ -83,8 +83,7 @@ type session = {
 (* A scheduling block: at most [shard_size] sessions of one (model, mode)
    group, in open order. Shards are rebuilt only when the session set
    changes; the per-tick scratch arrays live here so the hot path
-   allocates nothing. A shard is processed by exactly one domain per
-   tick, so reusing its scratch across ticks is race-free. *)
+   allocates nothing. *)
 type shard = {
   members : session array;
   sh_states : Filtering.Stream.state array; (* filter shards; [||] for sim *)
@@ -121,7 +120,6 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   idle_timeout : float; (* seconds; <= 0 disables eviction *)
   now : unit -> float;
-  pool : Psm_par.Pool.t option;
   (* All sessions grouped by (model, mode) — groups in first-opened order,
      members in open order — split into shards and rebuilt only when the
      session set changes, so a tick pays one pending scan, no sort. *)
@@ -136,7 +134,7 @@ type t = {
   mutable closed : int;
 }
 
-let create ?pool ?(idle_timeout = 300.) ?now models =
+let create ?(idle_timeout = 300.) ?now models =
   let models =
     List.sort (fun (a, _) (b, _) -> String.compare a b) models
   in
@@ -154,7 +152,6 @@ let create ?pool ?(idle_timeout = 300.) ?now models =
     sessions = Hashtbl.create 64;
     idle_timeout;
     now = (match now with Some f -> f | None -> Unix.gettimeofday);
-    pool;
     shards_cache = [];
     groups_dirty = false;
     next_seq = 0;
@@ -344,11 +341,9 @@ let vcd_chunk t ~id ~chunk ~last =
 (* ---------- the batched tick ---------- *)
 
 (* Advance a block of sessions (same model, same mode, ascending open
-   order) by one cycle each. Runs on one domain; distinct blocks touch
-   disjoint state. Returns (sessions advanced, batched sweep?) and leaves
-   the engine-wide counters to the coordinator — this may run inside a
-   pool worker, where mutating shared ints would race. *)
-let run_batched (members : session array) states obss hds powers rows =
+   order) by one cycle each, in one batched sweep. Returns sessions
+   advanced. *)
+let run_batched t (members : session array) states obss hds powers rows =
   let n = Array.length members in
   let code = ref 0 and value = ref 0. in
   for k = 0 to n - 1 do
@@ -363,7 +358,9 @@ let run_batched (members : session array) states obss hds powers rows =
   for k = 0 to n - 1 do
     Ring.push members.(k).results (Hmm.state_of_row hmm rows.(k)) powers.(k)
   done;
-  (n, true)
+  t.sweeps <- t.sweeps + 1;
+  Psm_obs.incr "serve.batch_sweeps";
+  n
 
 (* Sim sessions step one by one; the stepper keeps its result, so no
    (power, state) pair is built per cycle. *)
@@ -377,22 +374,22 @@ let run_loop (members : session array) =
       Stepper.advance st ~hamming:!value obs;
       Ring.push s.results (Stepper.state st) (Stepper.power st))
     members;
-  (Array.length members, false)
+  Array.length members
 
 (* A tick's work item: a whole shard (every member has a pending
    observation — the cached scratch arrays apply directly), or the
    pending subset of one (fresh right-sized arrays; rare). Filter groups
    always sweep; sim sessions step one by one. *)
-let process_work = function
+let process_work t = function
   | `Full sh ->
       if sh.members.(0).mode = `Filter then
-        run_batched sh.members sh.sh_states sh.sh_obss sh.sh_hds
+        run_batched t sh.members sh.sh_states sh.sh_obss sh.sh_hds
           sh.sh_powers sh.sh_rows
       else run_loop sh.members
   | `Subset (members : session array) ->
       if members.(0).mode = `Filter then begin
         let n = Array.length members in
-        run_batched members
+        run_batched t members
           (Array.map (fun s -> snd (Option.get s.fstate)) members)
           (Array.make n None) (Array.make n 0.) (Array.make n 0.)
           (Array.make n 0)
@@ -402,10 +399,9 @@ let process_work = function
 (* Sessions are grouped by (model, mode) — groups ordered by their
    first-opened member, members in open order, so the schedule is a
    function of the session set alone — then split into shards of at most
-   [shard_size]. Sharding spreads one big group across the pool, and it
-   keeps the sweep's working set (every member's alpha/scratch pair)
-   inside the cache; sessions are independent, so it never changes any
-   result. Rebuilt only when the session set changes. *)
+   [shard_size]. Sharding keeps the sweep's working set (every member's
+   alpha/scratch pair) inside the cache; sessions are independent, so it
+   never changes any result. Rebuilt only when the session set changes. *)
 let shard_size = 128
 
 let rebuild_shards t =
@@ -472,26 +468,11 @@ let tick t =
   if work = [] then 0
   else begin
     let t0 = Unix.gettimeofday () in
-    (* Shards spread across the pool; each shard's sweep stays on one
-       domain, and results come back in shard order. Shards of the same
-       (model, mode) group share one [Filtering.t], which is sound
-       because Stream operations are documented (and required) to treat
-       [t] as read-only — see the contract in [Filtering.Stream]. *)
-    let counts =
-      match work with
-      | [ one ] -> [ process_work one ]
-      | many -> Psm_par.parallel_map ?pool:t.pool process_work many
-    in
-    let advanced =
-      List.fold_left
-        (fun acc (n, swept) ->
-          if swept then begin
-            t.sweeps <- t.sweeps + 1;
-            Psm_obs.incr "serve.batch_sweeps"
-          end;
-          acc + n)
-        0 counts
-    in
+    (* Shards of the same (model, mode) group share one [Filtering.t],
+       which is sound because Stream operations are documented (and
+       required) to treat [t] as read-only — see the contract in
+       [Filtering.Stream]. *)
+    let advanced = List.fold_left (fun acc w -> acc + process_work t w) 0 work in
     t.ticks <- t.ticks + 1;
     t.cycles_served <- t.cycles_served + advanced;
     Psm_obs.count "serve.cycles" advanced;

@@ -14,8 +14,9 @@
     groups advance in {e one batched sparse sweep}
     ({!Psm_hmm.Filtering.Stream.sweep} over the model's shared CSC
     kernel), sim sessions step one by one through
-    {!Psm_hmm.Multi_sim.Stepper.advance}, and groups shard across the
-    {!Psm_par} pool. {!drain} ticks until idle.
+    {!Psm_hmm.Multi_sim.Stepper.advance}, and groups split into shards of
+    at most 128 sessions so each sweep's working set stays in cache.
+    {!drain} ticks until idle.
 
     Each model's read-only contexts are built once, on the first session
     that needs them, and shared by all its sessions: the
@@ -29,9 +30,8 @@
     {2 Determinism}
 
     The schedule is a function of the session set alone: sessions advance
-    in open order within a group, groups in first-opened order, and the
-    pool returns group results in input order — so served outputs are
-    independent of client arrival interleaving and job count (the
+    in open order within a group, groups in first-opened order — so
+    served outputs are independent of client arrival interleaving (the
     batched sweep is bit-identical to stepping each session alone, which
     is itself bit-identical to offline inference).
 
@@ -64,7 +64,6 @@ type session_stats = {
 type model_info = { name : string; states : int; props : int }
 
 val create :
-  ?pool:Psm_par.Pool.t ->
   ?idle_timeout:float ->
   ?now:(unit -> float) ->
   (string * Psm_flow.Persist.model) list ->
@@ -104,8 +103,7 @@ val vcd_chunk : t -> id:string -> chunk:string -> last:bool -> (int, string) res
 
 val tick : t -> int
 (** One scheduler step: every session with a pending observation advances
-    one cycle (filter groups in one batched sweep each, groups sharded
-    across the pool). Returns sessions advanced; 0 = nothing pending. *)
+    one cycle (filter shards in one batched sweep each). Returns sessions advanced; 0 = nothing pending. *)
 
 val drain : t -> int
 (** {!tick} until idle; total cycles served. *)

@@ -24,8 +24,8 @@ type t = {
   mutable shutdown : bool;
 }
 
-let create ?pool ?idle_timeout ?now ~listen models =
-  let engine = Engine.create ?pool ?idle_timeout ?now models in
+let create ?idle_timeout ?now ~listen models =
+  let engine = Engine.create ?idle_timeout ?now models in
   let listen_fd, port =
     match listen with
     | `Tcp port ->

@@ -21,7 +21,6 @@ type listen = [ `Tcp of int | `Unix of string ]
 type t
 
 val create :
-  ?pool:Psm_par.Pool.t ->
   ?idle_timeout:float ->
   ?now:(unit -> float) ->
   listen:listen ->

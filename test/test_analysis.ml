@@ -273,78 +273,6 @@ let test_registry_lists_builtins () =
       "static-feasibility"; "static-disjointness"; "static-coverage";
       "static-vacuity" ]
 
-(* ---------- the parallel analyzer is deterministic ---------- *)
-
-let with_jobs jobs f =
-  let saved = Psm_par.default_jobs () in
-  Psm_par.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) f
-
-let test_parallel_report_identical () =
-  (* A findings-rich run: structural corruptions, a corrupted HMM and the
-     training-context rules (stall/conservation) all firing at once. The
-     analyzer fans rules out across the Psm_par pool; the report must be
-     byte-identical whatever the pool width. *)
-  let runs () =
-    let structural =
-      let psm, _, _, _, _ = corrupted_model () in
-      let hmm = Hmm.build psm in
-      Hmm.unsafe_set_a hmm ~row:0 ~col:1 5.;
-      Analyzer.analyze ~hmm psm
-    in
-    let contextual =
-      let table, p_hi, p_lo, gamma, power = stall_world () in
-      let psm = Psm.empty table in
-      let psm, _s0 =
-        Psm.add_state psm (Assertion.Until (p_hi, p_lo))
-          (attr ~mu:1. ~trace:0 ~start:0 ~stop:1 ())
-      in
-      let psm, _s1 =
-        Psm.add_state psm (Assertion.Until (p_lo, p_lo))
-          (attr ~mu:2.5 ~trace:0 ~start:2 ~stop:2 ())
-      in
-      let psm = Psm.add_initial psm _s0 in
-      Analyzer.analyze ~gammas:[| gamma |] ~powers:[| power |] psm
-    in
-    (structural, contextual)
-  in
-  let seq_structural, seq_contextual = with_jobs 1 runs in
-  let par_structural, par_contextual = with_jobs 4 runs in
-  check_bool "structural findings rich" true (List.length seq_structural > 3);
-  check_bool "contextual findings present" true (seq_contextual <> []);
-  check_bool "structural findings identical" true (seq_structural = par_structural);
-  check_bool "contextual findings identical" true (seq_contextual = par_contextual);
-  Alcotest.(check string) "text report byte-identical"
-    (Report.text seq_structural) (Report.text par_structural);
-  Alcotest.(check string) "json report byte-identical"
-    (Report.json (seq_structural @ seq_contextual))
-    (Report.json (par_structural @ par_contextual))
-
-(* The same identity on trained IP models with the full context (HMM,
-   training Γ re-derived from the functional traces, powers): the final
-   model, and the raw chains, which are big enough for the analyzer to
-   take the pool. *)
-let test_trained_parallel_report_identical () =
-  List.iter
-    (fun (name, make) ->
-      let suite = Workloads.suite ~parts:2 ~total_length:6000 ~long:false name in
-      let trained = Flow.train_on_ip (make ()) suite in
-      let reports () =
-        let gammas =
-          Array.map (Prop_trace.of_functional trained.Flow.table) trained.Flow.traces
-        in
-        let powers = trained.Flow.powers in
-        ( Report.json
-            (Analyzer.analyze ~hmm:trained.Flow.hmm ~gammas ~powers
-               trained.Flow.optimized),
-          Report.json (Analyzer.analyze ~gammas ~powers trained.Flow.raw) )
-      in
-      let seq_final, seq_raw = with_jobs 1 reports in
-      let par_final, par_raw = with_jobs 4 reports in
-      Alcotest.(check string) (name ^ " final model report") seq_final par_final;
-      Alcotest.(check string) (name ^ " raw chains report") seq_raw par_raw)
-    [ ("AES", Psm_ips.Aes.create); ("Camellia", Psm_ips.Camellia.create) ]
-
 (* ---------- persistence round-trip stays lint-clean ---------- *)
 
 let test_persist_roundtrip_lint_clean () =
@@ -418,9 +346,6 @@ let suite =
       Alcotest.test_case "strict mode raises" `Quick test_strict_mode_raises;
       Alcotest.test_case "rule selection" `Quick test_rule_selection;
       Alcotest.test_case "registry lists builtins" `Quick test_registry_lists_builtins;
-      Alcotest.test_case "parallel report identical" `Quick test_parallel_report_identical;
-      Alcotest.test_case "trained models: parallel report identical" `Quick
-        test_trained_parallel_report_identical;
       Alcotest.test_case "persist round-trip stays clean" `Quick
         test_persist_roundtrip_lint_clean ]
     @ properties )

@@ -183,6 +183,21 @@ let test_table2_row_shape () =
   check_bool "mre sane" true (row.Experiment.mre >= 0. && row.Experiment.mre < 0.5);
   check_bool "times recorded" true (row.Experiment.px_s >= 0. && row.Experiment.gen_s >= 0.)
 
+(* The capture fan-out inside [table2_row] runs on the domain pool; the
+   model and its accuracy must not depend on the pool's width. *)
+let test_table2_row_jobs_invariant () =
+  let spec = List.nth Experiment.benchmark_ips 1 (* MultSum *) in
+  let row jobs =
+    let saved = Psm_par.default_jobs () in
+    Psm_par.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Psm_par.set_jobs saved) (fun () ->
+        Experiment.table2_row ~total_length:6000 ~long:false spec)
+  in
+  let seq = row 1 and par = row 4 in
+  check_int "states" seq.Experiment.states par.Experiment.states;
+  check_int "transitions" seq.Experiment.transitions par.Experiment.transitions;
+  Alcotest.(check (float 0.)) "mre" seq.Experiment.mre par.Experiment.mre
+
 let test_table3_row_shape () =
   let spec = List.hd Experiment.benchmark_ips (* RAM *) in
   let row = Experiment.table3_row ~eval_length:8000 spec in
@@ -275,6 +290,7 @@ let suite =
       Alcotest.test_case "Table I lines outside the checkout" `Quick
         test_table1_lines_outside_checkout;
       Alcotest.test_case "Table II row" `Slow test_table2_row_shape;
+      Alcotest.test_case "Table II row at jobs 1 and 4" `Slow test_table2_row_jobs_invariant;
       Alcotest.test_case "Table III row" `Slow test_table3_row_shape;
       Alcotest.test_case "coverage on training" `Quick test_coverage_full_on_training;
       Alcotest.test_case "coverage flags unknowns" `Slow test_coverage_flags_unknown_behaviour;

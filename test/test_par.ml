@@ -1,18 +1,8 @@
-(* Tests for Psm_par — the domain pool behind the parallel mining and
-   experiment fan-outs — and for the determinism guarantee: parallel
-   vocabulary mining and proposition-trace classification must produce
-   exactly the sequential results. *)
+(* Tests for Psm_par — the domain pool behind the experiment fan-out:
+   ordered results, the lowest-index exception, nesting, the hardware
+   clamp and the cost-weighted schedule. *)
 
 module Par = Psm_par
-module Bits = Psm_bits.Bits
-module Signal = Psm_trace.Signal
-module Interface = Psm_trace.Interface
-module FT = Psm_trace.Functional_trace
-module Atomic = Psm_mining.Atomic
-module Vocabulary = Psm_mining.Vocabulary
-module Miner = Psm_mining.Miner
-module Prop_trace = Psm_mining.Prop_trace
-module Table = Prop_trace.Table
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -30,12 +20,6 @@ let test_map_order () =
   Alcotest.(check (list int))
     "ordered" (List.map (fun x -> x * x) xs)
     (Par.parallel_map ~pool:(Lazy.force pool4) (fun x -> x * x) xs)
-
-let test_map_array_order () =
-  let xs = Array.init 1000 (fun i -> 1000 - i) in
-  Alcotest.(check (array int))
-    "ordered" (Array.map (fun x -> x + 7) xs)
-    (Par.parallel_map_array ~pool:(Lazy.force pool4) (fun x -> x + 7) xs)
 
 let test_jobs1_equals_sequential () =
   let xs = List.init 200 (fun i -> i * 3) in
@@ -94,8 +78,8 @@ let test_default_jobs_env () =
   check_bool "positive" true (Par.default_jobs () >= 1);
   (* The global fan-outs never spawn more domains than the hardware
      offers, whatever PSM_JOBS asks for. *)
-  check_bool "effective jobs clamped" true
-    (Par.effective_jobs () <= Par.recommended_domains ())
+  check_bool "global pool clamped" true
+    (Par.Pool.parallelism (Par.get_pool ()) <= Par.recommended_domains ())
 
 let test_hardware_clamp () =
   (* An absurd jobs request keeps its accounting value but the pool only
@@ -133,9 +117,8 @@ let test_weighted_exception_lowest_index () =
            (List.init 200 Fun.id)))
 
 let test_nested_no_oversubscription () =
-  (* A nested fan-out (Experiment.table* over IPs that themselves mine in
-     parallel) must not run on more distinct domains than the hardware
-     recommends: inner calls from workers take the sequential path and
+  (* A nested fan-out (a parallel call made from inside a pool task) must
+     not run on more distinct domains than the hardware recommends: inner calls from workers take the sequential path and
      the pool itself is clamped. *)
   let pool = Par.Pool.create ~jobs:4 () in
   let mu = Mutex.create () in
@@ -166,38 +149,7 @@ let test_nested_no_oversubscription () =
     (Hashtbl.length seen <= Par.recommended_domains ());
   Par.Pool.shutdown pool
 
-(* ---------- determinism of the parallel mining paths ---------- *)
-
-let arb_trace =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 80 220 in
-      let iface =
-        Interface.create
-          [ Signal.input "a" 1; Signal.input "b" 4; Signal.input "c" 4;
-            Signal.output "d" 4 ]
-      in
-      let* samples =
-        list_size (return n)
-          (map3
-             (fun a b c ->
-               [| Bits.of_bool a;
-                  Bits.of_int ~width:4 (b land 15);
-                  Bits.of_int ~width:4 (c land 15);
-                  Bits.of_int ~width:4 ((b + c) land 15) |])
-             bool (int_bound 40) (int_bound 9))
-      in
-      return (FT.of_samples iface (Array.of_list samples)))
-  in
-  QCheck.make gen
-
-let lax_config =
-  { Miner.default with
-    Miner.min_support = 0.02;
-    min_mean_run = 1.;
-    max_short_run_fraction = 1.0 }
-
-let prop name f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:25 ~name arb_trace f)
+(* ---------- the cost-weighted schedule ---------- *)
 
 (* Adversarially skewed task costs: huge outliers, zeros, ties and a
    pathological all-equal tail. The weighted map must still agree with
@@ -232,36 +184,9 @@ let scheduler_properties =
                 (List.mapi (fun i x -> (i, x)) xs)
               = List.map f xs)) ]
 
-let properties =
-  [ prop "parallel mine_vocabulary = sequential" (fun trace ->
-        let seq =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
-        in
-        let par =
-          Miner.mine_vocabulary ~pool:(Lazy.force pool4) ~config:lax_config [ trace ]
-        in
-        let a = Vocabulary.atoms seq and b = Vocabulary.atoms par in
-        Array.length a = Array.length b
-        && Array.for_all2 Atomic.equal a b);
-    prop "parallel candidate_stats = sequential" (fun trace ->
-        let strip (s : Miner.atom_stats) =
-          (s.Miner.occurrences, s.Miner.runs, s.Miner.short_runs)
-        in
-        let seq =
-          Miner.candidate_stats ~pool:(Lazy.force pool1) ~config:lax_config [ trace ]
-        in
-        let par =
-          Miner.candidate_stats ~pool:(Lazy.force pool4) ~config:lax_config [ trace ]
-        in
-        List.length seq = List.length par
-        && List.for_all2
-             (fun x y -> Atomic.equal x.Miner.atom y.Miner.atom && strip x = strip y)
-             seq par) ]
-
 let suite =
   ( "par",
     [ Alcotest.test_case "map order" `Quick test_map_order;
-      Alcotest.test_case "map_array order" `Quick test_map_array_order;
       Alcotest.test_case "jobs=1 sequential" `Quick test_jobs1_equals_sequential;
       Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
       Alcotest.test_case "pool survives exception" `Quick test_exception_leaves_pool_usable;
@@ -274,4 +199,4 @@ let suite =
         test_weighted_exception_lowest_index;
       Alcotest.test_case "nested fan-out stays within domain budget" `Quick
         test_nested_no_oversubscription ]
-    @ scheduler_properties @ properties )
+    @ scheduler_properties )

@@ -3,7 +3,7 @@
 
    The engine's contract is determinism — served (power, state) streams
    are bit-identical to offline inference regardless of client arrival
-   interleaving, chunk boundaries, scheduler batching or pool width — so
+   interleaving, chunk boundaries or scheduler batching — so
    most tests here drive the same observation plans through wildly
    different schedules and demand Float.compare-equality against the
    offline evaluators. The rest is the failure envelope: malformed
@@ -23,7 +23,6 @@ module Filtering = Psm_hmm.Filtering
 module Multi_sim = Psm_hmm.Multi_sim
 module Functional_trace = Psm_trace.Functional_trace
 module Vcd = Psm_trace.Vcd
-module Pool = Psm_par.Pool
 module Engine = Psm_serve.Engine
 module Server = Psm_serve.Server
 module Protocol = Psm_serve.Protocol
@@ -132,8 +131,8 @@ let models_for plans =
    random chunk sizes, random session order, drains injected at random
    points mid-stream. Determinism says none of this can show up in the
    outputs. *)
-let drive ?pool ~seed plans =
-  let engine = Engine.create ?pool ~idle_timeout:0. (models_for plans) in
+let drive ~seed plans =
+  let engine = Engine.create ~idle_timeout:0. (models_for plans) in
   List.iter
     (fun p ->
       match Engine.open_session engine ~id:p.id ~model:p.model ~mode:p.mode with
@@ -202,7 +201,7 @@ let test_served_equals_offline =
         (drive ~seed plans);
       true)
 
-(* ---------- batched = loop, across pool widths ---------- *)
+(* ---------- batched = loop ---------- *)
 
 (* The per-session reference loop for a filter plan: one
    [Filtering.Stream.step] per observation, scored after each step. *)
@@ -239,20 +238,9 @@ let test_batched_equals_loop () =
         check_served ~what:(p.id ^ " loop") expected
           (loop_expected (model_of p.model) p.obs))
     plans reference;
-  List.iter
-    (fun jobs ->
-      let pool = Pool.create ~oversubscribe:true ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          let served = drive ~pool ~seed:((17 * jobs) + 1) plans in
-          List.iter2
-            (fun expected (p, actual) ->
-              check_served
-                ~what:(Printf.sprintf "%s jobs=%d" p.id jobs)
-                expected actual)
-            reference served))
-    [ 1; 4 ]
+  List.iter2
+    (fun expected (p, actual) -> check_served ~what:(p.id ^ " served") expected actual)
+    reference (drive ~seed:18 plans)
 
 (* ---------- fault injection: the engine ---------- *)
 
@@ -1008,7 +996,7 @@ let run_transcript_case ip () =
 let suite =
   ( "serve",
     [ QCheck_alcotest.to_alcotest test_served_equals_offline;
-      Alcotest.test_case "batched = loop (jobs 1 and 4)" `Slow
+      Alcotest.test_case "batched = loop" `Slow
         test_batched_equals_loop;
       Alcotest.test_case "engine fault injection" `Quick test_engine_faults;
       Alcotest.test_case "observe rejects non-finite or negative hd" `Quick
