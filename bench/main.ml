@@ -12,7 +12,7 @@
 
    [--json FILE] additionally writes per-stage wall-clock timings to FILE;
    when PSM_JOBS > 1 the requested stages are re-run (silenced) with the
-   domain pool forced to one job, so the file also records the measured
+   fan-out forced to one job, so the file also records the measured
    speedup of the parallel fan-out over the sequential baseline.
    [--gate] exits 1 when table2's speedup over that baseline misses its
    floor. *)
@@ -437,7 +437,7 @@ let () =
   let baseline =
     if jobs <= 1 || (json_file = None && not gate) then None
     else begin
-      (* Re-run the same stages with the pool forced to one job to
+      (* Re-run the same stages with the fan-out forced to one job to
          measure the fan-out's speedup on this machine. *)
       Printf.printf "\n[re-running %s with PSM_JOBS=1 for the baseline]\n%!" what;
       let baseline =

@@ -13,23 +13,13 @@
 
 open Cmdliner
 
-let setup_logs verbose jobs =
+let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
-  Option.iter Psm_par.set_jobs jobs
-
-let jobs_arg =
-  Arg.(value & opt (some int) None
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domain-pool width (overrides the PSM_JOBS environment \
-                 variable). Every psmgen command runs on one domain, so \
-                 the width changes neither results nor speed; only the \
-                 paper-table fan-out of the bench harness uses more.")
+  Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
 let logs_arg =
   Term.(const setup_logs
-        $ Arg.(value & flag & info [ "verbose-flow" ] ~doc:"Log flow stage details.")
-        $ jobs_arg)
+        $ Arg.(value & flag & info [ "verbose-flow" ] ~doc:"Log flow stage details."))
 
 module Flow = Psm_flow.Flow
 module Workloads = Psm_ips.Workloads

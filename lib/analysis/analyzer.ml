@@ -73,12 +73,3 @@ let overhead_check ?(config = default) ~analyze_s ~generation_s () =
            (100. *. config.max_analyze_fraction)
            generation_s) ]
   else []
-
-let overhead_findings ?(config = default) () =
-  let analyze_s = Psm_obs.span_total "flow.analyze" in
-  let generation_s =
-    Psm_obs.span_total "flow.mine"
-    +. Psm_obs.span_total "flow.generate"
-    +. Psm_obs.span_total "flow.combine"
-  in
-  overhead_check ~config ~analyze_s ~generation_s ()

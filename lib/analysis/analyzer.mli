@@ -51,7 +51,7 @@ val check_strict : Finding.t list -> unit
 (** {1 Analyzer self-accounting}
 
     The analyzer gate-checks generated models, so its own cost must stay
-    small next to the pipeline it checks. These produce at most one
+    small next to the pipeline it checks. This produces at most one
     [Warning]-severity [analyzer-overhead] finding located on the model. *)
 
 val overhead_check :
@@ -59,8 +59,3 @@ val overhead_check :
 (** Compare explicit wall times (e.g. a {!Psm_flow.Flow.timings} record)
     against [config.max_analyze_fraction]. Zero or negative times never
     warn. *)
-
-val overhead_findings : ?config:config -> unit -> Finding.t list
-(** {!overhead_check} fed from the {!Psm_obs} span totals ([flow.analyze]
-    vs [flow.mine] + [flow.generate] + [flow.combine]); returns [[]]
-    unless profiling was enabled and the flow spans were recorded. *)

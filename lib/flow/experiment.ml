@@ -31,7 +31,7 @@ let benchmark_ips =
 (* Relative end-to-end cost of one experiment cell per IP, as measured by
    the committed bench stage timings (a Camellia flow costs roughly 20x a
    MultSum flow at equal trace length — wider interface, more mined
-   atoms, bigger model). These feed the pool's longest-processing-time
+   atoms, bigger model). These feed the fan-out's longest-processing-time
    schedule; only the ordering they induce matters, not calibration. *)
 let ip_cost_weight = function
   | "Camellia" -> 20.
@@ -92,7 +92,7 @@ let table1_row spec =
     memory_elements = ip.Ip.memory_elements }
 
 let table1 () =
-  Psm_par.parallel_map_weighted
+  Psm_par.parallel_map
     ~cost:(fun spec -> ip_cost_weight spec.ip_name)
     table1_row benchmark_ips
 
@@ -179,7 +179,7 @@ let table2 ?(short_lengths = true) ?(long_length = 500_000) () =
       benchmark_ips
     @ List.map (fun spec -> (spec, long_length, true)) benchmark_ips
   in
-  Psm_par.parallel_map_weighted
+  Psm_par.parallel_map
     ~cost:(fun (spec, total_length, _) ->
       cell_cost ~ip_name:spec.ip_name ~length:total_length)
     (fun (spec, total_length, long) -> table2_row ~total_length ~long spec)
@@ -220,7 +220,7 @@ let table3_row ?(config = Flow.default) ~eval_length spec =
     wsp = result.Psm_hmm.Multi_sim.wsp }
 
 let table3 ?(eval_length = 500_000) () =
-  Psm_par.parallel_map_weighted
+  Psm_par.parallel_map
     ~cost:(fun spec -> ip_cost_weight spec.ip_name)
     (fun spec -> table3_row ~eval_length spec)
     benchmark_ips

@@ -747,8 +747,3 @@ let simulate ?config hmm trace =
     wrong_instants = wrong;
     wsp = (if n = 0 then 0. else float_of_int wrong /. float_of_int n);
     resync_events = Stepper.resync_events stepper }
-
-let simulate_timed ?config hmm trace =
-  let t0 = Unix.gettimeofday () in
-  let result = simulate ?config hmm trace in
-  (result, Unix.gettimeofday () -. t0)

@@ -46,11 +46,6 @@ val simulate : ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result
 (** Runs a {!Stepper} over every sample of the trace. Reads [hmm]'s
     trained A and never writes it: the run's bans stay in the stepper. *)
 
-val simulate_timed :
-  ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result * float
-(** Result plus wall-clock seconds (Table III's IP+PSMs overhead
-    accounting). *)
-
 (** The read-only per-model half of the stepper, built once per model and
     shared by every session on it (as {!Filtering.t} is for filter
     sessions). It holds the trained A with its row totals, π, the entry

@@ -14,16 +14,6 @@ let run ?(config = Power_model.default) (ip : Ip.t) stimulus =
     stimulus;
   (Functional_trace.Builder.finish builder, Power_trace.of_array energies)
 
-let run_functional (ip : Ip.t) stimulus =
-  ip.Ip.reset ();
-  let builder = Functional_trace.Builder.create ip.Ip.interface in
-  Array.iter
-    (fun pis ->
-      let pos, _activity = ip.Ip.step pis in
-      Functional_trace.Builder.append builder (Array.append pis pos))
-    stimulus;
-  Functional_trace.Builder.finish builder
-
 let run_timed (ip : Ip.t) stimulus =
   ip.Ip.reset ();
   (* Settle the heap so the measurement does not pay for garbage created
@@ -32,16 +22,3 @@ let run_timed (ip : Ip.t) stimulus =
   let t0 = Unix.gettimeofday () in
   Array.iter (fun pis -> ignore (ip.Ip.step pis)) stimulus;
   Unix.gettimeofday () -. t0
-
-let run_power_timed ?(config = Power_model.default) (ip : Ip.t) stimulus =
-  ip.Ip.reset ();
-  let energies = Array.make (Array.length stimulus) 0. in
-  Gc.major ();
-  let t0 = Unix.gettimeofday () in
-  Array.iteri
-    (fun t pis ->
-      let _pos, activity = ip.Ip.step pis in
-      energies.(t) <- Power_model.energy_of_weighted_activity config activity)
-    stimulus;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (Power_trace.of_array energies, elapsed)

@@ -11,20 +11,6 @@ val run :
   Psm_trace.Functional_trace.t * Psm_trace.Power_trace.t
 (** Functional and power trace of the run. *)
 
-val run_functional :
-  Ip.t -> Workloads.stimulus -> Psm_trace.Functional_trace.t
-(** Functional trace only — the "IP sim." baseline of Table III: the IP is
-    stepped and observed, but no power bookkeeping beyond the step function
-    itself is performed. *)
-
 val run_timed : Ip.t -> Workloads.stimulus -> float
 (** Seconds of wall-clock time to step the IP over the stimulus without
     recording anything (pure simulation speed). *)
-
-val run_power_timed :
-  ?config:Psm_rtl.Power_model.config ->
-  Ip.t ->
-  Workloads.stimulus ->
-  Psm_trace.Power_trace.t * float
-(** Power trace plus the wall-clock seconds the reference power simulation
-    took — Table II's "PX" column. *)

@@ -78,8 +78,9 @@ type buffer = {
 }
 
 (* All buffers ever created, in registration order. Buffers outlive their
-   domain (pool shutdown does not lose telemetry); the mutex guards only
-   registration and snapshot/reset, never the record path. *)
+   domain (a fan-out's helper domains end with the call, their telemetry
+   does not); the mutex guards only registration and snapshot/reset,
+   never the record path. *)
 let registry : buffer list ref = ref []
 let registry_mutex = Mutex.create ()
 

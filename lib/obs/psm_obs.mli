@@ -15,9 +15,10 @@
     {2 Domain safety}
 
     Each domain records into its own buffer (domain-local storage), so
-    {!Psm_par} workers can record concurrently with the submitting domain.
-    Buffers are registered globally and outlive their domain; {!snapshot}
-    merges them into one canonical summary. The merge is deterministic in
+    {!Psm_par}'s helper domains can record concurrently with the calling
+    domain. Buffers are registered globally and outlive their domain (each
+    fan-out that records adds at most its width minus one buffers);
+    {!snapshot} merges them into one canonical summary. The merge is deterministic in
     the summary it produces: counters and histograms combine
     commutatively, and span events are sorted by (start time, recording
     domain, per-domain sequence) — never by registry or hashtable order.

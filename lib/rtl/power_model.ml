@@ -17,9 +17,6 @@ let energy_of_activity cfg alpha =
 let trace_of_activity cfg alphas =
   Psm_trace.Power_trace.of_array (Array.map (energy_of_activity cfg) alphas)
 
-let trace_of_weighted_activity cfg alphas =
-  Psm_trace.Power_trace.of_array (Array.map (energy_of_weighted_activity cfg) alphas)
-
 let pp_config fmt cfg =
   Format.fprintf fmt "Vdd=%.2fV f=%.3gHz C/toggle=%.3gF" cfg.vdd cfg.freq_hz
     cfg.cap_per_toggle

@@ -32,6 +32,4 @@ val energy_of_weighted_activity : config -> float -> float
 val trace_of_activity : config -> int array -> Psm_trace.Power_trace.t
 (** Map a per-cycle toggle series to a power trace. *)
 
-val trace_of_weighted_activity : config -> float array -> Psm_trace.Power_trace.t
-
 val pp_config : Format.formatter -> config -> unit

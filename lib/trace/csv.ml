@@ -159,17 +159,3 @@ let parse_file path =
     (fun () ->
       let p = read (Reader.of_channel ic) in
       (p.trace, p.power))
-
-let power_to_string p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "time,energy\n";
-  for t = 0 to Power_trace.length p - 1 do
-    Buffer.add_string buf (Printf.sprintf "%d,%.17g\n" t (Power_trace.get p t))
-  done;
-  Buffer.contents buf
-
-let power_write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (power_to_string p))

@@ -29,8 +29,3 @@ val parse : string -> Functional_trace.t * Power_trace.t option
 
 val parse_file : string -> Functional_trace.t * Power_trace.t option
 (** [read] over a channel — constant-memory row streaming. *)
-
-val power_to_string : Power_trace.t -> string
-(** Two columns, [time,energy]. *)
-
-val power_write_file : string -> Power_trace.t -> unit

@@ -21,10 +21,6 @@ let start t i =
   check_run t i;
   t.starts.(i)
 
-let length_at t i =
-  check_run t i;
-  t.starts.(i + 1) - t.starts.(i)
-
 let compression t =
   if total t = 0 then 1. else float_of_int (count t) /. float_of_int (total t)
 

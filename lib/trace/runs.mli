@@ -15,7 +15,6 @@ val total : t -> int
 (** Number of instants covered (the trace length). *)
 
 val start : t -> int -> int
-val length_at : t -> int -> int
 
 val compression : t -> float
 (** [count / total] — 1.0 means incompressible, small means long runs.

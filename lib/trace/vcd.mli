@@ -75,9 +75,11 @@ val read : ?unknowns:Reader.unknown_policy -> ?period:int -> Reader.t -> parsed
 (** Stream a full VCD out of [r]. Signal directions cannot be recovered
     from VCD (which has no port-direction concept) unless the writer's
     [$comment directions:] block is present; wires default to inputs.
-    The real variable (conventionally named [__power__]) becomes the
-    power trace. [period] forces the sampling stride; otherwise it is
-    the GCD of the timestamp deltas. Raises {!Parse_error} (with
+    The one real variable, which must be named {!power_var_name}
+    ([__power__]; aliases of its code may have any name), becomes the
+    power trace; any other real variable is a {!Parse_error} naming it.
+    [period] forces the sampling stride; otherwise it is the GCD of the
+    timestamp deltas. Raises {!Parse_error} (with
     position and snippet) on malformed input, backwards time, or — under
     [~unknowns:Reject] — any [x]/[z] bit. *)
 
@@ -99,7 +101,8 @@ val stream :
   init:(header -> unit) ->
   sample:(time:int -> Psm_bits.Bits.t array -> power:float -> unit) ->
   Reader.stats
-(** Push-mode reading: [init] receives the declared header, then [sample]
+(** Push-mode reading: [init] receives the declared header (checked as
+    {!read} checks it, power variable included), then [sample]
     is called once per distinct timestamp (raw, un-resampled — gaps are
     the caller's business) with the held signal values and latest power.
     The value array is reused between calls and must not be retained.
@@ -109,6 +112,8 @@ val stream :
 (** {1 Writer internals exposed for tests} *)
 
 val power_var_name : string
+(** ["__power__"]: the name the writer gives the power variable and the
+    only real variable the reader accepts. *)
 
 val id_code : int -> string
 (** Identifier code for the [n]-th variable ('!'..'~', then multi-char). *)

@@ -183,8 +183,8 @@ let test_table2_row_shape () =
   check_bool "mre sane" true (row.Experiment.mre >= 0. && row.Experiment.mre < 0.5);
   check_bool "times recorded" true (row.Experiment.px_s >= 0. && row.Experiment.gen_s >= 0.)
 
-(* The capture fan-out inside [table2_row] runs on the domain pool; the
-   model and its accuracy must not depend on the pool's width. *)
+(* The capture fan-out inside [table2_row] runs on several domains; the
+   model and its accuracy must not depend on the fan-out's width. *)
 let test_table2_row_jobs_invariant () =
   let spec = List.nth Experiment.benchmark_ips 1 (* MultSum *) in
   let row jobs =

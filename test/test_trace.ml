@@ -457,6 +457,39 @@ let test_vcd_alias () =
   in
   Alcotest.(check int) "alias width line" 3 e.Reader.line
 
+(* Only [__power__] is the power trace. A renamed power variable, or a
+   second real variable, is refused at its $var by the batch reader and
+   by the streaming header alike; an alias of the power code is fine. *)
+let test_vcd_power_variable () =
+  let stream_error what text =
+    match
+      Vcd.stream (Reader.of_string text) ~init:ignore ~sample:(fun ~time:_ _ ~power:_ -> ())
+    with
+    | _ -> Alcotest.failf "%s: stream accepted" what
+    | exception Vcd.Parse_error e -> e
+  in
+  let refused what vars ~line message =
+    let text = with_vars vars "#0\n1!\nr1.5 \"\n" in
+    check_located what ~line (parse_error what text) message;
+    check_located (what ^ " (stream)") ~line (stream_error what text) message
+  in
+  refused "renamed" "$var wire 1 ! a $end\n$var real 64 \" __other__ $end\n" ~line:3
+    "real variable __other__ is not the power variable __power__";
+  refused "power plus another real"
+    "$var wire 1 ! a $end\n$var real 64 \" __power__ $end\n$var real 64 # energy $end\n"
+    ~line:4 "real variable energy is not the power variable __power__";
+  refused "two power codes"
+    "$var wire 1 ! a $end\n$var real 64 \" __power__ $end\n$var real 64 # __power__ $end\n"
+    ~line:4 "second real variable __power__ under code #";
+  let p =
+    Vcd.parse
+      (with_vars "$var wire 1 ! a $end\n$var real 64 \" __power__ $end\n$var real 64 \" p $end\n"
+         "#0\n1!\nr1.5 \"\n#1\nr2.5 \"\n")
+  in
+  Alcotest.(check (option (array (float 0.))))
+    "alias of the power code" (Some [| 1.5; 2.5 |])
+    (Option.map PT.to_array p.Vcd.power)
+
 let test_vcd_max_width () =
   let e =
     parse_error "huge width"
@@ -1079,6 +1112,7 @@ let suite =
       Alcotest.test_case "vcd/csv reject bad power" `Quick test_vcd_rejects_bad_power;
       Alcotest.test_case "vcd duplicate signal name" `Quick test_vcd_duplicate_name;
       Alcotest.test_case "vcd identifier alias" `Quick test_vcd_alias;
+      Alcotest.test_case "vcd power variable" `Quick test_vcd_power_variable;
       Alcotest.test_case "vcd width limit" `Quick test_vcd_max_width;
       Alcotest.test_case "vcd gap expansion bound" `Quick test_vcd_gap_bound;
       Alcotest.test_case "vcd readers = token oracle (fuzz)" `Quick

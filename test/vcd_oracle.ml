@@ -7,9 +7,10 @@
    every sample is copied into a [Functional_trace.Builder]. It is
    deliberately the slow, obvious reading of the format:
 
-   - declarations as before, plus one rule the library added: a repeated
+   - declarations as before, plus two rules the library added: a repeated
      identifier code of the same width and kind aliases its first
-     declaration. Duplicate signal names and oversized widths are not
+     declaration, and the one real variable must be [Vcd.power_var_name]
+     (any other real variable is a located [Vcd.Parse_error]). Duplicate signal names and oversized widths are not
      checked here, so on those headers the oracle escapes with
      [Invalid_argument] (or runs out of memory) where the library raises
      [Vcd.Parse_error];
@@ -44,6 +45,7 @@ type declarations = {
 let parse_declarations r =
   let vars : (string, var) Hashtbl.t = Hashtbl.create 16 in
   let var_order = ref [] in
+  let power_declared = ref false in
   let directions : (string, Signal.direction) Hashtbl.t = Hashtbl.create 16 in
   let timescale = ref "1ns" in
   let next what =
@@ -97,6 +99,7 @@ let parse_declarations r =
         | Some _ -> skip_to_end ());
         decls ()
     | Some "$var" ->
+        let line, column = Reader.position r in
         let kind = next "$var kind" in
         let w = next "$var width" in
         let id = next "$var identifier" in
@@ -112,6 +115,14 @@ let parse_declarations r =
             if first.width <> width || first.is_real <> is_real then
               invalid_arg "Vcd_oracle: identifier code redeclared differently"
         | None ->
+            let reject msg = fail ~line ~column ~snippet:"$var" msg in
+            if is_real && name <> Vcd.power_var_name then
+              reject
+                (Printf.sprintf "real variable %s is not the power variable %s" name
+                   Vcd.power_var_name);
+            if is_real && !power_declared then
+              reject (Printf.sprintf "second real variable %s under code %s" name id);
+            if is_real then power_declared := true;
             Hashtbl.replace vars id { name; width; is_real };
             var_order := id :: !var_order);
         skip_to_end ();
