@@ -464,12 +464,8 @@ let stats_run model_path trace_file unknowns period json_path =
         let n = Psm_trace.Functional_trace.length trace in
         (* One classification per sample run; unmatched rows code to -1. *)
         let codes = Array.make n (-1) in
-        Psm_trace.Functional_trace.iter_runs
-          (fun ~start ~len sample ->
-            match Psm_mining.Prop_trace.Table.classify table sample with
-            | Some p -> Array.fill codes start len p
-            | None -> ())
-          trace;
+        Psm_mining.Sample_tracker.iter_runs table trace
+          (fun ~start ~len ~code ~hamming:_ -> Array.fill codes start len code);
         let prop_runs = Runs.scan ~equal:(fun i j -> codes.(i) = codes.(j)) n in
         print_run_stats "proposition segments" prop_runs;
         prop_runs)

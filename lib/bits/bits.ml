@@ -193,16 +193,15 @@ let popcount_int n =
    computation cheap; it sits on the hot path of the power reference. *)
 let byte_popcount = Array.init 256 popcount_int
 
+let popcount_limb limb =
+  byte_popcount.(limb land 0xFF)
+  + byte_popcount.(limb lsr 8 land 0xFF)
+  + byte_popcount.(limb lsr 16 land 0xFF)
+  + byte_popcount.(limb lsr 24 land 0xFF)
+
 let popcount v =
   let acc = ref 0 in
-  Array.iter
-    (fun limb ->
-      acc := !acc
-             + byte_popcount.(limb land 0xFF)
-             + byte_popcount.(limb lsr 8 land 0xFF)
-             + byte_popcount.(limb lsr 16 land 0xFF)
-             + byte_popcount.(limb lsr 24 land 0xFF))
-    v.limbs;
+  Array.iter (fun limb -> acc := !acc + popcount_limb limb) v.limbs;
   !acc
 
 let is_zero v = Array.for_all (fun l -> l = 0) v.limbs
@@ -312,27 +311,32 @@ let rec limbs_equal a b i =
 let equal a b =
   a == b || (a.width = b.width && limbs_equal a.limbs b.limbs (Array.length a.limbs - 1))
 
+(* Unsigned magnitude comparison from limb [i] down, most significant
+   first; top-level, so no closure is built per comparison (the sample
+   trackers evaluate ordering atoms on every changed sample). *)
+let rec compare_limbs a b i =
+  if i < 0 then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_limbs a b (i - 1)
+
 let compare a b =
   let c = Int.compare a.width b.width in
-  if c <> 0 then c
-  else begin
-    (* Unsigned magnitude comparison: most significant limb first. *)
-    let rec go i =
-      if i < 0 then 0
-      else
-        let c = Int.compare a.limbs.(i) b.limbs.(i) in
-        if c <> 0 then c else go (i - 1)
-    in
-    go (Array.length a.limbs - 1)
-  end
+  if c <> 0 then c else compare_limbs a.limbs b.limbs (Array.length a.limbs - 1)
 
 let ult a b =
   check_same_width "ult" a b;
   compare a b < 0
 
+(* Limb by limb, with no intermediate vector: the sample trackers call
+   this on every changed sample. *)
 let hamming_distance a b =
   check_same_width "hamming_distance" a b;
-  popcount (logxor a b)
+  let acc = ref 0 in
+  for i = 0 to Array.length a.limbs - 1 do
+    acc := !acc + popcount_limb (Array.unsafe_get a.limbs i lxor Array.unsafe_get b.limbs i)
+  done;
+  !acc
 
 let hash v = Hashtbl.hash (v.width, v.limbs)
 

@@ -1,5 +1,5 @@
 module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 
 type result = {
   estimate : float array;
@@ -22,8 +22,6 @@ let simulate psm trace =
       | Assertion.Seq _ | Assertion.Alt _ ->
           invalid_arg "Sim_single.simulate: composite assertions need the HMM simulator")
     (Psm.states psm);
-  let table = Psm.prop_table psm in
-  let hd = Functional_trace.input_hamming_series trace in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in
   let desyncs = ref [] in
@@ -35,36 +33,38 @@ let simulate psm trace =
     | [] -> None
     | _ -> invalid_arg "Sim_single.simulate: state with several successors (not a chain)"
   in
-  Functional_trace.iter
-    (fun t sample ->
-      let observed = Table.classify table sample in
-      let s = Psm.state psm !current in
-      let outcome =
-        match (observed, s.Psm.assertion) with
-        | None, _ -> Desync
-        | Some o, Assertion.Until (p, q) ->
-            if o = p then Stay else if o = q then Advance else Desync
-        | Some o, Assertion.Next (p, q) ->
-            if !just_entered then if o = p then Stay else Desync
-            else if o = q then Advance
-            else Desync
-        | Some _, (Assertion.Seq _ | Assertion.Alt _) -> assert false
-      in
-      (match outcome with
-      | Stay -> just_entered := false
-      | Advance -> (
-          match unique_successor !current with
-          | Some next ->
-              current := next;
-              just_entered := false
-          | None ->
-              (* Final state of the chain: it absorbs the rest of the
-                 trace, as its training interval did. *)
-              ())
-      | Desync -> desyncs := t :: !desyncs);
-      let s = Psm.state psm !current in
-      estimate.(t) <- Psm.eval_output s.Psm.output ~hamming:hd.(t))
-    trace;
+  (* A run's first instant carries its input Hamming distance, the
+     others 0. *)
+  Sample_tracker.iter_runs (Psm.prop_table psm) trace (fun ~start ~len ~code:o ~hamming ->
+      for t = start to start + len - 1 do
+        let s = Psm.state psm !current in
+        let outcome =
+          if o < 0 then Desync
+          else
+            match s.Psm.assertion with
+            | Assertion.Until (p, q) -> if o = p then Stay else if o = q then Advance else Desync
+            | Assertion.Next (p, q) ->
+                if !just_entered then if o = p then Stay else Desync
+                else if o = q then Advance
+                else Desync
+            | Assertion.Seq _ | Assertion.Alt _ -> assert false
+        in
+        (match outcome with
+        | Stay -> just_entered := false
+        | Advance -> (
+            match unique_successor !current with
+            | Some next ->
+                current := next;
+                just_entered := false
+            | None ->
+                (* Final state of the chain: it absorbs the rest of the
+                   trace, as its training interval did. *)
+                ())
+        | Desync -> desyncs := t :: !desyncs);
+        let s = Psm.state psm !current in
+        estimate.(t) <-
+          Psm.eval_output s.Psm.output ~hamming:(if t = start then hamming else 0.)
+      done);
   let desyncs = List.rev !desyncs in
   { estimate;
     desyncs;

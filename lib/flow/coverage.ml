@@ -1,6 +1,6 @@
 module Psm = Psm_core.Psm
 module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 module Multi_sim = Psm_hmm.Multi_sim
 
 type report = {
@@ -20,14 +20,13 @@ let of_trace hmm trace =
   let n = Functional_trace.length trace in
   let known = ref 0 in
   let unknown_samples = ref [] in
-  Functional_trace.iter
-    (fun time sample ->
-      match Table.classify table sample with
-      | Some _ -> incr known
-      | None ->
+  Sample_tracker.iter_runs table trace (fun ~start ~len ~code ~hamming:_ ->
+      if code >= 0 then known := !known + len
+      else
+        for time = start to start + len - 1 do
           if List.length !unknown_samples < 10 then
-            unknown_samples := time :: !unknown_samples)
-    trace;
+            unknown_samples := time :: !unknown_samples
+        done);
   let result = Multi_sim.simulate hmm trace in
   let visited = Hashtbl.create 16 in
   let edges = Hashtbl.create 32 in

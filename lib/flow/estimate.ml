@@ -12,8 +12,7 @@ type backend =
 type t = {
   model : Persist.model;
   backend : backend;
-  tracker : Sample_tracker.t;
-      (* [step_sample]'s filter arm; the sim stepper tracks its own. *)
+  tracker : Sample_tracker.t; (* [step_sample]'s front end, both backends *)
 }
 
 let plan_or_own plan (model : Persist.model) =
@@ -51,20 +50,21 @@ let filter_result t filt s ~hd =
   ( Filtering.Stream.power filt s ~hamming:hd,
     Hmm.state_of_row t.model.Persist.hmm row )
 
-let step t ?(hd = 0.) obs =
+(* One cycle on a proposition code (-1 = unknown behaviour). *)
+let advance t ~hd code =
   match t.backend with
-  | Sim st -> Multi_sim.Stepper.step_classified st ~hamming:hd obs
+  | Sim st ->
+      Multi_sim.Stepper.advance st ~hamming:hd code;
+      (Multi_sim.Stepper.power st, Multi_sim.Stepper.state st)
   | Filter (filt, s) ->
-      Filtering.Stream.step filt s obs;
+      Filtering.Stream.step filt s code;
       filter_result t filt s ~hd
 
+let step t ?(hd = 0.) obs = advance t ~hd (Option.value obs ~default:(-1))
+
 let step_sample t sample =
-  match t.backend with
-  | Sim st -> Multi_sim.Stepper.step st sample
-  | Filter (filt, s) ->
-      Sample_tracker.observe t.tracker sample;
-      Filtering.Stream.step filt s (Sample_tracker.classification t.tracker);
-      filter_result t filt s ~hd:(Sample_tracker.hamming t.tracker)
+  Sample_tracker.observe t.tracker sample;
+  advance t ~hd:(Sample_tracker.hamming t.tracker) (Sample_tracker.code t.tracker)
 
 let cycles t =
   match t.backend with

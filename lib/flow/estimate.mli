@@ -18,7 +18,10 @@
       share one {!Psm_hmm.Filtering.t} (pass [?filtering]), which is what
       lets a server batch their forward steps into one kernel sweep.
 
-    Both paths are bit-identical to their offline counterparts
+    Raw samples go through the session's one
+    {!Psm_mining.Sample_tracker}, whichever the backend, and the backend
+    sees only its proposition code and Hamming distance. Both paths are
+    bit-identical to their offline counterparts
     ({!Psm_hmm.Multi_sim.simulate} / {!Psm_hmm.Filtering.expected_power}
     and [map_states]) on the same trace. *)
 
@@ -47,8 +50,10 @@ val step : t -> ?hd:float -> int option -> float * int
     PSM state id; -1 = desynchronized). *)
 
 val step_sample : t -> Psm_bits.Bits.t array -> float * int
-(** Consume one raw interface sample: classification and input Hamming
-    tracking happen inside, exactly as the offline evaluators do it. *)
+(** Consume one raw interface sample, in either mode: the session's one
+    {!Psm_mining.Sample_tracker} classifies it and tracks its input
+    Hamming distance, as the offline evaluators' run walk does, and
+    {!step} consumes the result. *)
 
 val cycles : t -> int
 val wrong_instants : t -> int
@@ -78,8 +83,8 @@ type portable_backend =
 type portable = {
   portable_backend : portable_backend;
   portable_prev_inputs : string array option;
-      (** sample-level tracking only: the previous interface sample as
-          big-endian binary strings, in interface order *)
+      (** {!step_sample}'s tracker, both modes: the previous interface
+          sample as big-endian binary strings, in interface order *)
 }
 (** A complete resumable session state as plain data (belief or stepper
     mode, cursors, ban log, counters, previous inputs) — what a session

@@ -6,6 +6,7 @@ module Functional_trace = Psm_trace.Functional_trace
 module Power_trace = Psm_trace.Power_trace
 module Miner = Psm_mining.Miner
 module Prop_trace = Psm_mining.Prop_trace
+module Sample_tracker = Psm_mining.Sample_tracker
 module Psm = Psm_core.Psm
 module Hmm = Psm_hmm.Hmm
 module Multi_sim = Psm_hmm.Multi_sim
@@ -300,12 +301,14 @@ let cosim_timed trained (ip : Psm_ips.Ip.t) stimulus =
   Psm_obs.span "flow.cosim" @@ fun () ->
   ip.Psm_ips.Ip.reset ();
   let stepper = Multi_sim.Stepper.create trained.hmm in
+  let tracker = Sample_tracker.create trained.table in
   Gc.major ();
   let t0 = Unix.gettimeofday () in
   Array.iter
     (fun pis ->
       let pos, _activity = ip.Psm_ips.Ip.step pis in
-      let sample = Array.append pis pos in
-      ignore (Multi_sim.Stepper.step stepper sample))
+      Sample_tracker.observe tracker (Array.append pis pos);
+      Multi_sim.Stepper.advance stepper ~hamming:(Sample_tracker.hamming tracker)
+        (Sample_tracker.code tracker))
     stimulus;
   Unix.gettimeofday () -. t0

@@ -1,6 +1,7 @@
 module Psm = Psm_core.Psm
 module Functional_trace = Psm_trace.Functional_trace
 module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 
 let floor_p = 1e-9
 
@@ -9,13 +10,11 @@ type t = {
   a_instant_csr : Sparse.t; (* dwell-corrected per-instant transitions *)
   a_instant_csc : Sparse.csc; (* gather form for the batched sweep *)
   outputs : Psm.output array; (* row -> state output, resolved once *)
-  alpha : float array; (* scratch: current belief *)
-  scratch : float array; (* scratch: next belief accumulator *)
   emissions : float array array;
-      (* [0] -> all-ones (unknown observation); [p + 1] -> per-row
-         emission of proposition p, floored. Same values as [emission] —
-         precomputed so the batched sweep reads a row instead of calling
-         through [Hmm.b_obs] per state per session. *)
+      (* [0] -> all-ones (code -1, unknown observation); [p + 1] ->
+         per-row emission of proposition p, floored; last -> all
+         [floor_p], the floored emission of every code outside the
+         model's table. Nothing writes a [t] after [create]. *)
 }
 
 let create hmm =
@@ -46,137 +45,44 @@ let create hmm =
     outputs =
       Array.init m (fun row ->
           (Psm.state psm (Hmm.state_of_row hmm row)).Psm.output);
-    alpha = Array.make m 0.;
-    scratch = Array.make m 0.;
     emissions =
       (let nprops = Table.prop_count (Psm.prop_table psm) in
-       Array.init (nprops + 1) (fun k ->
+       Array.init (nprops + 2) (fun k ->
            if k = 0 then Array.make m 1.
+           else if k = nprops + 1 then Array.make m floor_p
            else
              Array.init m (fun row ->
                  Float.max floor_p (Hmm.b_obs hmm row (k - 1))))) }
 
-let emission t row = function
-  | None -> 1.
-  | Some prop -> Float.max floor_p (Hmm.b_obs t.hmm row prop)
+(* The emission row of a proposition code; a code outside the table (a
+   hostile client can send any integer) reads the all-floor row, which
+   is what [Hmm.b_obs]'s 0 floors to. *)
+let emission_row t code =
+  let last = Array.length t.emissions - 1 in
+  if code >= -1 && code < last - 1 then t.emissions.(code + 1) else t.emissions.(last)
 
-(* The precomputed emission row for an observation; out-of-vocabulary
-   propositions (a hostile client can send any integer) fall back to the
-   scalar [emission], which floors them everywhere. *)
-let emission_row t = function
-  | None -> t.emissions.(0)
-  | Some p when p >= 0 && p + 1 < Array.length t.emissions -> t.emissions.(p + 1)
-  | Some _ as obs ->
-      Array.init (Array.length t.alpha) (fun row -> emission t row obs)
-
-(* The α recursion, streamed: [emit time alpha] sees each normalized
-   belief in turn (the array is reused — consumers must copy what they
-   keep). Returns the log likelihood from the normalization constants.
-   Not reentrant: the scratch buffers live in [t]. *)
-let forward_iter t observations ~emit =
-  Psm_obs.span "hmm.forward" @@ fun () ->
-  let m = Hmm.state_count t.hmm in
-  let n = Array.length observations in
-  let log_lik = ref 0. in
-  if n > 0 then begin
-    let alpha = t.alpha and scratch = t.scratch in
-    let pi = Hmm.pi t.hmm in
-    for j = 0 to m - 1 do
-      alpha.(j) <- pi.(j) *. emission t j observations.(0)
-    done;
-    let normalize v =
-      let total = Array.fold_left ( +. ) 0. v in
-      if total > 0. then begin
-        Array.iteri (fun i x -> v.(i) <- x /. total) v;
-        total
-      end
-      else begin
-        (* Impossible observation everywhere: reset to uniform. *)
-        Array.iteri (fun i _ -> v.(i) <- 1. /. float_of_int m) v;
-        floor_p
-      end
-    in
-    log_lik := log (normalize alpha);
-    emit 0 alpha;
-    for time = 1 to n - 1 do
-      Array.fill scratch 0 m 0.;
-      Sparse.scatter_product t.a_instant_csr alpha scratch;
-      for j = 0 to m - 1 do
-        scratch.(j) <- scratch.(j) *. emission t j observations.(time)
-      done;
-      Array.blit scratch 0 alpha 0 m;
-      log_lik := !log_lik +. log (normalize alpha);
-      emit time alpha
-    done
-  end;
-  !log_lik
-
-let posteriors t observations =
-  let m = Hmm.state_count t.hmm in
-  let post = Array.make_matrix (Array.length observations) m 0. in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        Array.blit alpha 0 post.(time) 0 m)
-  in
-  post
-
-let map_states t observations =
-  let states = Array.make (Array.length observations) 0 in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        let best = ref 0 in
-        Array.iteri (fun j v -> if v > alpha.(!best) then best := j) alpha;
-        states.(time) <- !best)
-  in
-  states
-
-let classify t trace =
-  let table = Psm.prop_table (Hmm.psm t.hmm) in
-  Array.init (Functional_trace.length trace) (fun time ->
-      Table.classify table (Functional_trace.sample trace ~time))
-
-let expected_power t trace =
-  let hd = Functional_trace.input_hamming_series trace in
-  let observations = classify t trace in
-  let power = Array.make (Array.length observations) 0. in
-  let (_ : float) =
-    forward_iter t observations ~emit:(fun time alpha ->
-        let acc = ref 0. in
-        Array.iteri
-          (fun row p ->
-            if p > 0. then
-              acc := !acc +. (p *. Psm.eval_output t.outputs.(row) ~hamming:hd.(time)))
-          alpha;
-        power.(time) <- !acc)
-  in
-  power
-
-(* Likelihood without materializing the O(T×m) posterior matrix. *)
-let log_likelihood t observations = forward_iter t observations ~emit:(fun _ _ -> ())
-
-(* ---------- Streaming sessions (the serve hot path) ---------- *)
+(* ---------- the α recursion, one observation at a time ---------- *)
 
 (* CONTRACT (see the mli): everything in this module reads [t] but never
-   writes it — not even [t.alpha]/[t.scratch], which belong to
-   [forward_iter] above. The serve engine steps every shard of a model
-   against one shared [t], and the contract lets disjoint states be
-   stepped from distinct domains; a write to [t] here breaks both. *)
+   writes it. The serve engine steps every shard of a model against one
+   shared [t], and the whole-trace entry points below run their own
+   [state]; a write to [t] here breaks both. *)
 module Stream = struct
   type state = {
     alpha : float array;
     scratch : float array;
     mutable steps : int;
-    mutable log_lik : float;
+    log_lik : float array; (* [| cumulative log likelihood |]: unboxed *)
   }
 
   let make t =
     let m = Hmm.state_count t.hmm in
-    { alpha = Array.make m 0.; scratch = Array.make m 0.; steps = 0; log_lik = 0. }
+    { alpha = Array.make m 0.; scratch = Array.make m 0.; steps = 0; log_lik = [| 0. |] }
 
   type portable = { p_steps : int; p_log_lik : float; p_belief : float array }
 
   let export s =
-    { p_steps = s.steps; p_log_lik = s.log_lik; p_belief = Array.copy s.alpha }
+    { p_steps = s.steps; p_log_lik = s.log_lik.(0); p_belief = Array.copy s.alpha }
 
   (* Checkpoints travel over the wire, so every field is validated
      against the target model before a session is built from it: a
@@ -200,54 +106,57 @@ module Stream = struct
         { alpha = Array.copy p.p_belief;
           scratch = Array.make m 0.; (* transient: overwritten each step *)
           steps = p.p_steps;
-          log_lik = p.p_log_lik }
+          log_lik = [| p.p_log_lik |] }
 
-  let copy s = { s with alpha = Array.copy s.alpha; scratch = Array.copy s.scratch }
+  let copy s =
+    { s with
+      alpha = Array.copy s.alpha;
+      scratch = Array.copy s.scratch;
+      log_lik = Array.copy s.log_lik }
+
   let steps s = s.steps
-  let log_likelihood s = s.log_lik
+  let log_likelihood s = s.log_lik.(0)
   let belief s = s.alpha
 
-  (* Scalar step: one [forward_iter] iteration verbatim — same kernel,
-     same fold/normalize order — so a session stepped observation by
-     observation holds exactly the belief forward_iter would have emitted
-     at the same instant. This is also the per-session reference loop the
-     batched sweep is measured (and tested bit-identical) against. *)
-  let step t s obs =
-    let m = Hmm.state_count t.hmm in
+  (* Scalar step: one iteration of the normalized α recursion. The
+     whole-trace entry points are loops of it, and the batched sweep is
+     measured (and tested bit-identical) against it. Plain loops, no
+     closure: a step allocates nothing after the first. *)
+  let step t s code =
+    let m = Array.length s.alpha in
     let alpha = s.alpha and scratch = s.scratch in
-    let normalize v =
-      let total = Array.fold_left ( +. ) 0. v in
-      if total > 0. then begin
-        Array.iteri (fun i x -> v.(i) <- x /. total) v;
-        total
-      end
-      else begin
-        Array.iteri (fun i _ -> v.(i) <- 1. /. float_of_int m) v;
-        floor_p
-      end
-    in
+    let ev = emission_row t code in
     if s.steps = 0 then begin
       let pi = Hmm.pi t.hmm in
       for j = 0 to m - 1 do
-        alpha.(j) <- pi.(j) *. emission t j obs
+        alpha.(j) <- pi.(j) *. ev.(j)
       done
     end
     else begin
       Array.fill scratch 0 m 0.;
       Sparse.scatter_product t.a_instant_csr alpha scratch;
       for j = 0 to m - 1 do
-        scratch.(j) <- scratch.(j) *. emission t j obs
-      done;
-      Array.blit scratch 0 alpha 0 m
+        alpha.(j) <- scratch.(j) *. ev.(j)
+      done
     end;
-    s.log_lik <- s.log_lik +. log (normalize alpha);
+    let total = ref 0. in
+    for j = 0 to m - 1 do
+      total := !total +. alpha.(j)
+    done;
+    let total = !total in
+    if total > 0. then
+      for j = 0 to m - 1 do
+        alpha.(j) <- alpha.(j) /. total
+      done
+    else (* Impossible observation everywhere: reset to uniform. *)
+      Array.fill alpha 0 m (1. /. float_of_int m);
+    s.log_lik.(0) <- s.log_lik.(0) +. log (if total > 0. then total else floor_p);
     s.steps <- s.steps + 1
 
   (* [map_state]/[power] run once per session-cycle on the serve path —
      monomorphic loops (no closure, [eval_output] inlined by constructor)
-     with the exact arithmetic and visit order of the [Array.iteri]
-     originals, so the reported state and power stay bit-identical to
-     {!map_states} / {!expected_power} on the whole trace. *)
+     and one visit order, which {!map_states} / {!expected_power} share
+     by calling them. *)
   let map_state _t s =
     let alpha = s.alpha in
     let best = ref 0 in
@@ -292,10 +201,10 @@ module Stream = struct
      Every float op and comparison it performs is one the unfused
      per-session pipeline performs on identical inputs, so the results
      stay bit-identical. *)
-  let sweep t states obss ~hds ~powers ~rows =
+  let sweep t states codes ~hds ~powers ~rows =
     let n = Array.length states in
     if
-      Array.length obss <> n || Array.length hds <> n
+      Array.length codes <> n || Array.length hds <> n
       || Array.length powers <> n
       || Array.length rows <> n
     then invalid_arg "Filtering.Stream.sweep: length mismatch";
@@ -305,7 +214,7 @@ module Stream = struct
     let any_started = ref false in
     for s = 0 to n - 1 do
       if states.(s).steps = 0 then begin
-        step t states.(s) obss.(s);
+        step t states.(s) codes.(s);
         powers.(s) <- power t states.(s) ~hamming:hds.(s);
         rows.(s) <- map_state t states.(s)
       end
@@ -327,7 +236,7 @@ module Stream = struct
       for s = 0 to n - 1 do
         if started.(s) then begin
           let st = Array.unsafe_get states s in
-          let ev = emission_row t obss.(s) in
+          let ev = emission_row t codes.(s) in
           let total = ref 0. in
           for j = 0 to m - 1 do
             let x = Array.unsafe_get st.scratch j *. Array.unsafe_get ev j in
@@ -336,7 +245,7 @@ module Stream = struct
           done;
           let total = !total in
           if total > 0. then begin
-            st.log_lik <- st.log_lik +. log total;
+            st.log_lik.(0) <- st.log_lik.(0) +. log total;
             let alpha = st.alpha in
             let hamming = Array.unsafe_get hds s in
             let acc = ref 0. in
@@ -366,7 +275,7 @@ module Stream = struct
                uniform belief exactly as [step] does, then score it with
                the reference passes — this path is cold. *)
             Array.fill st.alpha 0 m (1. /. float_of_int m);
-            st.log_lik <- st.log_lik +. log floor_p;
+            st.log_lik.(0) <- st.log_lik.(0) +. log floor_p;
             powers.(s) <- power t st ~hamming:hds.(s);
             rows.(s) <- map_state t st
           end;
@@ -375,3 +284,47 @@ module Stream = struct
       done
     end
 end
+
+(* ---------- whole-trace entry points ---------- *)
+
+(* The α recursion over a whole observation sequence: a loop of
+   [Stream.step] over a fresh state; [emit time s] sees each step's
+   state. Returns the log likelihood. *)
+let forward t observations ~emit =
+  Psm_obs.span "hmm.forward" @@ fun () ->
+  let s = Stream.make t in
+  Array.iteri
+    (fun time o ->
+      Stream.step t s (Option.value o ~default:(-1));
+      emit time s)
+    observations;
+  Stream.log_likelihood s
+
+let posteriors t observations =
+  let post = Array.make (Array.length observations) [||] in
+  let (_ : float) =
+    forward t observations ~emit:(fun time s -> post.(time) <- Array.copy (Stream.belief s))
+  in
+  post
+
+let map_states t observations =
+  let states = Array.make (Array.length observations) 0 in
+  let (_ : float) =
+    forward t observations ~emit:(fun time s -> states.(time) <- Stream.map_state t s)
+  in
+  states
+
+let expected_power t trace =
+  let power = Array.make (Functional_trace.length trace) 0. in
+  Psm_obs.span "hmm.forward" @@ fun () ->
+  let s = Stream.make t in
+  Sample_tracker.iter_runs (Psm.prop_table (Hmm.psm t.hmm)) trace
+    (fun ~start ~len ~code ~hamming ->
+      for time = start to start + len - 1 do
+        Stream.step t s code;
+        power.(time) <- Stream.power t s ~hamming:(if time = start then hamming else 0.)
+      done);
+  power
+
+(* Likelihood without materializing the O(T×m) posterior matrix. *)
+let log_likelihood t observations = forward t observations ~emit:(fun _ _ -> ())

@@ -9,7 +9,12 @@
     over the interned propositions as observations, with the same
     dwell-corrected per-instant transition matrix A' as {!Offline} (the
     PSM's A counts state *changes*; per-instant dynamics need the
-    self-dwell mass). Unknown observations are uninformative.
+    self-dwell mass). Unknown observations are uninformative; a
+    proposition outside the model's table has the floored emission in
+    every state.
+
+    There is one implementation of the recursion, {!Stream.step}: the
+    whole-trace entry points below run it over a fresh {!Stream.state}.
 
     {!Multi_sim} keeps its cheaper assertion-cursor machinery for live
     co-simulation; this module provides the probabilistic view — state
@@ -19,11 +24,9 @@ type t
 
 val create : Hmm.t -> t
 (** Builds the dwell-corrected A' once, in CSR form for the scalar
-    recursion and CSC form for the batched {!Stream.sweep}.
-
-    A [t] carries reusable scratch buffers: it is cheap to query
-    repeatedly but must not be shared across domains or re-entered from
-    a callback. *)
+    recursion and CSC form for the batched {!Stream.sweep}, and the
+    emission row of every proposition code. Nothing writes a [t]
+    afterwards, so one may serve any number of sessions and queries. *)
 
 val posteriors : t -> int option array -> float array array
 (** [posteriors f observations] — one normalized belief vector (over state
@@ -34,7 +37,8 @@ val map_states : t -> int option array -> int array
 
 val expected_power : t -> Psm_trace.Functional_trace.t -> float array
 (** Power estimate as the posterior-weighted mean of the state outputs —
-    a soft alternative to committing to one state per instant. *)
+    a soft alternative to committing to one state per instant. The
+    observations come from {!Psm_mining.Sample_tracker.iter_runs}. *)
 
 val log_likelihood : t -> int option array -> float
 (** Log observation likelihood under the model (from the normalization
@@ -42,9 +46,9 @@ val log_likelihood : t -> int option array -> float
     family scores visibly lower per instant. *)
 
 (** Streaming per-session filtering — the serve hot path. A [state] is
-    one session's belief; {!Stream.step} advances it by one observation
-    with exactly {!forward_iter}'s arithmetic, so a session stepped
-    observation by observation is bit-identical to the offline recursion
+    one session's belief; {!Stream.step} advances it by one observation.
+    The whole-trace entry points are loops of {!Stream.step}, so a
+    session stepped observation by observation is bit-identical to them
     on the whole sequence. {!Stream.sweep} advances many sessions
     sharing one {!t} in a single batched kernel sweep (CSC traversal
     amortized across sessions, fused monomorphic emission/normalize/
@@ -59,9 +63,7 @@ val log_likelihood : t -> int option array -> float
     passed in — so disjoint [state] sets may be stepped concurrently from
     distinct domains even when they share one [t]; the serve engine relies
     on this contract to share one [t] across all of a model's sessions.
-    Any future Stream change that writes to [t] (e.g. borrowing its
-    scratch buffers, which belong to the batch-analysis entry points and
-    keep their single-domain rule) breaks that contract. *)
+    Any future change that writes to [t] breaks that contract. *)
 module Stream : sig
   type state
 
@@ -95,9 +97,11 @@ module Stream : sig
       the next step; copy what you keep. Meaningless before the first
       step. *)
 
-  val step : t -> state -> int option -> unit
-  (** Advance one observation ([None] = unclassified sample,
-      uninformative). *)
+  val step : t -> state -> int -> unit
+  (** Advance one observation: a proposition code
+      ({!Psm_mining.Prop_trace.Table.code}; -1 = unclassified sample,
+      uninformative; a code outside the table has the floored emission).
+      Allocates nothing after a state's first step. *)
 
   val map_state : t -> state -> int
   (** Marginal MAP state row of the current belief (ties to the lowest
@@ -110,12 +114,12 @@ module Stream : sig
   val sweep :
     t ->
     state array ->
-    int option array ->
+    int array ->
     hds:float array ->
     powers:float array ->
     rows:int array ->
     unit
-  (** One scored batched sweep: [states.(k)] consumes [obss.(k)] with
+  (** One scored batched sweep: [states.(k)] consumes [codes.(k)] with
       {!step}'s arithmetic exactly, and [powers.(k)] / [rows.(k)] are
       filled with what {!power} [~hamming:hds.(k)] / {!map_state} would
       return afterwards — computed inside the normalize pass, same

@@ -223,7 +223,6 @@ module Stepper = struct
   type t = {
     config : config;
     plan : Plan.t;
-    tracker : Sample_tracker.t; (* [step]'s Hamming distance and classification *)
     mutable kind : kind;
     mutable row : int; (* Synced: the current row; Desynced: the origin row *)
     mutable cursors : cursor list; (* Synced: the live cursors, never [] *)
@@ -262,7 +261,6 @@ module Stepper = struct
     let m = Plan.states plan in
     { config;
       plan;
-      tracker = Sample_tracker.create plan.Plan.table;
       kind = Unstarted;
       row = 0;
       cursors = [];
@@ -398,9 +396,10 @@ module Stepper = struct
       enter t !best o
     end
 
-  let notify t ~row ~o_opt =
+  let notify t ~row ~o =
     match t.config.on_resync with
-    | Some hook -> hook ~cycle:t.cycles ~state:t.plan.Plan.ids.(row) ~prop:o_opt
+    | Some hook ->
+        hook ~cycle:t.cycles ~state:t.plan.Plan.ids.(row) ~prop:(if o = -1 then None else Some o)
     | None -> ()
 
   (* Exit [row] through a transition guarded by o; ban wrong predictions
@@ -409,7 +408,7 @@ module Stepper = struct
      out of [row] at all — the completed alternative was a chain tail, so
      the machine should remain in place (the paper: the simulation
      "proceeds by remaining in the last valid state"). *)
-  let rec attempt t ~row ~o ~o_opt succ =
+  let rec attempt t ~row ~o succ =
     let a = a_row t row in
     let k = ref 0 in
     for i = 0 to Array.length succ - 1 do
@@ -424,9 +423,9 @@ module Stepper = struct
     else if not (has_start t.plan dst o) then begin
       ban t ~src:row ~dst;
       t.resync_events <- t.resync_events + 1;
-      notify t ~row:dst ~o_opt;
+      notify t ~row:dst ~o;
       t.mark.(dst) <- t.epoch;
-      attempt t ~row ~o ~o_opt succ
+      attempt t ~row ~o succ
     end
     else begin
       t.via_src <- row;
@@ -435,20 +434,21 @@ module Stepper = struct
       Chosen
     end
 
-  let take_transition t ~row ~o ~o_opt =
+  let take_transition t ~row ~o =
     let succ = Plan.successors t.plan row o in
     if Array.length succ = 0 then No_edge
     else begin
       t.epoch <- t.epoch + 1;
-      attempt t ~row ~o ~o_opt succ
+      attempt t ~row ~o succ
     end
 
   (* Unknown behaviour in state [row]: revert to the last valid state, ban
-     the edge that brought us here, attempt a filtered jump. *)
-  let handle_failure t ~row ~o_opt =
+     the edge that brought us here, attempt a filtered jump. [o] is -1
+     for an unknown sample. *)
+  let handle_failure t ~row ~o =
     Psm_obs.incr "hmm.resync_events";
     t.resync_events <- t.resync_events + 1;
-    notify t ~row ~o_opt;
+    notify t ~row ~o;
     if not t.config.resync_enabled then desync t row
     else begin
       (* Revert-and-ban only applies to a freshly predicted state that
@@ -466,11 +466,10 @@ module Stepper = struct
         end
         else row
       in
-      match o_opt with
-      | Some o ->
-          let next = try_jump t ~origin_row ~o in
-          if next >= 0 then enter t next o else desync t origin_row
-      | None -> desync t origin_row
+      if o = -1 then desync t origin_row
+      else
+        let next = try_jump t ~origin_row ~o in
+        if next >= 0 then enter t next o else desync t origin_row
     end
 
   (* Every live cursor is an [Until (p, _)] with p = o: the state is an
@@ -508,7 +507,7 @@ module Stepper = struct
         t.cursors <- stays;
         true
 
-  let synced_step t ~o ~o_opt =
+  let synced_step t o =
     let row = t.row and cursors = t.cursors in
     if cursors != [] && all_stay cursors o then t.progressed <- true
     else begin
@@ -521,7 +520,7 @@ module Stepper = struct
          eventually diverges). When no exit is possible, surviving
          cursors keep the machine in place. *)
       if t.completed then begin
-        match take_transition t ~row ~o ~o_opt with
+        match take_transition t ~row ~o with
         | Chosen ->
             (* Normal operation resumed: the bans did their job of
                steering the re-prediction; keeping them would
@@ -532,9 +531,9 @@ module Stepper = struct
             (* Chain-tail completion: absorb, as the training fold
                attributed the trailing instants to this state. *)
             ignore (stayed t stays)
-        | All_failed -> if not (stayed t stays) then handle_failure t ~row ~o_opt
+        | All_failed -> if not (stayed t stays) then handle_failure t ~row ~o
       end
-      else if not (stayed t stays) then handle_failure t ~row ~o_opt
+      else if not (stayed t stays) then handle_failure t ~row ~o
     end
 
   let desynced_step t o =
@@ -554,24 +553,22 @@ module Stepper = struct
       has_start t.plan origin_row o
     then enter t origin_row o
 
-  (* The cursor/transition state machine after sample classification —
-     the entry point for proposition-level streaming (serve sessions
-     whose client sends classified observations plus input Hamming
-     distances instead of raw samples). Writes the step's result into
+  (* The cursor/transition state machine, one proposition code per
+     cycle (-1 = unknown behaviour). Writes the step's result into
      [state_id] and [power] instead of returning it, so the paths that
      only move cursors or exit through a transition allocate nothing. *)
-  let advance t ~hamming o_opt =
-    (match (t.kind, o_opt) with
-    | Unstarted, Some o -> (
-        initialize t o;
-        (* The initial observation was consumed as the state's entry;
-           stepping the cursors again would read it twice. *)
-        match t.kind with Desynced -> desynced_step t o | Synced | Unstarted -> ())
-    | Unstarted, None -> desync t 0
-    | Synced, Some o -> synced_step t ~o ~o_opt
-    | Synced, None -> handle_failure t ~row:t.row ~o_opt
-    | Desynced, Some o -> desynced_step t o
-    | Desynced, None -> ());
+  let advance t ~hamming o =
+    (match t.kind with
+    | Unstarted ->
+        if o = -1 then desync t 0
+        else begin
+          initialize t o;
+          (* The initial observation was consumed as the state's entry;
+             stepping the cursors again would read it twice. *)
+          match t.kind with Desynced -> desynced_step t o | Synced | Unstarted -> ()
+        end
+    | Synced -> if o = -1 then handle_failure t ~row:t.row ~o else synced_step t o
+    | Desynced -> if o <> -1 then desynced_step t o);
     t.cycles <- t.cycles + 1;
     let plan = t.plan and row = t.row in
     (match t.kind with
@@ -586,22 +583,6 @@ module Stepper = struct
 
   let power t = t.power.(0)
   let state t = t.state_id
-
-  let step_classified t ~hamming o_opt =
-    advance t ~hamming o_opt;
-    (t.power.(0), t.state_id)
-
-  let classify t sample = Table.classify t.plan.Plan.table sample
-
-  let observe t sample =
-    Sample_tracker.observe t.tracker sample;
-    advance t
-      ~hamming:(Sample_tracker.hamming t.tracker)
-      (Sample_tracker.classification t.tracker)
-
-  let step t sample =
-    observe t sample;
-    (t.power.(0), t.state_id)
 
   let cycles t = t.cycles
   let wrong_instants t = t.wrong_instants
@@ -624,7 +605,6 @@ module Stepper = struct
     [ `Unstarted | `Synced of int * (int * int) list | `Desynced of int ]
 
   type portable = {
-    p_prev_inputs : string array option;
     p_mode : portable_mode;
     p_entered_via : (int * int) option;
     p_progressed : bool;
@@ -635,8 +615,7 @@ module Stepper = struct
   }
 
   let export t =
-    { p_prev_inputs = Sample_tracker.export t.tracker;
-      p_mode =
+    { p_mode =
         (match t.kind with
         | Unstarted -> `Unstarted
         | Desynced -> `Desynced t.row
@@ -706,41 +685,41 @@ module Stepper = struct
       in
       match mode with
       | Error _ as e -> e
-      | Ok (kind, row, cursors) -> (
-          match Sample_tracker.restore t.tracker p.p_prev_inputs with
-          | Error _ as e -> e
-          | Ok () ->
-              (* Replaying the validated log in its original order
-                 rebuilds the banned rows float-for-float (each ban
-                 renormalizes its source row sequentially). *)
-              List.iter (fun (src, dst) -> ban t ~src ~dst) p.p_bans;
-              t.kind <- kind;
-              t.row <- row;
-              t.cursors <- cursors;
-              (match p.p_entered_via with
-              | Some (src, dst) ->
-                  t.via_src <- src;
-                  t.via_dst <- dst
-              | None -> ());
-              t.progressed <- p.p_progressed;
-              t.cycles <- p.p_cycles;
-              t.wrong_instants <- p.p_wrong_instants;
-              t.resync_events <- p.p_resync_events;
-              Ok t)
+      | Ok (kind, row, cursors) ->
+          (* Replaying the validated log in its original order rebuilds
+             the banned rows float-for-float (each ban renormalizes its
+             source row sequentially). *)
+          List.iter (fun (src, dst) -> ban t ~src ~dst) p.p_bans;
+          t.kind <- kind;
+          t.row <- row;
+          t.cursors <- cursors;
+          (match p.p_entered_via with
+          | Some (src, dst) ->
+              t.via_src <- src;
+              t.via_dst <- dst
+          | None -> ());
+          t.progressed <- p.p_progressed;
+          t.cycles <- p.p_cycles;
+          t.wrong_instants <- p.p_wrong_instants;
+          t.resync_events <- p.p_resync_events;
+          Ok t
 end
 
+(* One classification per run of identical samples: a run's first
+   instant carries its input Hamming distance, the others 0. *)
 let simulate ?config hmm trace =
   Psm_obs.span "hmm.multi_sim" @@ fun () ->
   let stepper = Stepper.create ?config hmm in
   let n = Functional_trace.length trace in
   let estimate = Array.make n 0. in
   let state_trace = Array.make n (-1) in
-  Functional_trace.iter
-    (fun t sample ->
-      Stepper.observe stepper sample;
-      estimate.(t) <- stepper.Stepper.power.(0);
-      state_trace.(t) <- stepper.Stepper.state_id)
-    trace;
+  Sample_tracker.iter_runs stepper.Stepper.plan.Plan.table trace
+    (fun ~start ~len ~code ~hamming ->
+      for time = start to start + len - 1 do
+        Stepper.advance stepper ~hamming:(if time = start then hamming else 0.) code;
+        estimate.(time) <- stepper.Stepper.power.(0);
+        state_trace.(time) <- stepper.Stepper.state_id
+      done);
   let wrong = Stepper.wrong_instants stepper in
   { estimate;
     state_trace;

@@ -2,7 +2,8 @@
     (paper Sec. V).
 
     At each instant the observed PI/PO sample is classified into a
-    proposition; the current state's assertion — possibly a [simplify]
+    proposition ({!Psm_mining.Sample_tracker} does this, once for all
+    estimators); the current state's assertion — possibly a [simplify]
     cascade {p;q;…} tracked position by position, possibly a [join]
     alternative set {p‖q‖…} tracked as a set of live alternatives — decides
     whether the machine stays, advances inside the cascade, or exits
@@ -43,8 +44,10 @@ type result = {
 }
 
 val simulate : ?config:config -> Hmm.t -> Psm_trace.Functional_trace.t -> result
-(** Runs a {!Stepper} over every sample of the trace. Reads [hmm]'s
-    trained A and never writes it: the run's bans stay in the stepper. *)
+(** Runs a {!Stepper} over every instant of the trace, fed by
+    {!Psm_mining.Sample_tracker.iter_runs} (one classification per run
+    of identical samples). Reads [hmm]'s trained A and never writes it:
+    the run's bans stay in the stepper. *)
 
 (** The read-only per-model half of the stepper, built once per model and
     shared by every session on it (as {!Filtering.t} is for filter
@@ -77,8 +80,12 @@ module Plan : sig
 end
 
 (** Streaming interface for cycle-by-cycle co-simulation with a live IP
-    model ({!simulate} is implemented on top of it). A stepper is the
-    small per-session half: mode, live cursors, counters, and an overlay
+    model ({!simulate} is implemented on top of it). A stepper works on
+    proposition codes: a caller holding raw samples classifies them with
+    a {!Psm_mining.Sample_tracker} and passes its code and Hamming
+    distance to {!advance}, which is what {!simulate}, the estimate
+    sessions and the co-simulation flows do. A stepper is the small
+    per-session half: mode, live cursors, counters, and an overlay
     holding its own copy of each A row it banned since the last reset
     (with the row's total). A reset drops only those rows. *)
 module Stepper : sig
@@ -91,34 +98,21 @@ module Stepper : sig
   val create : ?config:config -> Hmm.t -> t
   (** [of_plan] on a private {!Plan.create}. *)
 
-  val advance : t -> hamming:float -> int option -> unit
-  (** {!step_classified} without the result pair: the power estimate and
-      state id are read with {!power} and {!state}. A step that stays in
-      the current state, advances a cascade or exits through a
-      transition allocates nothing; a resynchronization allocates a
-      constant amount (its ban-log entry, a first-ban row copy). *)
+  val advance : t -> hamming:float -> int -> unit
+  (** [advance t ~hamming o] consumes one cycle's proposition code [o]
+      ({!Psm_mining.Prop_trace.Table.code}: -1 = unknown behaviour; a
+      code outside the model's table enters no state) with input Hamming
+      distance [hamming]. The power estimate and state id are read with
+      {!power} and {!state}. A step that stays in the current state,
+      advances a cascade or exits through a transition allocates
+      nothing; a resynchronization allocates a constant amount (its
+      ban-log entry, a first-ban row copy). *)
 
   val power : t -> float
   (** The power estimate of the last step. *)
 
   val state : t -> int
   (** The PSM state id of the last step, -1 when desynchronized. *)
-
-  val step : t -> Psm_bits.Bits.t array -> float * int
-  (** [step t sample] consumes one full interface sample (inputs then
-      outputs, in interface order) and returns (power estimate, current
-      PSM state id or -1 when desynchronized). *)
-
-  val classify : t -> Psm_bits.Bits.t array -> int option
-  (** The proposition the model's table assigns to a sample ([None] =
-      unknown behaviour) — what {!step} feeds the state machine. *)
-
-  val step_classified : t -> hamming:float -> int option -> float * int
-  (** Proposition-level step: the state machine after classification.
-      [step t sample] ≡ [step_classified t ~hamming:(input Hamming
-      distance to the previous sample) (classify t sample)] — serve
-      sessions streaming classified observations take this entry and are
-      bit-identical to sample-level stepping of the same trace. *)
 
   val cycles : t -> int
   val wrong_instants : t -> int
@@ -132,9 +126,6 @@ module Stepper : sig
     | `Desynced of int  (** origin state row *) ]
 
   type portable = {
-    p_prev_inputs : string array option;
-        (** previous interface sample as big-endian binary strings, in
-            interface order *)
     p_mode : portable_mode;
     p_entered_via : (int * int) option;  (** (src row, dst row) *)
     p_progressed : bool;
@@ -144,7 +135,7 @@ module Stepper : sig
     p_bans : (int * int) list;  (** (src row, dst row), oldest first *)
   }
   (** The stepper's complete resumable state as plain data: mode and
-      live cursors, previous inputs, counters, and the ordered log of A
+      live cursors, counters, and the ordered log of A
       bans since the last reset. This — not [Marshal] bytes, which are
       unsafe to decode from an untrusted source — is what session
       checkpoints serialize. *)
@@ -154,7 +145,7 @@ module Stepper : sig
   val import : ?config:config -> Plan.t -> portable -> (t, string) Stdlib.result
   (** A stepper continuing exactly where {!export} was taken: every
       field is validated against the plan's model (row bounds, cursor
-      alternative/position bounds, ban-log bounds, sample widths) before
+      alternative/position bounds, ban-log bounds) before
       any state is built, then the logged bans are replayed in order
       onto the new stepper's overlay, reproducing its banned rows
       float-for-float — stepping the imported stepper is bit-identical

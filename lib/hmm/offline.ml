@@ -1,6 +1,6 @@
 module Psm = Psm_core.Psm
 module Functional_trace = Psm_trace.Functional_trace
-module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 
 (* Smoothing floor: keeps the lattice connected through observations or
    transitions absent from training, at negligible cost to likelihoods
@@ -75,22 +75,26 @@ let viterbi hmm observations =
     done;
     path
 
-let classify_trace hmm trace =
-  let table = Psm.prop_table (Hmm.psm hmm) in
-  Array.init (Functional_trace.length trace) (fun time ->
-      Table.classify table (Functional_trace.sample trace ~time))
+(* Per-instant observations and input Hamming distances, one
+   classification per run of identical samples. *)
+let observe hmm trace =
+  let n = Functional_trace.length trace in
+  let observations = Array.make n None and hd = Array.make n 0. in
+  Sample_tracker.iter_runs (Psm.prop_table (Hmm.psm hmm)) trace
+    (fun ~start ~len ~code ~hamming ->
+      if code >= 0 then Array.fill observations start len (Some code);
+      hd.(start) <- hamming);
+  (observations, hd)
 
-let decode hmm trace =
-  let rows = viterbi hmm (classify_trace hmm trace) in
-  Array.map (Hmm.state_of_row hmm) rows
+let decode hmm trace = Array.map (Hmm.state_of_row hmm) (viterbi hmm (fst (observe hmm trace)))
 
 let estimate hmm trace =
   let psm = Hmm.psm hmm in
-  let hd = Functional_trace.input_hamming_series trace in
-  let ids = decode hmm trace in
+  let observations, hd = observe hmm trace in
   Array.mapi
-    (fun t id -> Psm.eval_output (Psm.state psm id).Psm.output ~hamming:hd.(t))
-    ids
+    (fun t row ->
+      Psm.eval_output (Psm.state psm (Hmm.state_of_row hmm row)).Psm.output ~hamming:hd.(t))
+    (viterbi hmm observations)
 
 let evaluate hmm trace ~reference =
   Accuracy.of_estimate ~reference ~estimate:(estimate hmm trace) ~wsp:0.

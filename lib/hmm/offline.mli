@@ -20,8 +20,9 @@ val viterbi : Hmm.t -> int option array -> int array
     predecessors resolve to the lowest state row. *)
 
 val decode : Hmm.t -> Psm_trace.Functional_trace.t -> int array
-(** Classify every instant of the trace and Viterbi-decode; returns PSM
-    state ids per instant. *)
+(** Classify every instant of the trace
+    ({!Psm_mining.Sample_tracker.iter_runs}) and Viterbi-decode; returns
+    PSM state ids per instant. *)
 
 val estimate : Hmm.t -> Psm_trace.Functional_trace.t -> float array
 (** Per-instant power estimate from the decoded state sequence (regression

@@ -4,9 +4,9 @@ module Table = struct
   (* Truth rows are stored packed (one bit per atom, {!Vocabulary.row_key}
      layout): the interning key and the stored row are the same string.
      Classification evaluates atoms straight into a per-table scratch
-     buffer, so classifying an already-interned sample allocates
-     nothing — on a 500k-instant trace the previous representation
-     allocated a [bool array] and a key string per instant. The scratch
+     buffer, so {!code} allocates nothing — on a 500k-instant trace the
+     previous representation allocated a [bool array] and a key string
+     per instant. The scratch
      buffer makes a table single-domain: {!of_functional} classifies in
      one sequential walk. *)
   type t = {
@@ -51,9 +51,13 @@ module Table = struct
     | Some id -> id
     | None -> add_key t (Bytes.to_string t.scratch)
 
-  let classify t sample =
+  let code t sample =
     Vocabulary.eval_into t.vocabulary t.scratch sample;
-    Hashtbl.find_opt t.index (Bytes.unsafe_to_string t.scratch)
+    match Hashtbl.find t.index (Bytes.unsafe_to_string t.scratch) with
+    | id -> id
+    | exception Not_found -> -1
+
+  let classify t sample = match code t sample with -1 -> None | id -> Some id
 
   let intern_row t row =
     if Array.length row <> Vocabulary.size t.vocabulary then
@@ -167,10 +171,7 @@ let holds_exactly_one t trace =
   && begin
        let ok = ref true in
        Functional_trace.iter
-         (fun time sample ->
-           match Table.classify t.table sample with
-           | Some id -> if id <> t.ids.(time) then ok := false
-           | None -> ok := false)
+         (fun time sample -> if Table.code t.table sample <> t.ids.(time) then ok := false)
          trace;
        (* Mutual exclusion is structural: rows are complete conjunctions,
           so a sample matches exactly the row of its own truth vector. *)

@@ -22,9 +22,13 @@ module Table : sig
   (** Proposition id of the sample's truth row, interning it if new
       (training-time use). *)
 
+  val code : t -> Psm_bits.Bits.t array -> int
+  (** Proposition id of the sample's truth row, or -1 when the row was
+      never seen during training — an unknown functional behaviour
+      (simulation-time use). Allocates nothing. *)
+
   val classify : t -> Psm_bits.Bits.t array -> int option
-  (** [None] when the row was never seen during training — an unknown
-      functional behaviour (simulation-time use). *)
+  (** {!code} with [None] for -1. *)
 
   val intern_row : t -> bool array -> int
   (** Intern a truth row directly (model reload); the row must have

@@ -5,35 +5,54 @@ module Interface = Psm_trace.Interface
 type t = {
   table : Prop_trace.Table.t;
   inputs : int list;
-  mutable prev : Bits.t array option; (* private copy *)
-  mutable obs : int option; (* classification of [prev] *)
-  mutable hamming : float;
+  prev : Bits.t array; (* the previous sample, overwritten in place *)
+  mutable started : bool; (* [prev] holds a sample *)
+  mutable code : int; (* [Table.code] of [prev] *)
+  mutable distance : int; (* input Hamming distance of [prev] to its predecessor *)
 }
 
 let interface table = Vocabulary.interface (Prop_trace.Table.vocabulary table)
 
 let create table =
+  let iface = interface table in
   { table;
-    inputs = List.map fst (Interface.inputs (interface table));
-    prev = None;
-    obs = None;
-    hamming = 0. }
+    inputs = List.map fst (Interface.inputs iface);
+    prev = Array.make (Interface.arity iface) (Bits.zero 1);
+    started = false;
+    code = -1;
+    distance = 0 }
+
+(* [Bits.t] is immutable, so copying the sample's elements keeps it. *)
+let accept t sample =
+  Array.blit sample 0 t.prev 0 (Array.length t.prev);
+  t.started <- true;
+  t.code <- Prop_trace.Table.code t.table sample
 
 let observe t sample =
-  match t.prev with
-  | Some prev when Functional_trace.same_sample prev sample -> t.hamming <- 0.
-  | prev ->
-      t.hamming <-
-        (match prev with
-        | None -> 0.
-        | Some prev -> float_of_int (Functional_trace.input_hamming t.inputs sample prev));
-      t.prev <- Some (Array.copy sample);
-      t.obs <- Prop_trace.Table.classify t.table sample
+  if Array.length sample <> Array.length t.prev then
+    invalid_arg "Sample_tracker.observe: sample arity differs from the interface";
+  if not t.started then begin
+    t.distance <- 0;
+    accept t sample
+  end
+  else if not (Functional_trace.same_sample t.prev sample) then begin
+    t.distance <- Functional_trace.input_hamming t.inputs sample t.prev;
+    accept t sample
+  end
+  else t.distance <- 0
 
-let hamming t = t.hamming
-let classification t = t.obs
+let code t = t.code
+let hamming t = float_of_int t.distance
 
-let export t = Option.map (Array.map Bits.to_binary_string) t.prev
+let iter_runs table trace f =
+  let t = create table in
+  Functional_trace.iter_runs
+    (fun ~start ~len sample ->
+      observe t sample;
+      f ~start ~len ~code:t.code ~hamming:(hamming t))
+    trace
+
+let export t = if t.started then Some (Array.map Bits.to_binary_string t.prev) else None
 
 let decode t strs =
   let iface = interface t.table in
@@ -61,13 +80,12 @@ let decode t strs =
 
 let restore t = function
   | None ->
-      t.prev <- None;
-      t.obs <- None;
+      t.started <- false;
+      t.code <- -1;
       Ok ()
   | Some strs -> (
       match decode t strs with
       | Error _ as e -> e
       | Ok sample ->
-          t.prev <- Some sample;
-          t.obs <- Prop_trace.Table.classify t.table sample;
+          accept t sample;
           Ok ())

@@ -1,14 +1,15 @@
-(** The sample-level front end of an online stepper: each raw interface
-    sample becomes (input Hamming distance to the previous sample,
-    proposition classification), as the offline evaluators compute them
-    from {!Psm_trace.Functional_trace.input_hamming_series} and
-    {!Prop_trace.Table.classify}.
+(** The estimation front end: the one place where raw interface samples
+    become observations — a proposition code ({!Prop_trace.Table.code}:
+    the id, or -1 for an unknown behaviour) and the input Hamming
+    distance to the previous sample. Every estimator is fed from here:
+    the online sessions sample by sample through {!observe}, the
+    whole-trace evaluators and the serve engine's VCD uploads run by run
+    through {!iter_runs}.
 
-    The tracker owns a private copy of the previous sample and that
-    sample's classification. A sample equal to the previous one has
-    Hamming distance 0 and the same truth row, so it costs one array
-    comparison and allocates nothing: the common case on idle-heavy
-    traces. *)
+    The tracker keeps the previous sample in a buffer of its own,
+    overwritten in place, and the code and distance as unboxed fields,
+    so {!observe} allocates nothing. A sample equal to the previous one
+    has distance 0 and the same code, and costs one array comparison. *)
 
 type t
 
@@ -17,16 +18,29 @@ val create : Prop_trace.Table.t -> t
     inputs of the table's vocabulary interface. *)
 
 val observe : t -> Psm_bits.Bits.t array -> unit
-(** Advance to [sample]. Afterwards {!hamming} and {!classification}
+(** Advance to [sample], which must have the interface's arity (raises
+    [Invalid_argument] otherwise). Afterwards {!code} and {!hamming}
     describe it. The first sample has Hamming distance 0. *)
+
+val code : t -> int
+(** The proposition code of the last observed sample (-1 = unknown
+    behaviour, or no sample yet). *)
 
 val hamming : t -> float
 (** Input Hamming distance of the last observed sample to the one before
     it (0 before any sample). *)
 
-val classification : t -> int option
-(** [Table.classify] of the last observed sample ([None] = unknown
-    behaviour, or no sample yet). *)
+val iter_runs :
+  Prop_trace.Table.t ->
+  Psm_trace.Functional_trace.t ->
+  (start:int -> len:int -> code:int -> hamming:float -> unit) ->
+  unit
+(** [iter_runs table trace f] walks [trace] as its own sequence of
+    samples, calling [f ~start ~len ~code ~hamming] once per
+    {!Psm_trace.Functional_trace.iter_runs} run, in time order, with one
+    classification per run. [hamming] belongs to the run's first instant
+    (0 for the trace's first); every later instant of the run has
+    distance 0. This is {!observe} on every instant, run by run. *)
 
 val export : t -> string array option
 (** The previous sample as big-endian binary strings in interface order,

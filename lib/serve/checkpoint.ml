@@ -44,7 +44,6 @@ let payload_of ~model (p : Estimate.portable) =
             | `Desynced row ->
                 Json.Obj
                   [ ("kind", Json.Str "desynced"); ("row", num_int row) ] );
-          ("sim_prev_inputs", strings_opt sp.Stepper.p_prev_inputs);
           ( "entered_via",
             match sp.Stepper.p_entered_via with
             | None -> Json.Null
@@ -167,7 +166,16 @@ let sim_backend j =
             Ok (`Synced (row, cursors))
         | other -> err "unknown mode kind %S" other)
   in
-  let* prev_inputs = strings_opt_field j "sim_prev_inputs" in
+  (* Older encoders wrote the stepper's own previous sample here; the
+     session's one tracker now travels as "prev_inputs", so a non-null
+     value names state this decoder has nowhere to put. *)
+  let* () =
+    match Json.member "sim_prev_inputs" j with
+    | None | Some Json.Null -> Ok ()
+    | Some _ ->
+        err "field \"sim_prev_inputs\" is no longer supported; the previous sample \
+             travels as \"prev_inputs\""
+  in
   let* entered_via =
     match Json.member "entered_via" j with
     | None | Some Json.Null -> Ok None
@@ -182,8 +190,7 @@ let sim_backend j =
   let* bans = pairs_field j "bans" in
   Ok
     (Estimate.Portable_sim
-       { Stepper.p_prev_inputs = prev_inputs;
-         p_mode = mode;
+       { Stepper.p_mode = mode;
          p_entered_via = entered_via;
          p_progressed = progressed;
          p_cycles = cycles;

@@ -1,5 +1,6 @@
 module Psm = Psm_core.Psm
 module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 module Vocabulary = Psm_mining.Vocabulary
 module Interface = Psm_trace.Interface
 module Functional_trace = Psm_trace.Functional_trace
@@ -73,9 +74,8 @@ type session = {
   fstate : (Filtering.t * Filtering.Stream.state) option; (* filter hot path *)
   stepper : Stepper.t option; (* sim hot path *)
   seq : int; (* open order: the deterministic processing order *)
-  queue : Ring.t; (* pending (proposition | -1 = unknown, hd) *)
+  queue : Ring.t; (* pending (proposition code, -1 = unknown; hd) *)
   results : Ring.t; (* produced (state id, power) *)
-  some_props : int option array; (* interned [Some p] per proposition *)
   vcd_buf : Buffer.t; (* partial VCD upload *)
   mutable last_active : float;
 }
@@ -87,7 +87,7 @@ type session = {
 type shard = {
   members : session array;
   sh_states : Filtering.Stream.state array; (* filter shards; [||] for sim *)
-  sh_obss : int option array;
+  sh_codes : int array;
   sh_hds : float array;
   sh_powers : float array;
   sh_rows : int array;
@@ -208,7 +208,6 @@ let add_session t ~id ~model_name ~nprops est =
       seq = t.next_seq;
       queue = Ring.create ();
       results = Ring.create ();
-      some_props = Array.init nprops (fun p -> Some p);
       vcd_buf = Buffer.create 0;
       last_active = t.now () }
   in
@@ -315,26 +314,17 @@ let vcd_chunk t ~id ~chunk ~last =
                     signals)"
                    session.model_name)
             else begin
-              (* Classification and input-Hamming tracking happen here,
-                 exactly as the offline evaluators compute them, then the
-                 upload rides the same proposition queue as [observe]. *)
-              let hd = Functional_trace.input_hamming_series trace in
-              let n = Functional_trace.length trace in
-              (* One classification per run of identical samples: they
-                 classify identically, and [hd] is still read per
-                 instant. *)
-              Functional_trace.iter_runs
-                (fun ~start ~len sample ->
-                  let code =
-                    match Table.classify table sample with
-                    | Some p -> p
-                    | None -> -1
-                  in
-                  for time = start to start + len - 1 do
-                    Ring.push session.queue code hd.(time)
-                  done)
-                trace;
-              Ok n
+              (* The document is its own trace, walked by the offline
+                 evaluators' front end: one classification per run of
+                 identical samples, whose first instant carries the input
+                 Hamming distance (0 for the document's first) and the
+                 rest 0. The upload then rides the same proposition
+                 queue as [observe]. *)
+              Sample_tracker.iter_runs table trace (fun ~start:_ ~len ~code ~hamming ->
+                  for k = 0 to len - 1 do
+                    Ring.push session.queue code (if k = 0 then hamming else 0.)
+                  done);
+              Ok (Functional_trace.length trace)
             end
       end
 
@@ -343,17 +333,16 @@ let vcd_chunk t ~id ~chunk ~last =
 (* Advance a block of sessions (same model, same mode, ascending open
    order) by one cycle each, in one batched sweep. Returns sessions
    advanced. *)
-let run_batched t (members : session array) states obss hds powers rows =
+let run_batched t (members : session array) states codes hds powers rows =
   let n = Array.length members in
   let code = ref 0 and value = ref 0. in
   for k = 0 to n - 1 do
-    let s = members.(k) in
-    Ring.pop s.queue ~code ~value;
-    obss.(k) <- (if !code >= 0 then s.some_props.(!code) else None);
+    Ring.pop members.(k).queue ~code ~value;
+    codes.(k) <- !code;
     hds.(k) <- !value
   done;
   let filt, _ = Option.get members.(0).fstate in
-  Filtering.Stream.sweep filt states obss ~hds ~powers ~rows;
+  Filtering.Stream.sweep filt states codes ~hds ~powers ~rows;
   let hmm = (Estimate.model members.(0).est).Persist.hmm in
   for k = 0 to n - 1 do
     Ring.push members.(k).results (Hmm.state_of_row hmm rows.(k)) powers.(k)
@@ -369,9 +358,8 @@ let run_loop (members : session array) =
   Array.iter
     (fun s ->
       Ring.pop s.queue ~code ~value;
-      let obs = if !code >= 0 then s.some_props.(!code) else None in
       let st = Option.get s.stepper in
-      Stepper.advance st ~hamming:!value obs;
+      Stepper.advance st ~hamming:!value !code;
       Ring.push s.results (Stepper.state st) (Stepper.power st))
     members;
   Array.length members
@@ -383,7 +371,7 @@ let run_loop (members : session array) =
 let process_work t = function
   | `Full sh ->
       if sh.members.(0).mode = `Filter then
-        run_batched t sh.members sh.sh_states sh.sh_obss sh.sh_hds
+        run_batched t sh.members sh.sh_states sh.sh_codes sh.sh_hds
           sh.sh_powers sh.sh_rows
       else run_loop sh.members
   | `Subset (members : session array) ->
@@ -391,7 +379,7 @@ let process_work t = function
         let n = Array.length members in
         run_batched t members
           (Array.map (fun s -> snd (Option.get s.fstate)) members)
-          (Array.make n None) (Array.make n 0.) (Array.make n 0.)
+          (Array.make n 0) (Array.make n 0.) (Array.make n 0.)
           (Array.make n 0)
       end
       else run_loop members
@@ -429,7 +417,7 @@ let rebuild_shards t =
             (if is_filter then
                Array.map (fun s -> snd (Option.get s.fstate)) members
              else [||]);
-          sh_obss = Array.make n None;
+          sh_codes = Array.make n 0;
           sh_hds = Array.make n 0.;
           sh_powers = Array.make n 0.;
           sh_rows = Array.make n 0 })

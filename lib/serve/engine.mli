@@ -7,8 +7,8 @@
     An engine owns a fleet of persisted models and a table of live
     sessions ({!Psm_flow.Estimate} each). Clients feed sessions through
     {!submit} (classified propositions + input Hamming distances) or
-    {!vcd_chunk} (raw VCD text, classified server-side through the
-    streaming reader); feeding only enqueues. {!tick} is the scheduler's
+    {!vcd_chunk} (raw VCD text, classified server-side by
+    {!Psm_mining.Sample_tracker}); feeding only enqueues. {!tick} is the scheduler's
     unit of work: every session with a pending observation advances
     exactly one cycle. Sessions are grouped by (model, mode); filter
     groups advance in {e one batched sparse sweep}
@@ -96,7 +96,10 @@ val vcd_chunk : t -> id:string -> chunk:string -> last:bool -> (int, string) res
 (** Buffer a VCD fragment; [last:true] parses the whole upload
     ({!Psm_trace.Vcd.parse} — malformed text returns the reader's
     positioned error), checks the interface against the session's model,
-    classifies every sample and enqueues it. Returns cycles enqueued
+    and enqueues every instant's proposition code and input Hamming
+    distance from {!Psm_mining.Sample_tracker.iter_runs}. Each upload
+    is its own trace: its first instant has distance 0, whatever the
+    session received before. Returns cycles enqueued
     (0 while buffering). An upload that would grow past
     {!max_vcd_upload} is rejected. Every error is per-session: the buffer
     is reset and the session remains usable. *)

@@ -3,6 +3,7 @@ module Interface = Psm_trace.Interface
 module Signal_decl = Psm_trace.Signal
 module Ip = Psm_ips.Ip
 module Multi_sim = Psm_hmm.Multi_sim
+module Sample_tracker = Psm_mining.Sample_tracker
 module Power_model = Psm_rtl.Power_model
 
 type t = {
@@ -57,10 +58,13 @@ let build kernel ~clock ~ip ~hmm ~stimulus =
       end);
   (* PSM module: a pure observer on the analysis port. *)
   let stepper = Multi_sim.Stepper.create hmm in
+  let tracker = Sample_tracker.create (Psm_core.Psm.prop_table (Psm_hmm.Hmm.psm hmm)) in
   Kernel.Signal.on_change analysis (fun () ->
       if t.cycle < total then begin
-        let sample = Kernel.Signal.read analysis in
-        let estimate, _state = Multi_sim.Stepper.step stepper sample in
+        Sample_tracker.observe tracker (Kernel.Signal.read analysis);
+        Multi_sim.Stepper.advance stepper ~hamming:(Sample_tracker.hamming tracker)
+          (Sample_tracker.code tracker);
+        let estimate = Multi_sim.Stepper.power stepper in
         Kernel.Signal.write power estimate;
         t.est.(t.cycle) <- estimate;
         t.cycle <- t.cycle + 1

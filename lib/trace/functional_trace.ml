@@ -6,7 +6,12 @@ type t = {
   mutable runs_cache : Runs.t option;
 }
 
-let same_sample a b = Array.length a = Array.length b && Array.for_all2 Bits.equal a b
+(* Explicit recursion: [Array.for_all2] builds a closure per call, and
+   the sample trackers compare every sample. *)
+let rec same_from a b i =
+  i = Array.length a || (Bits.equal a.(i) b.(i) && same_from a b (i + 1))
+
+let same_sample a b = Array.length a = Array.length b && same_from a b 0
 
 (* Explicit recursion: no closure per call on the steppers' hot path. *)
 let rec hamming_over a b acc = function

@@ -168,7 +168,9 @@ let simulate hmm trace =
   let table = Psm.prop_table (Hmm.psm hmm) in
   let steps =
     Array.map
-      (fun (obs, hamming) -> Multi_sim.Stepper.step_classified stepper ~hamming obs)
+      (fun (obs, hamming) ->
+        Multi_sim.Stepper.advance stepper ~hamming (Option.value obs ~default:(-1));
+        (Multi_sim.Stepper.power stepper, Multi_sim.Stepper.state stepper))
       (observations table trace)
   in
   (steps, Multi_sim.Stepper.wrong_instants stepper)

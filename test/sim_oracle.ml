@@ -11,16 +11,18 @@
    state ids, counters, resynchronization hook calls and exports.
 
    The code below is the old library module unchanged, apart from these
-   aliases. Because it writes the A of the [Hmm.t] it is given, it needs
-   a model of its own or one no caller reads at the same time: the
-   library stepper reads the model's trained A and never its bans. *)
+   aliases and without its sample-level front end ([step], the previous
+   sample in exports, [simulate]): the library stepper takes proposition
+   codes, and the tests classify samples for both. Because it writes
+   the A of the [Hmm.t] it is given, it needs a model of its own or one
+   no caller reads at the same time: the library stepper reads the
+   model's trained A and never its bans. *)
 
 module Hmm = Psm_hmm.Hmm
 module Psm = Psm_core.Psm
 module Assertion = Psm_core.Assertion
 module Functional_trace = Psm_trace.Functional_trace
 module Table = Psm_mining.Prop_trace.Table
-module Sample_tracker = Psm_mining.Sample_tracker
 
 type config = {
   resync_enabled : bool;
@@ -90,7 +92,6 @@ module Stepper = struct
        regardless of the current (bannable) A mass *)
     rows_by_entry : (int, int list) Hashtbl.t;
     (* entry prop -> rows (ascending) with a matching alternative *)
-    tracker : Sample_tracker.t; (* [step]'s Hamming distance and classification *)
     mutable mode : mode;
     mutable entered_via : (int * int) option;
     mutable progressed : bool; (* the current state matched at least one
@@ -142,7 +143,6 @@ module Stepper = struct
       outputs;
       succ_by_guard;
       rows_by_entry;
-      tracker = Sample_tracker.create table;
       mode = Unstarted;
       entered_via = None;
       progressed = false;
@@ -406,12 +406,6 @@ module Stepper = struct
         (Psm.eval_output (output_of_row t origin_row) ~hamming:hd, -1)
     | Unstarted -> assert false
 
-  let step t sample =
-    Sample_tracker.observe t.tracker sample;
-    step_classified t
-      ~hamming:(Sample_tracker.hamming t.tracker)
-      (Sample_tracker.classification t.tracker)
-
   let cycles t = t.cycles
   let wrong_instants t = t.wrong_instants
   let resync_events t = t.resync_events
@@ -429,7 +423,6 @@ module Stepper = struct
     [ `Unstarted | `Synced of int * (int * int) list | `Desynced of int ]
 
   type portable = {
-    p_prev_inputs : string array option;
     p_mode : portable_mode;
     p_entered_via : (int * int) option;
     p_progressed : bool;
@@ -453,8 +446,7 @@ module Stepper = struct
     find 0 (Assertion.alternatives t.assertions.(row))
 
   let export t =
-    { p_prev_inputs = Sample_tracker.export t.tracker;
-      p_mode =
+    { p_mode =
         (match t.mode with
         | Unstarted -> `Unstarted
         | Desynced { origin_row } -> `Desynced origin_row
@@ -530,48 +522,21 @@ module Stepper = struct
       in
       match mode with
       | Error _ as e -> e
-      | Ok mode -> (
-          match Sample_tracker.restore t.tracker p.p_prev_inputs with
-          | Error _ as e -> e
-          | Ok () ->
-              (* [create] reset the bans, so replaying the validated log
-                 in its original order rebuilds the banned A
-                 float-for-float (each ban renormalizes its source row
-                 sequentially). *)
-              List.iter
-                (fun (src, dst) -> Hmm.ban hmm ~src_row:src ~dst_row:dst)
-                p.p_bans;
-              t.ban_log <- List.rev p.p_bans;
-              t.bans_active <- p.p_bans <> [];
-              t.mode <- mode;
-              t.entered_via <- p.p_entered_via;
-              t.progressed <- p.p_progressed;
-              t.cycles <- p.p_cycles;
-              t.wrong_instants <- p.p_wrong_instants;
-              t.resync_events <- p.p_resync_events;
-              Ok t)
+      | Ok mode ->
+          (* [create] reset the bans, so replaying the validated log
+             in its original order rebuilds the banned A
+             float-for-float (each ban renormalizes its source row
+             sequentially). *)
+          List.iter
+            (fun (src, dst) -> Hmm.ban hmm ~src_row:src ~dst_row:dst)
+            p.p_bans;
+          t.ban_log <- List.rev p.p_bans;
+          t.bans_active <- p.p_bans <> [];
+          t.mode <- mode;
+          t.entered_via <- p.p_entered_via;
+          t.progressed <- p.p_progressed;
+          t.cycles <- p.p_cycles;
+          t.wrong_instants <- p.p_wrong_instants;
+          t.resync_events <- p.p_resync_events;
+          Ok t
 end
-
-let simulate ?config hmm trace =
-  Psm_obs.span "hmm.multi_sim" @@ fun () ->
-  let stepper = Stepper.create ?config hmm in
-  let n = Functional_trace.length trace in
-  let estimate = Array.make n 0. in
-  let state_trace = Array.make n (-1) in
-  Functional_trace.iter
-    (fun t sample ->
-      let e, sid = Stepper.step stepper sample in
-      estimate.(t) <- e;
-      state_trace.(t) <- sid)
-    trace;
-  let wrong = Stepper.wrong_instants stepper in
-  { estimate;
-    state_trace;
-    wrong_instants = wrong;
-    wsp = (if n = 0 then 0. else float_of_int wrong /. float_of_int n);
-    resync_events = Stepper.resync_events stepper }
-
-let simulate_timed ?config hmm trace =
-  let t0 = Unix.gettimeofday () in
-  let result = simulate ?config hmm trace in
-  (result, Unix.gettimeofday () -. t0)

@@ -73,7 +73,13 @@ let test_stepper_counts_cycles () =
   let table, trace, gamma, delta = tiny_world [ 0; 0; 1; 1; 0; 0 ] in
   let psm = Psm_core.Generator.generate (Psm.empty table) ~trace:0 gamma delta in
   let stepper = Multi_sim.Stepper.create (Hmm.build psm) in
-  FT.iter (fun _ sample -> ignore (Multi_sim.Stepper.step stepper sample)) trace;
+  let tracker = Psm_mining.Sample_tracker.create table in
+  FT.iter
+    (fun _ sample ->
+      Psm_mining.Sample_tracker.observe tracker sample;
+      Multi_sim.Stepper.advance stepper ~hamming:(Psm_mining.Sample_tracker.hamming tracker)
+        (Psm_mining.Sample_tracker.code tracker))
+    trace;
   check_int "cycles" 6 (Multi_sim.Stepper.cycles stepper)
 
 (* ---------- XU automaton protocol ---------- *)

@@ -217,15 +217,18 @@ let test_multi_sim_never_estimates_negative () =
 let test_stepper_incremental_matches_batch () =
   let values = [ 0; 0; 0; 1; 1; 1; 2; 2; 0; 0; 1; 1 ] in
   let powers = List.map (fun v -> float_of_int (v + 1)) values in
-  let _, trace, _, psm = train values powers in
+  let table, trace, _, psm = train values powers in
   let hmm = Hmm.build psm in
   let batch = Multi_sim.simulate hmm trace in
   let stepper = Multi_sim.Stepper.create hmm in
+  let tracker = Psm_mining.Sample_tracker.create table in
   FT.iter
     (fun t sample ->
-      let e, sid = Multi_sim.Stepper.step stepper sample in
-      close "same estimate" batch.Multi_sim.estimate.(t) e;
-      check_int "same state" batch.Multi_sim.state_trace.(t) sid)
+      Psm_mining.Sample_tracker.observe tracker sample;
+      Multi_sim.Stepper.advance stepper ~hamming:(Psm_mining.Sample_tracker.hamming tracker)
+        (Psm_mining.Sample_tracker.code tracker);
+      close "same estimate" batch.Multi_sim.estimate.(t) (Multi_sim.Stepper.power stepper);
+      check_int "same state" batch.Multi_sim.state_trace.(t) (Multi_sim.Stepper.state stepper))
     trace
 
 (* ---------- offline (Viterbi) decoding ---------- *)

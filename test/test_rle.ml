@@ -23,6 +23,9 @@ module Miner = Psm_mining.Miner
 module Prop_trace = Psm_mining.Prop_trace
 module Multi_sim = Psm_hmm.Multi_sim
 module Hmm = Psm_hmm.Hmm
+module Filtering = Psm_hmm.Filtering
+module Offline = Psm_hmm.Offline
+module Coverage = Psm_flow.Coverage
 module Engine = Psm_serve.Engine
 module Vcd = Psm_trace.Vcd
 
@@ -250,14 +253,15 @@ let check_stream_exact name (o : Per_cycle.model) ~(per_cycle : Stream.result)
   check_psm_exact name per_cycle.Stream.optimized a.Stream.optimized;
   check_reports_exact name per_cycle.Stream.optimize_reports a.Stream.optimize_reports
 
-(* Simulation-side equivalence on one model: Multi_sim's memoized
-   stepper, the filtering posterior stream and the serve engine's VCD
-   upload, each against steps fed the oracle's per-instant
+(* Simulation-side equivalence on one model: every estimator that the
+   sample front end ([Sample_tracker]) feeds — Multi_sim, the filtering
+   posterior stream, Viterbi decoding, coverage, the estimate sessions
+   stepped sample by sample in both modes, and the serve engine's VCD
+   uploads — each against steps fed the oracle's per-instant
    classification and input Hamming distance. *)
 let check_simulation_exact name (trained : Flow.trained) traces =
-  let model =
-    { Persist.table = trained.Flow.table; psm = trained.Flow.optimized; hmm = trained.Flow.hmm }
-  in
+  let hmm = trained.Flow.hmm and table = trained.Flow.table in
+  let model = { Persist.table; psm = trained.Flow.optimized; hmm } in
   let check_served what expected actual =
     check_int (name ^ what ^ " cycles") (Array.length expected) (Array.length actual);
     Array.iter2
@@ -266,30 +270,80 @@ let check_simulation_exact name (trained : Flow.trained) traces =
         check_int (name ^ what ^ " state") sa sb)
       expected actual
   in
-  List.iter
-    (fun trace ->
+  let check_powers what expected actual =
+    check_int (name ^ what ^ " cycles") (Array.length expected) (Array.length actual);
+    Array.iter2 (exact (name ^ what ^ " power")) expected actual
+  in
+  (* One session stepped on the oracle's observations of [docs] in turn,
+     each document its own trace (its first distance 0). *)
+  let stepped mode docs =
+    let est = Estimate.of_model ~mode model in
+    Array.concat
+      (List.map
+         (fun doc ->
+           Array.map (fun (o, hd) -> Estimate.step est ~hd o) (Per_cycle.observations table doc))
+         docs)
+  in
+  let sampled mode trace =
+    let est = Estimate.of_model ~mode model in
+    Array.init (Functional_trace.length trace) (fun time ->
+        Estimate.step_sample est (Functional_trace.sample trace ~time))
+  in
+  let engine = Engine.create [ ("m", model) ] in
+  let get = function Ok x -> x | Error e -> Alcotest.fail e in
+  let upload ~id ~mode docs =
+    get (Engine.open_session engine ~id ~model:"m" ~mode);
+    List.iter
+      (fun doc ->
+        check_int (name ^ " vcd enqueued") (Functional_trace.length doc)
+          (get (Engine.vcd_chunk engine ~id ~chunk:(Vcd.to_string doc) ~last:true)))
+      docs;
+    ignore (Engine.drain engine);
+    get (Engine.take_results engine ~id ~count:max_int)
+  in
+  List.iteri
+    (fun i trace ->
       let n = Functional_trace.length trace in
-      let expected, wrong = Per_cycle.simulate trained.Flow.hmm trace in
-      let sim = Multi_sim.simulate trained.Flow.hmm trace in
+      let observations = Per_cycle.observations table trace in
+      let expected, wrong = Per_cycle.simulate hmm trace in
+      let sim = Multi_sim.simulate hmm trace in
       check_served " sim" expected
         (Array.map2 (fun e s -> (e, s)) sim.Multi_sim.estimate sim.Multi_sim.state_trace);
       check_int (name ^ " sim wrong") wrong sim.Multi_sim.wrong_instants;
-      let reference = Estimate.of_model ~mode:`Filter model in
-      let expected =
-        Array.map
-          (fun (o, hd) -> Estimate.step reference ~hd o)
-          (Per_cycle.observations trained.Flow.table trace)
+      check_served " sim samples" (stepped `Sim [ trace ]) (sampled `Sim trace);
+      let filter = stepped `Filter [ trace ] in
+      check_served " filter samples" filter (sampled `Filter trace);
+      check_powers " expected power" (Array.map fst filter)
+        (Filtering.expected_power (Filtering.create hmm) trace);
+      check_powers " offline"
+        (Array.mapi
+           (fun time row ->
+             Psm.eval_output
+               (Psm.state model.Persist.psm (Hmm.state_of_row hmm row)).Psm.output
+               ~hamming:(snd observations.(time)))
+           (Offline.viterbi hmm (Array.map fst observations)))
+        (Offline.estimate hmm trace);
+      let unknown =
+        List.filter (fun time -> fst observations.(time) = None) (List.init n Fun.id)
       in
-      let est = Estimate.of_model ~mode:`Filter model in
-      check_served " filter" expected
-        (Array.init n (fun time -> Estimate.step_sample est (Functional_trace.sample trace ~time)));
-      let engine = Engine.create [ ("m", model) ] in
-      let get = function Ok x -> x | Error e -> Alcotest.fail e in
-      get (Engine.open_session engine ~id:"v" ~model:"m" ~mode:`Filter);
-      check_int (name ^ " vcd enqueued") n
-        (get (Engine.vcd_chunk engine ~id:"v" ~chunk:(Vcd.to_string trace) ~last:true));
-      ignore (Engine.drain engine);
-      check_served " vcd" expected (get (Engine.take_results engine ~id:"v" ~count:n)))
+      let coverage = Coverage.of_trace hmm trace in
+      check_int (name ^ " known instants") (n - List.length unknown)
+        coverage.Coverage.known_instants;
+      Alcotest.(check (list int))
+        (name ^ " unknown instants")
+        (List.filteri (fun k _ -> k < 10) unknown)
+        coverage.Coverage.unknown_row_samples;
+      check_served " vcd" filter (upload ~id:(Printf.sprintf "f%d" i) ~mode:`Filter [ trace ]);
+      (* Three documents, cut inside the trace: each restarts at
+         distance 0 while the session carries on. *)
+      let cut1 = n / 3 and cut2 = 2 * n / 3 in
+      let docs =
+        [ Functional_trace.sub trace ~start:0 ~stop:(cut1 - 1);
+          Functional_trace.sub trace ~start:cut1 ~stop:(cut2 - 1);
+          Functional_trace.sub trace ~start:cut2 ~stop:(n - 1) ]
+      in
+      check_served " vcd documents" (stepped `Sim docs)
+        (upload ~id:(Printf.sprintf "s%d" i) ~mode:`Sim docs))
     traces
 
 (* Every scored mining candidate, before the vocabulary filter drops

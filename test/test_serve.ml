@@ -96,7 +96,11 @@ let offline_expected (model : Persist.model) (mode : Estimate.mode) obs =
           (!acc, Hmm.state_of_row hmm rows.(t)))
   | `Sim ->
       let stepper = Multi_sim.Stepper.create hmm in
-      Array.map (fun o -> Multi_sim.Stepper.step_classified stepper ~hamming:0. o) obs
+      Array.map
+        (fun o ->
+          Multi_sim.Stepper.advance stepper ~hamming:0. (Option.value o ~default:(-1));
+          (Multi_sim.Stepper.power stepper, Multi_sim.Stepper.state stepper))
+        obs
 
 let check_served ~what expected actual =
   check_int (what ^ " cycles") (Array.length expected) (Array.length actual);
@@ -211,7 +215,7 @@ let loop_expected (model : Persist.model) obs =
   let st = Filtering.Stream.make filt in
   Array.map
     (fun o ->
-      Filtering.Stream.step filt st o;
+      Filtering.Stream.step filt st (Option.value o ~default:(-1));
       ( Filtering.Stream.power filt st ~hamming:0.,
         Hmm.state_of_row hmm (Filtering.Stream.map_state filt st) ))
     obs
@@ -714,6 +718,80 @@ let test_hostile_checkpoints () =
   | Ok _ -> ()
   | Error err -> Alcotest.failf "depth-99 value rejected: %s" err
 
+(* ---------- the session's one sample front end in checkpoints ---------- *)
+
+(* Older encoders wrote "sim_prev_inputs", the sim stepper's own copy of
+   the previous sample, which the serve path always left null. Such a
+   blob still restores and resumes bit-identically; a non-null value is
+   refused, never silently dropped. A sim session stepped sample by
+   sample keeps its previous sample in "prev_inputs" and resumes
+   exactly. *)
+let test_checkpoint_sim_prev_inputs () =
+  let m = model_of "RAM" in
+  let np = nprops m in
+  let e = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  get (Engine.open_session e ~id:"s" ~model:"RAM" ~mode:`Sim);
+  let feed id obs =
+    check_int (id ^ " enqueued") (Array.length obs)
+      (get (Engine.submit e ~id (Array.map (fun o -> (o, 0.)) obs)))
+  in
+  feed "s" (mk_obs ~oseed:77 ~np ~len:60);
+  ignore (Engine.drain e);
+  ignore (get (Engine.take_results e ~id:"s" ~count:60));
+  let blob = get (Engine.checkpoint e ~id:"s") in
+  let payload =
+    let nl = String.index blob '\n' in
+    let nl = String.index_from blob (nl + 1) '\n' in
+    String.sub blob (nl + 1) (String.length blob - nl - 1)
+  in
+  check_bool "encoder drops sim_prev_inputs" false (contains payload "sim_prev_inputs");
+  (* The parent's field order: the field sat just before "entered_via". *)
+  let with_field value =
+    let key = {|,"entered_via":|} in
+    let rec find i = if String.sub payload i (String.length key) = key then i else find (i + 1) in
+    let at = find 0 in
+    frame
+      (String.sub payload 0 at ^ {|,"sim_prev_inputs":|} ^ value
+      ^ String.sub payload at (String.length payload - at))
+  in
+  get (Engine.restore_session e ~id:"old" (with_field "null"));
+  let tail = mk_obs ~oseed:78 ~np ~len:80 in
+  feed "s" tail;
+  feed "old" tail;
+  ignore (Engine.drain e);
+  check_served ~what:"parent-format twin"
+    (get (Engine.take_results e ~id:"s" ~count:80))
+    (get (Engine.take_results e ~id:"old" ~count:80));
+  let st = get (Engine.session_stats e ~id:"s") and st2 = get (Engine.session_stats e ~id:"old") in
+  check_int "twin cycles" st.Engine.cycles st2.Engine.cycles;
+  check_int "twin wrong instants" st.Engine.wrong_instants st2.Engine.wrong_instants;
+  check_int "twin resync events" st.Engine.resync_events st2.Engine.resync_events;
+  (match Engine.restore_session e ~id:"set" (with_field {|["0","1"]|}) with
+  | Error err ->
+      check_bool "typed checkpoint error" true
+        (String.starts_with ~prefix:"checkpoint: " err && contains err "sim_prev_inputs")
+  | Ok () -> Alcotest.fail "non-null sim_prev_inputs accepted");
+  check_bool "refused blob opened no session" false (Engine.has_session e "set");
+  (* Sample-level sim stepping through an encode/decode round trip. *)
+  let trace = ram_trace ~length:300 () in
+  let n = Functional_trace.length trace in
+  let sample time = Functional_trace.sample trace ~time in
+  let straight = Estimate.of_model ~mode:`Sim m in
+  let expected = Array.init n (fun time -> Estimate.step_sample straight (sample time)) in
+  let first = Estimate.of_model ~mode:`Sim m in
+  let cut = n / 2 in
+  let head = Array.init cut (fun time -> Estimate.step_sample first (sample time)) in
+  let exported = Estimate.export first in
+  check_bool "sim session exports its previous sample" true
+    (exported.Estimate.portable_prev_inputs <> None);
+  let resumed =
+    match Psm_serve.Checkpoint.decode (Psm_serve.Checkpoint.encode ~model:"RAM" exported) with
+    | Error err -> Alcotest.fail err
+    | Ok (_, portable) -> get (Estimate.import m portable)
+  in
+  let rest = Array.init (n - cut) (fun k -> Estimate.step_sample resumed (sample (cut + k))) in
+  check_served ~what:"sample-level sim resumed" expected (Array.append head rest)
+
 (* ---------- the daemon: socket-level fault injection ---------- *)
 
 type client = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
@@ -1015,6 +1093,8 @@ let suite =
         test_checkpoint_mid_desync;
       Alcotest.test_case "hostile checkpoints rejected" `Quick
         test_hostile_checkpoints;
+      Alcotest.test_case "checkpoint sim_prev_inputs compatibility" `Quick
+        test_checkpoint_sim_prev_inputs;
       Alcotest.test_case "daemon fault injection over socket" `Slow
         test_server_faults;
       Alcotest.test_case "daemon closes on an oversized line" `Slow

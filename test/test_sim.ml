@@ -5,7 +5,8 @@
    every successor gets banned, and an imported stepper must continue as
    if it had never stopped. Stepping never writes the model's A, two
    steppers on one model do not see each other's bans, and the stay and
-   exit paths allocate nothing. *)
+   exit paths allocate nothing, nor does the sample front end
+   ([Sample_tracker]) that feeds them. *)
 
 module Bits = Psm_bits.Bits
 module Signal = Psm_trace.Signal
@@ -16,6 +17,7 @@ module Assertion = Psm_core.Assertion
 module Power_attr = Psm_core.Power_attr
 module Psm = Psm_core.Psm
 module Table = Psm_mining.Prop_trace.Table
+module Sample_tracker = Psm_mining.Sample_tracker
 module Hmm = Psm_hmm.Hmm
 module Multi_sim = Psm_hmm.Multi_sim
 module Stepper = Multi_sim.Stepper
@@ -149,8 +151,7 @@ let random_world seed =
 (* ---------- the oracle comparison ---------- *)
 
 let of_oracle (p : Oracle.Stepper.portable) : Stepper.portable =
-  { Stepper.p_prev_inputs = p.Oracle.Stepper.p_prev_inputs;
-    p_mode = p.Oracle.Stepper.p_mode;
+  { Stepper.p_mode = p.Oracle.Stepper.p_mode;
     p_entered_via = p.Oracle.Stepper.p_entered_via;
     p_progressed = p.Oracle.Stepper.p_progressed;
     p_cycles = p.Oracle.Stepper.p_cycles;
@@ -227,7 +228,8 @@ let compare_world ?seen w =
           | Ok s -> s
           | Error e -> failwith ("import: " ^ e));
       let o = w.obs.(t) and hamming = w.hds.(t) in
-      let pl, sl = Stepper.step_classified !lib ~hamming o in
+      Stepper.advance !lib ~hamming (Option.value o ~default:(-1));
+      let pl = Stepper.power !lib and sl = Stepper.state !lib in
       let po, so = Oracle.Stepper.step_classified orc ~hamming o in
       let el = Stepper.export !lib and eo = of_oracle (Oracle.Stepper.export orc) in
       (match seen with
@@ -313,7 +315,7 @@ let test_long_ban_log () =
   let hmm = Hmm.build (Psm.add_initial psm s) in
   let obs = Array.init 80 (fun t -> Some (t land 1)) in
   let stepper = Stepper.create hmm in
-  Array.iter (fun o -> Stepper.advance stepper ~hamming:0. o) obs;
+  Array.iter (fun o -> Stepper.advance stepper ~hamming:0. (Option.value o ~default:(-1))) obs;
   let logged = List.length (Stepper.export stepper).Stepper.p_bans in
   Alcotest.(check bool) (Printf.sprintf "%d bans logged, more than 9" logged) true (logged > 9);
   List.iter
@@ -382,16 +384,30 @@ let test_simulate_leaves_a () =
   Alcotest.(check bool) "the runs resynchronized" true (!resyncs > 50);
   Alcotest.(check bool) "A bitwise unchanged" true (a_bits hmm = before)
 
-(* Sample-level stepping on the trained model against the oracle. *)
+(* One library cycle on a raw sample: the front end, then the stepper. *)
+let step_sample tracker stepper sample =
+  Sample_tracker.observe tracker sample;
+  Stepper.advance stepper ~hamming:(Sample_tracker.hamming tracker) (Sample_tracker.code tracker);
+  (Stepper.power stepper, Stepper.state stepper)
+
+(* Sample-level stepping on the trained model against the oracle, which
+   is fed each instant's [Table.classify] and the trace's input Hamming
+   series. *)
 let test_stress_oracle () =
   let hmm = Lazy.force stress in
   let plan = Multi_sim.Plan.create hmm in
+  let table = Psm.prop_table (Hmm.psm hmm) in
   for seed = 0 to 29 do
     let trace = stress_trace seed 300 in
     let lib = Stepper.of_plan plan and orc = Oracle.Stepper.create hmm in
+    let tracker = Sample_tracker.create table in
+    let hd = FT.input_hamming_series trace in
     FT.iter
       (fun t sample ->
-        let pl, sl = Stepper.step lib sample and po, so = Oracle.Stepper.step orc sample in
+        let pl, sl = step_sample tracker lib sample
+        and po, so =
+          Oracle.Stepper.step_classified orc ~hamming:hd.(t) (Table.classify table sample)
+        in
         if not (same_float pl po && sl = so) then
           Alcotest.failf "seed %d cycle %d: library %h/s%d, oracle %h/s%d" seed t pl sl po so)
       trace;
@@ -404,10 +420,12 @@ let test_stress_oracle () =
 let test_interleaved () =
   let hmm = Lazy.force stress in
   let traces = [| stress_trace 101 500; stress_trace 202 500 |] in
+  let table = Psm.prop_table (Hmm.psm hmm) in
   let alone i =
-    let s = Stepper.create hmm in
+    let s = Stepper.create hmm and tracker = Sample_tracker.create table in
     let out =
-      Array.init (FT.length traces.(i)) (fun t -> Stepper.step s (FT.sample traces.(i) ~time:t))
+      Array.init (FT.length traces.(i)) (fun t ->
+          step_sample tracker s (FT.sample traces.(i) ~time:t))
     in
     (out, Stepper.resync_events s)
   in
@@ -416,9 +434,10 @@ let test_interleaved () =
   let expected = [| first; second |] in
   let interleave steppers =
     let out = Array.map (fun tr -> Array.make (FT.length tr) (0., 0)) traces in
+    let trackers = Array.map (fun _ -> Sample_tracker.create table) steppers in
     for t = 0 to 499 do
       for i = 0 to 1 do
-        out.(i).(t) <- Stepper.step steppers.(i) (FT.sample traces.(i) ~time:t)
+        out.(i).(t) <- step_sample trackers.(i) steppers.(i) (FT.sample traces.(i) ~time:t)
       done
     done;
     out
@@ -453,7 +472,7 @@ let ping_pong () =
 
 let test_stay_and_exit_allocate_nothing () =
   let s = Stepper.create (ping_pong ()) in
-  let p0 = Some 0 and p1 = Some 1 in
+  let p0 = 0 and p1 = 1 in
   Stepper.advance s ~hamming:0. p0;
   let baseline = minor_words (fun () -> ()) in
   let stay =
@@ -473,6 +492,58 @@ let test_stay_and_exit_allocate_nothing () =
   Alcotest.(check (float 0.)) "exit path: 10,000 steps" 0. (exits -. baseline);
   Alcotest.(check int) "no resynchronization" 0 (Stepper.resync_events s)
 
+(* The front end that feeds the stepper: a repeated sample, a changed
+   sample the model knows and a changed sample it does not each cost no
+   allocation. Over [table 3], x = 0 is proposition 1, x = 1 is
+   proposition 2 and x = 2 is a row no proposition has. *)
+let test_front_end_allocates_nothing () =
+  let tracker = Sample_tracker.create (table 3) in
+  let sample x = [| Bits.of_int ~width:4 x; Bits.of_int ~width:1 0 |] in
+  let a = sample 0 and known = sample 1 and unknown = sample 2 in
+  Sample_tracker.observe tracker a;
+  let baseline = minor_words (fun () -> ()) in
+  let words f = minor_words f -. baseline in
+  Alcotest.(check (float 0.)) "repeated sample: 10,000 observations" 0.
+    (words (fun () ->
+         for _ = 1 to 10_000 do
+           Sample_tracker.observe tracker a
+         done));
+  Alcotest.(check int) "repeated: code" 1 (Sample_tracker.code tracker);
+  Alcotest.(check (float 0.)) "repeated: distance" 0. (Sample_tracker.hamming tracker);
+  let alternate other =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          Sample_tracker.observe tracker (if i land 1 = 1 then other else a)
+        done)
+  in
+  Alcotest.(check (float 0.)) "changed known sample: 10,000 observations" 0. (alternate known);
+  Sample_tracker.observe tracker known;
+  Alcotest.(check int) "known: code" 2 (Sample_tracker.code tracker);
+  Alcotest.(check (float 0.)) "known: distance" 1. (Sample_tracker.hamming tracker);
+  Alcotest.(check (float 0.)) "changed unknown sample: 10,000 observations" 0.
+    (alternate unknown);
+  Sample_tracker.observe tracker unknown;
+  Alcotest.(check int) "unknown: code" (-1) (Sample_tracker.code tracker);
+  Alcotest.(check (float 0.)) "unknown: distance" 1. (Sample_tracker.hamming tracker)
+
+(* The filter's scalar step, which the whole-trace filtering entry
+   points loop over: known, unknown and out-of-table codes cost no
+   allocation after a session's first step. *)
+let test_filter_step_allocates_nothing () =
+  let filt = Psm_hmm.Filtering.create (ping_pong ()) in
+  let s = Psm_hmm.Filtering.Stream.make filt in
+  let codes = [| 0; 1; -1; 7 |] in
+  Psm_hmm.Filtering.Stream.step filt s 0;
+  let baseline = minor_words (fun () -> ()) in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Psm_hmm.Filtering.Stream.step filt s codes.(i land 3)
+        done)
+  in
+  Alcotest.(check (float 0.)) "10,000 steps" 0. (words -. baseline);
+  Alcotest.(check int) "steps counted" 10_001 (Psm_hmm.Filtering.Stream.steps s)
+
 (* Resynchronization allocates per event, not per cycle of history:
    doubling a resync-heavy trace at most doubles the words. *)
 let test_resync_words_linear () =
@@ -482,7 +553,7 @@ let test_resync_words_linear () =
     (* An exit into s1 failed at once by p2, which no state knows (a
        wrong prediction: its edge is banned), recaptured by p1, then an
        unknown sample and a jump back to s0. *)
-    let pattern = [| Some 0; Some 0; Some 1; Some 2; Some 1; Some 1; None; Some 0 |] in
+    let pattern = [| 0; 0; 1; 2; 1; 1; -1; 0 |] in
     minor_words (fun () ->
         for i = 0 to n - 1 do
           Stepper.advance s ~hamming:0. pattern.(i mod Array.length pattern)
@@ -507,4 +578,7 @@ let suite =
       Alcotest.test_case "interleaved steppers on one model" `Quick test_interleaved;
       Alcotest.test_case "stay and exit allocate nothing" `Quick
         test_stay_and_exit_allocate_nothing;
-      Alcotest.test_case "resync words linear in cycles" `Quick test_resync_words_linear ] )
+      Alcotest.test_case "resync words linear in cycles" `Quick test_resync_words_linear;
+      Alcotest.test_case "front end allocates nothing" `Quick test_front_end_allocates_nothing;
+      Alcotest.test_case "filter step allocates nothing" `Quick
+        test_filter_step_allocates_nothing ] )
