@@ -465,7 +465,7 @@ let stats_run model_path trace_file unknowns period json_path =
         (* One classification per sample run; unmatched rows code to -1. *)
         let codes = Array.make n (-1) in
         Psm_mining.Sample_tracker.iter_runs table trace
-          (fun ~start ~len ~code ~hamming:_ -> Array.fill codes start len code);
+          (fun ~start ~len ~code ~distance:_ -> Array.fill codes start len code);
         let prop_runs = Runs.scan ~equal:(fun i j -> codes.(i) = codes.(j)) n in
         print_run_stats "proposition segments" prop_runs;
         prop_runs)

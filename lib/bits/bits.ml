@@ -99,25 +99,46 @@ let of_binary_string s =
   if Array.length bits = 0 then invalid_arg "Bits.of_binary_string: empty";
   init ~width:(Array.length bits) (fun i -> bits.(i))
 
-(* One limb at a time: digit [len - 1 - i] of the span is bit [i]. *)
+(* Eight digits at a time: a little-endian load puts digit [p + k] in
+   byte [k]; every byte is '0' (0x30) or '1' (0x31) exactly when the word
+   masked to its high seven bits per byte is all 0x30, and the multiply
+   gathers the eight low bits into the top byte, digit [p] highest. The
+   eight shifted copies land on distinct bit positions, so nothing
+   carries into the top byte. *)
+let[@inline] binary_byte s p =
+  let w = String.get_int64_le s p in
+  if not (Int64.equal (Int64.logand w 0xFEFEFEFEFEFEFEFEL) 0x3030303030303030L) then
+    invalid_arg "Bits.of_binary_sub: expected 0 or 1";
+  Int64.to_int
+    (Int64.shift_right_logical
+       (Int64.mul (Int64.logand w 0x0101010101010101L) 0x8040201008040201L)
+       56)
+
+(* The digits [start, stop) as a big-endian number of at most 32 bits. *)
+let rec binary_limb s p stop acc =
+  if p + 8 <= stop then binary_limb s (p + 8) stop ((acc lsl 8) lor binary_byte s p)
+  else if p < stop then begin
+    let bit = Char.code (String.unsafe_get s p) - Char.code '0' in
+    if bit lsr 1 <> 0 then invalid_arg "Bits.of_binary_sub: expected 0 or 1";
+    binary_limb s (p + 1) stop ((acc lsl 1) lor bit)
+  end
+  else acc
+
+(* Limb [j] holds the digits [stop - 32 (j + 1), stop - 32 j). *)
 let of_binary_sub ~width s ~pos ~len =
   check_width width;
   if pos < 0 || len < 0 || len > width || pos > String.length s - len then
     invalid_arg "Bits.of_binary_sub";
-  let v = zero width in
-  let last = pos + len - 1 in
-  for j = 0 to ((len + limb_bits - 1) / limb_bits) - 1 do
-    let lo = j * limb_bits in
-    let hi = min len (lo + limb_bits) - 1 in
-    let acc = ref 0 in
-    for i = hi downto lo do
-      let bit = Char.code (String.unsafe_get s (last - i)) - Char.code '0' in
-      if bit lsr 1 <> 0 then invalid_arg "Bits.of_binary_sub: expected 0 or 1";
-      acc := (!acc lsl 1) lor bit
+  let stop = pos + len in
+  if width <= limb_bits then { width; limbs = [| binary_limb s pos stop 0 |] }
+  else begin
+    let v = zero width in
+    for j = 0 to ((len + limb_bits - 1) / limb_bits) - 1 do
+      let hi = stop - (j * limb_bits) in
+      v.limbs.(j) <- binary_limb s (Int.max pos (hi - limb_bits)) hi 0
     done;
-    v.limbs.(j) <- !acc
-  done;
-  v
+    v
+  end
 
 let hex_digit c =
   match c with
@@ -185,19 +206,15 @@ let to_hex_string v =
       done;
       "0123456789abcdef".[!d])
 
-let popcount_int n =
-  let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
-  go 0 n
-
-(* Precomputed popcounts for bytes keep the per-cycle switching-activity
-   computation cheap; it sits on the hot path of the power reference. *)
-let byte_popcount = Array.init 256 popcount_int
-
+(* Bit count of a 32-bit limb, in registers (SWAR): pairs, nibbles,
+   bytes, then a multiply sums the four bytes into the top one. It sits
+   on the hot paths of the power reference's switching activity and of
+   the sample trackers' input Hamming distances. *)
 let popcount_limb limb =
-  byte_popcount.(limb land 0xFF)
-  + byte_popcount.(limb lsr 8 land 0xFF)
-  + byte_popcount.(limb lsr 16 land 0xFF)
-  + byte_popcount.(limb lsr 24 land 0xFF)
+  let x = limb - ((limb lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
 
 let popcount v =
   let acc = ref 0 in

@@ -35,7 +35,7 @@ let simulate psm trace =
   in
   (* A run's first instant carries its input Hamming distance, the
      others 0. *)
-  Sample_tracker.iter_runs (Psm.prop_table psm) trace (fun ~start ~len ~code:o ~hamming ->
+  Sample_tracker.iter_runs (Psm.prop_table psm) trace (fun ~start ~len ~code:o ~distance ->
       for t = start to start + len - 1 do
         let s = Psm.state psm !current in
         let outcome =
@@ -63,7 +63,8 @@ let simulate psm trace =
         | Desync -> desyncs := t :: !desyncs);
         let s = Psm.state psm !current in
         estimate.(t) <-
-          Psm.eval_output s.Psm.output ~hamming:(if t = start then hamming else 0.)
+          Psm.eval_output s.Psm.output
+              ~hamming:(if t = start then float_of_int distance else 0.)
       done);
   let desyncs = List.rev !desyncs in
   { estimate;

@@ -20,7 +20,7 @@ let of_trace hmm trace =
   let n = Functional_trace.length trace in
   let known = ref 0 in
   let unknown_samples = ref [] in
-  Sample_tracker.iter_runs table trace (fun ~start ~len ~code ~hamming:_ ->
+  Sample_tracker.iter_runs table trace (fun ~start ~len ~code ~distance:_ ->
       if code >= 0 then known := !known + len
       else
         for time = start to start + len - 1 do

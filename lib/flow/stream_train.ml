@@ -196,13 +196,15 @@ type triplet = { pat : Xu.pattern; tstart : int; tstop : int }
 and phase = Mining | Training
 
 (* Everything the trainer accumulates, kept free of closures and of the
-   config so a checkpoint is one [Marshal] of this record. *)
-type core = {
+   config so a checkpoint is one [Marshal] of this record. The table is
+   a parameter: a checkpoint holds it as [Table.saved], whose layout
+   stays put whatever the live table's index looks like. *)
+type 'table core_of = {
   iface : Interface.t;
   watermark : int;
   provenance : [ `Full | `Counts ];
   miner : Miner.Incremental.t;
-  mutable table : Table.t option;
+  mutable table : 'table option;
   mutable phase : phase;
   mutable cycles : int; (* training-phase samples *)
   mutable traces_done : int; (* completed training traces *)
@@ -239,13 +241,15 @@ type core = {
   mutable generate_s : float;
 }
 
+type core = Table.t core_of
+
 (* Mining-phase run coalescer. Lives on the wrapper, NOT in [core]: the
    checkpoint payload is one [Marshal] of [core] and must keep its
    layout. Pending runs are flushed at trace boundaries and before any
    checkpoint — flushing early is exact, because [observe_run] works in
    absolute time and a value re-observed at the next instant continues
    its run regardless of how the observations were batched. *)
-and mine_rle = { mutable rsample : Bits.t array option; mutable rlen : int }
+type mine_rle = { mutable rsample : Bits.t array option; mutable rlen : int }
 
 and trainer = { config : Flow.config; core : core; mine_rle : mine_rle }
 
@@ -885,6 +889,8 @@ end
 (* ---------- checkpoint / restore ---------- *)
 
 module Checkpoint = struct
+  (* The payload is the marshaled [core] with its table saved, so any
+     change to the layout of what it holds takes a new version. *)
   let version_line = "psm-repro-trainer 2"
 
   exception Restore_error of string
@@ -899,7 +905,10 @@ module Checkpoint = struct
       (Printf.sprintf "state %s watermark %d cycles %d\n"
          (match t.core.phase with Mining -> "mining" | Training -> "training")
          t.core.watermark t.core.cycles);
-    Marshal.to_channel oc t.core []
+    let saved : Table.saved core_of =
+      { t.core with table = Option.map Table.save t.core.table }
+    in
+    Marshal.to_channel oc saved []
 
   let save_file path t =
     let oc = open_out_bin path in
@@ -918,11 +927,12 @@ module Checkpoint = struct
            (Printf.sprintf "%s: bad version header: found %S, expected %S" source
               header version_line));
     let _summary = line () in
-    let core : core =
+    let saved : Table.saved core_of =
       try Marshal.from_channel ic
       with Failure msg | Sys_error msg ->
         raise (Restore_error (source ^ ": corrupt checkpoint payload: " ^ msg))
     in
+    let core = { saved with table = Option.map Table.restore saved.table } in
     { config; core; mine_rle = { rsample = None; rlen = 0 } }
 
   let load_file ?config path =

@@ -170,7 +170,9 @@ module Stream = struct
     done;
     !best
 
-  let power t s ~hamming =
+  (* Inlined, like [power_into]: a float returned from, or passed to, a
+     call is boxed, and within this module neither is. *)
+  let[@inline] power t s ~hamming =
     let alpha = s.alpha and outputs = t.outputs in
     let acc = ref 0. in
     for row = 0 to Array.length alpha - 1 do
@@ -186,21 +188,24 @@ module Stream = struct
     done;
     !acc
 
+  let[@inline] power_into t s ~hamming out i = out.(i) <- power t s ~hamming
+
   (* The serve fast path: one batched sweep in which every session
      advances one observation, with the per-session scoring folded into
      the normalize pass. Per session the arithmetic is [step]'s exactly:
-     contributions reach each belief entry in ascending-i order (see
-     {!Sparse.gather_product}), and the normalizing sum accumulates in
-     the scalar fold's ascending-j order. [powers]/[rows] accumulate over
-     the *stored* normalized values in the same ascending-row order —
-     with the same [p > 0.] guard and strict-[>] argmax — as a separate
-     {!power} / {!map_state} pass would. Only the loop structure differs:
-     the CSC traversal is amortized across the shard, the emission
-     multiply / sum / normalize / scoring are fused into monomorphic
-     unsafe passes, and emission rows come from the precomputed table.
-     Every float op and comparison it performs is one the unfused
-     per-session pipeline performs on identical inputs, so the results
-     stay bit-identical. *)
+     contributions reach each belief entry in ascending-i order, scaled
+     by the emission and summed in ascending-j order in the same pass
+     ({!Sparse.gather_scaled}), and the normalize divides by that sum.
+     [powers]/[rows] accumulate over the *stored* normalized values in
+     the same ascending-row order — with the same [p > 0.] guard and
+     strict-[>] argmax — as a separate {!power_into} / {!map_state} pass
+     would. Only the loop structure differs: the CSC traversal is one
+     gather into [scratch] that also applies the emission row from the
+     precomputed table and sums, and normalize and scoring are fused into
+     one monomorphic unsafe pass. Every float op and comparison it
+     performs is one the unfused per-session pipeline performs on
+     identical inputs, in the same order, so the results stay
+     bit-identical. *)
   let sweep t states codes ~hds ~powers ~rows =
     let n = Array.length states in
     if
@@ -210,79 +215,56 @@ module Stream = struct
     then invalid_arg "Filtering.Stream.sweep: length mismatch";
     let m = Hmm.state_count t.hmm in
     let outputs = t.outputs in
-    let started = Array.make n false in
-    let any_started = ref false in
+    let total_cell = [| 0. |] in
     for s = 0 to n - 1 do
-      if states.(s).steps = 0 then begin
-        step t states.(s) codes.(s);
-        powers.(s) <- power t states.(s) ~hamming:hds.(s);
-        rows.(s) <- map_state t states.(s)
+      let st = Array.unsafe_get states s in
+      if st.steps = 0 then begin
+        step t st codes.(s);
+        power_into t st ~hamming:hds.(s) powers s;
+        rows.(s) <- map_state t st
       end
       else begin
-        started.(s) <- true;
-        any_started := true
-      end
-    done;
-    if !any_started then begin
-      (* Gather form: the CSC metadata stays cache-hot while the whole
-         shard streams through it back to back — the batching win the
-         per-session loop (scatter + clear per step) never sees. *)
-      for s = 0 to n - 1 do
-        if started.(s) then begin
-          let st = states.(s) in
-          Sparse.gather_product t.a_instant_csc st.alpha st.scratch
-        end
-      done;
-      for s = 0 to n - 1 do
-        if started.(s) then begin
-          let st = Array.unsafe_get states s in
-          let ev = emission_row t codes.(s) in
-          let total = ref 0. in
+        let scratch = st.scratch in
+        Sparse.gather_scaled t.a_instant_csc st.alpha ~scale:(emission_row t codes.(s))
+          scratch ~total:total_cell;
+        let total = total_cell.(0) in
+        if total > 0. then begin
+          st.log_lik.(0) <- st.log_lik.(0) +. log total;
+          let alpha = st.alpha in
+          let hamming = Array.unsafe_get hds s in
+          let acc = ref 0. in
+          let best = ref 0 in
+          let best_v = ref 0. in
           for j = 0 to m - 1 do
-            let x = Array.unsafe_get st.scratch j *. Array.unsafe_get ev j in
-            Array.unsafe_set st.alpha j x;
-            total := !total +. x
+            let p = Array.unsafe_get scratch j /. total in
+            Array.unsafe_set alpha j p;
+            if p > 0. then
+              acc :=
+                !acc
+                +. p
+                   *. (match Array.unsafe_get outputs j with
+                      | Psm.Const mu -> mu
+                      | Psm.Affine { slope; intercept } -> (slope *. hamming) +. intercept);
+            if j = 0 || p > !best_v then begin
+              best := j;
+              best_v := p
+            end
           done;
-          let total = !total in
-          if total > 0. then begin
-            st.log_lik.(0) <- st.log_lik.(0) +. log total;
-            let alpha = st.alpha in
-            let hamming = Array.unsafe_get hds s in
-            let acc = ref 0. in
-            let best = ref 0 in
-            let best_v = ref 0. in
-            for j = 0 to m - 1 do
-              let p = Array.unsafe_get alpha j /. total in
-              Array.unsafe_set alpha j p;
-              if p > 0. then
-                acc :=
-                  !acc
-                  +. p
-                     *. (match Array.unsafe_get outputs j with
-                        | Psm.Const mu -> mu
-                        | Psm.Affine { slope; intercept } ->
-                            (slope *. hamming) +. intercept);
-              if j = 0 || p > !best_v then begin
-                best := j;
-                best_v := p
-              end
-            done;
-            Array.unsafe_set powers s !acc;
-            Array.unsafe_set rows s !best
-          end
-          else begin
-            (* Degenerate instant (zero likelihood mass): fall back to the
-               uniform belief exactly as [step] does, then score it with
-               the reference passes — this path is cold. *)
-            Array.fill st.alpha 0 m (1. /. float_of_int m);
-            st.log_lik.(0) <- st.log_lik.(0) +. log floor_p;
-            powers.(s) <- power t st ~hamming:hds.(s);
-            rows.(s) <- map_state t st
-          end;
-          st.steps <- st.steps + 1
+          Array.unsafe_set powers s !acc;
+          Array.unsafe_set rows s !best
         end
-      done
-    end
+        else begin
+          (* Degenerate instant (zero likelihood mass): fall back to the
+             uniform belief exactly as [step] does, then score it with
+             the reference passes — this path is cold. *)
+          Array.fill st.alpha 0 m (1. /. float_of_int m);
+          st.log_lik.(0) <- st.log_lik.(0) +. log floor_p;
+          power_into t st ~hamming:hds.(s) powers s;
+          rows.(s) <- map_state t st
+        end;
+        st.steps <- st.steps + 1
+      end
+    done
 end
 
 (* ---------- whole-trace entry points ---------- *)
@@ -319,10 +301,12 @@ let expected_power t trace =
   Psm_obs.span "hmm.forward" @@ fun () ->
   let s = Stream.make t in
   Sample_tracker.iter_runs (Psm.prop_table (Hmm.psm t.hmm)) trace
-    (fun ~start ~len ~code ~hamming ->
+    (fun ~start ~len ~code ~distance ->
       for time = start to start + len - 1 do
         Stream.step t s code;
-        power.(time) <- Stream.power t s ~hamming:(if time = start then hamming else 0.)
+        Stream.power_into t s
+          ~hamming:(if time = start then float_of_int distance else 0.)
+          power time
       done);
   power
 

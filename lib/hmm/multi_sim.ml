@@ -582,6 +582,7 @@ module Stepper = struct
        else plan.Plan.level.(row))
 
   let power t = t.power.(0)
+  let power_into t out i = out.(i) <- t.power.(0)
   let state t = t.state_id
 
   let cycles t = t.cycles
@@ -714,9 +715,11 @@ let simulate ?config hmm trace =
   let estimate = Array.make n 0. in
   let state_trace = Array.make n (-1) in
   Sample_tracker.iter_runs stepper.Stepper.plan.Plan.table trace
-    (fun ~start ~len ~code ~hamming ->
+    (fun ~start ~len ~code ~distance ->
       for time = start to start + len - 1 do
-        Stepper.advance stepper ~hamming:(if time = start then hamming else 0.) code;
+        Stepper.advance stepper
+          ~hamming:(if time = start then float_of_int distance else 0.)
+          code;
         estimate.(time) <- stepper.Stepper.power.(0);
         state_trace.(time) <- stepper.Stepper.state_id
       done);

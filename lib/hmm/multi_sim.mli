@@ -111,6 +111,10 @@ module Stepper : sig
   val power : t -> float
   (** The power estimate of the last step. *)
 
+  val power_into : t -> float array -> int -> unit
+  (** [power_into t out i] writes {!power} into [out.(i)], allocating
+      nothing (a float returned across modules is boxed). *)
+
   val state : t -> int
   (** The PSM state id of the last step, -1 when desynchronized. *)
 

@@ -81,9 +81,9 @@ let observe hmm trace =
   let n = Functional_trace.length trace in
   let observations = Array.make n None and hd = Array.make n 0. in
   Sample_tracker.iter_runs (Psm.prop_table (Hmm.psm hmm)) trace
-    (fun ~start ~len ~code ~hamming ->
+    (fun ~start ~len ~code ~distance ->
       if code >= 0 then Array.fill observations start len (Some code);
-      hd.(start) <- hamming);
+      hd.(start) <- float_of_int distance);
   (observations, hd)
 
 let decode hmm trace = Array.map (Hmm.state_of_row hmm) (viterbi hmm (fst (observe hmm trace)))

@@ -89,16 +89,23 @@ let transpose t =
   done;
   { col_ptr; rows; cvals }
 
-(* out(j) <- Σ_i x(i) · A(i,j) over the stored entries of column [j],
-   accumulated in a register in ascending-i order — the same contribution
-   order [scatter_product] produces (its zero-x skips only drop exact
-   [+0.] terms), so the two forms are bit-identical. Gathering overwrites
-   [out] (no pre-clear) and never re-reads it, which is what makes it the
-   cheaper form when one source is swept against many columns. *)
-let gather_product c x out =
+(* out(j) <- (Σ_i x(i) · A(i,j)) · scale(j) over the stored entries of
+   column [j], the sum accumulated in a register in ascending-i order —
+   the same contribution order [scatter_product] produces (its zero-x
+   skips only drop exact [+0.] terms), so the sums are bit-identical.
+   Gathering overwrites [out] (no pre-clear) and never re-reads it, which
+   is what makes it the cheaper form when one source is swept against
+   many columns; the scaled values are summed in ascending-j order into
+   [total.(0)] in the same pass. *)
+let gather_scaled c x ~scale out ~total =
   let m = Array.length out in
-  if Array.length x <> m || Array.length c.col_ptr <> m + 1 then
-    invalid_arg "Sparse.gather_product: size mismatch";
+  if
+    Array.length x <> m
+    || Array.length scale <> m
+    || Array.length c.col_ptr <> m + 1
+    || Array.length total = 0
+  then invalid_arg "Sparse.gather_scaled: size mismatch";
+  let sum = ref 0. in
   for j = 0 to m - 1 do
     let stop = Array.unsafe_get c.col_ptr (j + 1) in
     let acc = ref 0. in
@@ -108,5 +115,8 @@ let gather_product c x out =
         +. (Array.unsafe_get x (Array.unsafe_get c.rows k)
            *. Array.unsafe_get c.cvals k)
     done;
-    Array.unsafe_set out j !acc
-  done
+    let v = !acc *. Array.unsafe_get scale j in
+    Array.unsafe_set out j v;
+    sum := !sum +. v
+  done;
+  total.(0) <- !sum

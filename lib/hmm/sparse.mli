@@ -23,10 +23,13 @@ type csc
 
 val transpose : t -> csc
 
-(** [gather_product c x out] overwrites [out.(j)] with
-    [Σ_i x.(i) *. a.(i).(j)] over column [j]'s stored entries,
-    register-accumulated in ascending-[i] order — bit-identical to
-    {!scatter_product} into a cleared buffer, without the clear or the
-    per-entry load/store traffic on [out].
-    @raise Invalid_argument on size mismatch. *)
-val gather_product : csc -> float array -> float array -> unit
+(** [gather_scaled c x ~scale out ~total] overwrites [out.(j)] with
+    [(Σ_i x.(i) *. a.(i).(j)) *. scale.(j)] over column [j]'s stored
+    entries, the sum register-accumulated in ascending-[i] order —
+    bit-identical to {!scatter_product} into a cleared buffer, without
+    the clear or the per-entry load/store traffic on [out] — and
+    [total.(0)] with the sum of the [out.(j)] in ascending-[j] order,
+    all in one pass.
+    @raise Invalid_argument on size mismatch or an empty [total]. *)
+val gather_scaled :
+  csc -> float array -> scale:float array -> float array -> total:float array -> unit

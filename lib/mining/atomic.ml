@@ -12,13 +12,11 @@ let compare_signals cmp lhs rhs =
   if lhs = rhs then invalid_arg "Atomic.compare_signals: signal compared to itself";
   { lhs; cmp; rhs = Sig rhs }
 
+let holds cmp a b =
+  match cmp with Eq -> Bits.equal a b | Lt -> Bits.ult a b | Gt -> Bits.ult b a
+
 let eval t sample =
-  let a = sample.(t.lhs) in
-  let b = match t.rhs with Const v -> v | Sig i -> sample.(i) in
-  match t.cmp with
-  | Eq -> Bits.equal a b
-  | Lt -> Bits.ult a b
-  | Gt -> Bits.ult b a
+  holds t.cmp sample.(t.lhs) (match t.rhs with Const v -> v | Sig i -> sample.(i))
 
 let equal a b =
   a.lhs = b.lhs && a.cmp = b.cmp

@@ -18,6 +18,9 @@ type t = {
 val eq_const : int -> Psm_bits.Bits.t -> t
 val compare_signals : comparison -> int -> int -> t
 
+val holds : comparison -> Psm_bits.Bits.t -> Psm_bits.Bits.t -> bool
+(** [holds cmp a b] is [a cmp b], unsigned. *)
+
 val eval : t -> Psm_bits.Bits.t array -> bool
 (** Truth of the atom on one functional-trace sample (unsigned
     comparisons). *)

@@ -2,30 +2,70 @@ module Functional_trace = Psm_trace.Functional_trace
 
 module Table = struct
   (* Truth rows are stored packed (one bit per atom, {!Vocabulary.row_key}
-     layout): the interning key and the stored row are the same string.
-     Classification evaluates atoms straight into a per-table scratch
-     buffer, so {!code} allocates nothing — on a 500k-instant trace the
-     previous representation allocated a [bool array] and a key string
-     per instant. The scratch
-     buffer makes a table single-domain: {!of_functional} classifies in
-     one sequential walk. *)
+     layout): the interning key and the stored row are the same string,
+     found through an open-addressing index hashed by the key's bytes.
+
+     Classification evaluates atoms into [scratch], which always holds
+     the truth row of the operand values in [seen_lhs]/[seen_rhs]: an atom
+     whose operands are the same physical values as at its last
+     evaluation keeps its bit ([Bits.t] is immutable), so a sample that
+     shares most of its values with the one before re-evaluates only the
+     atoms over the values that changed, and a truth row that did not
+     change is not looked up again ([seen_id]). {!code} allocates
+     nothing. This state makes a table single-domain: {!of_functional}
+     classifies in one sequential walk. *)
   type t = {
     vocabulary : Vocabulary.t;
-    index : (string, int) Hashtbl.t; (* packed truth row -> prop id *)
+    atoms : Atomic.t array;
+    mutable slots : int array; (* open addressing: prop id, or -1 when free *)
     mutable rows : string array; (* prop id -> packed truth row *)
     mutable count : int;
     scratch : Bytes.t;
+    seen_lhs : Psm_bits.Bits.t array; (* per atom: the operands [scratch] holds *)
+    seen_rhs : Psm_bits.Bits.t array;
+    mutable seen_id : int; (* the id of [scratch], -1 if none, or [stale] *)
   }
 
+  let stale = -2
+
+  (* A value no sample holds: every atom is evaluated on first use. *)
+  let never = Psm_bits.Bits.zero 1
+
   let create vocabulary =
+    let atoms = Vocabulary.atoms vocabulary in
     { vocabulary;
-      index = Hashtbl.create 64;
+      atoms;
+      slots = Array.make 32 (-1);
       rows = Array.make 16 "";
       count = 0;
-      scratch = Bytes.create (Vocabulary.packed_size vocabulary) }
+      scratch = Bytes.make (Vocabulary.packed_size vocabulary) '\000';
+      seen_lhs = Array.make (Array.length atoms) never;
+      seen_rhs = Array.make (Array.length atoms) never;
+      seen_id = stale }
 
   let vocabulary t = t.vocabulary
   let prop_count t = t.count
+
+  let rec hash_from key i h =
+    if i = String.length key then h land max_int
+    else hash_from key (i + 1) ((h lxor Char.code (String.unsafe_get key i)) * 0x100000001b3)
+
+  let hash key =
+    let h = hash_from key 0 (String.length key) in
+    h lxor (h lsr 29)
+
+  (* The id of [key] (a [Vocabulary.packed_size] string), or -1. *)
+  let rec probe slots rows key i =
+    let id = Array.unsafe_get slots i in
+    if id < 0 then -1
+    else if String.equal (Array.unsafe_get rows id) key then id
+    else probe slots rows key ((i + 1) land (Array.length slots - 1))
+
+  let find t key = probe t.slots t.rows key (hash key land (Array.length t.slots - 1))
+
+  let rec insert slots id i =
+    if slots.(i) < 0 then slots.(i) <- id
+    else insert slots id ((i + 1) land (Array.length slots - 1))
 
   let add_key t key =
     if t.count = Array.length t.rows then begin
@@ -33,31 +73,95 @@ module Table = struct
       Array.blit t.rows 0 bigger 0 t.count;
       t.rows <- bigger
     end;
-    t.rows.(t.count) <- key;
-    Hashtbl.add t.index key t.count;
-    t.count <- t.count + 1;
-    t.count - 1
+    (* At most half full. *)
+    if 2 * (t.count + 1) > Array.length t.slots then begin
+      let slots = Array.make (2 * Array.length t.slots) (-1) in
+      for id = 0 to t.count - 1 do
+        let k = t.rows.(id) in
+        insert slots id (hash k land (Array.length slots - 1))
+      done;
+      t.slots <- slots
+    end;
+    let id = t.count in
+    t.rows.(id) <- key;
+    insert t.slots id (hash key land (Array.length t.slots - 1));
+    t.count <- id + 1;
+    (* A key that was looked up and missing may be this one. *)
+    t.seen_id <- stale;
+    id
 
   let intern_key t key =
-    match Hashtbl.find_opt t.index key with
-    | Some id -> id
-    | None -> add_key t key
+    match find t key with -1 -> add_key t key | id -> id
 
-  let classify_or_add t sample =
-    Vocabulary.eval_into t.vocabulary t.scratch sample;
-    (* Ephemeral unsafe view: used only for the lookup below, never
-       retained, and [scratch] is not mutated while it is live. *)
-    match Hashtbl.find_opt t.index (Bytes.unsafe_to_string t.scratch) with
-    | Some id -> id
-    | None -> add_key t (Bytes.to_string t.scratch)
+  (* Bring [scratch] to [sample]'s truth row. The operands are recorded
+     only once the atom has been evaluated, so an atom that raises keeps
+     raising. *)
+  let refresh t sample =
+    let atoms = t.atoms in
+    for i = 0 to Array.length atoms - 1 do
+      let a = Array.unsafe_get atoms i in
+      let l = sample.(a.Atomic.lhs) in
+      let r = match a.Atomic.rhs with Atomic.Const c -> c | Atomic.Sig j -> sample.(j) in
+      if l != Array.unsafe_get t.seen_lhs i || r != Array.unsafe_get t.seen_rhs i then begin
+        let truth = Atomic.holds a.Atomic.cmp l r in
+        let j = i lsr 3 and bit = 1 lsl (i land 7) in
+        let byte = Char.code (Bytes.unsafe_get t.scratch j) in
+        if truth <> (byte land bit <> 0) then begin
+          Bytes.unsafe_set t.scratch j (Char.unsafe_chr (byte lxor bit));
+          t.seen_id <- stale
+        end;
+        (* Only what changed is stored: each store is a write barrier. *)
+        if l != Array.unsafe_get t.seen_lhs i then Array.unsafe_set t.seen_lhs i l;
+        if r != Array.unsafe_get t.seen_rhs i then Array.unsafe_set t.seen_rhs i r
+      end
+    done
 
   let code t sample =
-    Vocabulary.eval_into t.vocabulary t.scratch sample;
-    match Hashtbl.find t.index (Bytes.unsafe_to_string t.scratch) with
+    refresh t sample;
+    if t.seen_id = stale then
+      (* Ephemeral unsafe view: used only for the lookup, never
+         retained, and [scratch] is not mutated while it is live. *)
+      t.seen_id <- find t (Bytes.unsafe_to_string t.scratch);
+    t.seen_id
+
+  let classify_or_add t sample =
+    match code t sample with
+    | -1 ->
+        let id = add_key t (Bytes.to_string t.scratch) in
+        t.seen_id <- id;
+        id
     | id -> id
-    | exception Not_found -> -1
 
   let classify t sample = match code t sample with -1 -> None | id -> Some id
+
+  (* The layout trainer checkpoints have marshaled since
+     "psm-repro-trainer 2": the field order and types must not change. *)
+  type saved = {
+    s_vocabulary : Vocabulary.t;
+    s_index : (string, int) Hashtbl.t; (* packed truth row -> prop id *)
+    s_rows : string array;
+    s_count : int;
+    s_scratch : Bytes.t;
+  }
+  [@@warning "-69"] (* [s_index] and [s_scratch] are kept for the layout *)
+
+  let save t =
+    let index = Hashtbl.create 64 in
+    for id = 0 to t.count - 1 do
+      Hashtbl.add index t.rows.(id) id
+    done;
+    { s_vocabulary = t.vocabulary;
+      s_index = index;
+      s_rows = Array.copy t.rows;
+      s_count = t.count;
+      s_scratch = Bytes.make (Bytes.length t.scratch) '\000' }
+
+  let restore s =
+    let t = create s.s_vocabulary in
+    for id = 0 to s.s_count - 1 do
+      ignore (add_key t s.s_rows.(id))
+    done;
+    t
 
   let intern_row t row =
     if Array.length row <> Vocabulary.size t.vocabulary then

@@ -25,10 +25,26 @@ module Table : sig
   val code : t -> Psm_bits.Bits.t array -> int
   (** Proposition id of the sample's truth row, or -1 when the row was
       never seen during training — an unknown functional behaviour
-      (simulation-time use). Allocates nothing. *)
+      (simulation-time use). Allocates nothing. The table keeps the last
+      truth row it evaluated and the values it evaluated it on: an atom
+      whose operands are physically the values it last saw is not
+      evaluated again, so consecutive samples that share their unchanged
+      values cost only the atoms over the changed ones. This state makes
+      a table single-domain. *)
 
   val classify : t -> Psm_bits.Bits.t array -> int option
   (** {!code} with [None] for -1. *)
+
+  type saved
+  (** The table's propositions in a fixed layout, without its index or
+      classification state: what a marshaled checkpoint holds, so
+      checkpoints outlive changes to how the table finds its rows. *)
+
+  val save : t -> saved
+
+  val restore : saved -> t
+  (** The table [save] was given: the same vocabulary and propositions
+      under the same ids. *)
 
   val intern_row : t -> bool array -> int
   (** Intern a truth row directly (model reload); the row must have

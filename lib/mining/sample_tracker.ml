@@ -4,7 +4,7 @@ module Interface = Psm_trace.Interface
 
 type t = {
   table : Prop_trace.Table.t;
-  inputs : int list;
+  is_input : bool array; (* per signal: a primary input *)
   prev : Bits.t array; (* the previous sample, overwritten in place *)
   mutable started : bool; (* [prev] holds a sample *)
   mutable code : int; (* [Table.code] of [prev] *)
@@ -15,8 +15,10 @@ let interface table = Vocabulary.interface (Prop_trace.Table.vocabulary table)
 
 let create table =
   let iface = interface table in
+  let is_input = Array.make (Interface.arity iface) false in
+  List.iter (fun (i, _) -> is_input.(i) <- true) (Interface.inputs iface);
   { table;
-    inputs = List.map fst (Interface.inputs iface);
+    is_input;
     prev = Array.make (Interface.arity iface) (Bits.zero 1);
     started = false;
     code = -1;
@@ -28,20 +30,51 @@ let accept t sample =
   t.started <- true;
   t.code <- Prop_trace.Table.code t.table sample
 
+(* One pass over the signals decides both whether [sample] differs from
+   [prev] and its input Hamming distance: a signal holding the same
+   physical value is equal, and an input's distance is 0 exactly when
+   its values are equal. Only a sample that differs is stored and
+   classified. *)
 let observe t sample =
-  if Array.length sample <> Array.length t.prev then
+  let prev = t.prev in
+  let n = Array.length prev in
+  if Array.length sample <> n then
     invalid_arg "Sample_tracker.observe: sample arity differs from the interface";
   if not t.started then begin
     t.distance <- 0;
     accept t sample
   end
-  else if not (Functional_trace.same_sample t.prev sample) then begin
-    t.distance <- Functional_trace.input_hamming t.inputs sample t.prev;
-    accept t sample
+  else begin
+    let differs = ref false and distance = ref 0 in
+    for i = 0 to n - 1 do
+      let a = Array.unsafe_get prev i and b = Array.unsafe_get sample i in
+      if a != b then
+        if Array.unsafe_get t.is_input i then begin
+          let d = Bits.hamming_distance a b in
+          if d > 0 then begin
+            differs := true;
+            distance := !distance + d
+          end
+        end
+        else if not (Bits.equal a b) then differs := true
+    done;
+    t.distance <- !distance;
+    if !differs then begin
+      for i = 0 to n - 1 do
+        let b = Array.unsafe_get sample i in
+        if Array.unsafe_get prev i != b then Array.unsafe_set prev i b
+      done;
+      t.code <- Prop_trace.Table.code t.table sample
+    end
   end
-  else t.distance <- 0
+
+let reset t =
+  t.started <- false;
+  t.code <- -1;
+  t.distance <- 0
 
 let code t = t.code
+let distance t = t.distance
 let hamming t = float_of_int t.distance
 
 let iter_runs table trace f =
@@ -49,7 +82,7 @@ let iter_runs table trace f =
   Functional_trace.iter_runs
     (fun ~start ~len sample ->
       observe t sample;
-      f ~start ~len ~code:t.code ~hamming:(hamming t))
+      f ~start ~len ~code:t.code ~distance:t.distance)
     trace
 
 let export t = if t.started then Some (Array.map Bits.to_binary_string t.prev) else None

@@ -22,6 +22,10 @@ val observe : t -> Psm_bits.Bits.t array -> unit
     [Invalid_argument] otherwise). Afterwards {!code} and {!hamming}
     describe it. The first sample has Hamming distance 0. *)
 
+val reset : t -> unit
+(** Forget the previous sample: the next one observed is a first sample,
+    with Hamming distance 0. *)
+
 val code : t -> int
 (** The proposition code of the last observed sample (-1 = unknown
     behaviour, or no sample yet). *)
@@ -30,17 +34,21 @@ val hamming : t -> float
 (** Input Hamming distance of the last observed sample to the one before
     it (0 before any sample). *)
 
+val distance : t -> int
+(** {!hamming} as an int, for callers that store it unboxed. *)
+
 val iter_runs :
   Prop_trace.Table.t ->
   Psm_trace.Functional_trace.t ->
-  (start:int -> len:int -> code:int -> hamming:float -> unit) ->
+  (start:int -> len:int -> code:int -> distance:int -> unit) ->
   unit
 (** [iter_runs table trace f] walks [trace] as its own sequence of
-    samples, calling [f ~start ~len ~code ~hamming] once per
+    samples, calling [f ~start ~len ~code ~distance] once per
     {!Psm_trace.Functional_trace.iter_runs} run, in time order, with one
-    classification per run. [hamming] belongs to the run's first instant
-    (0 for the trace's first); every later instant of the run has
-    distance 0. This is {!observe} on every instant, run by run. *)
+    classification per run. [distance] ({!distance}: an int, so the call
+    boxes nothing) belongs to the run's first instant (0 for the trace's
+    first); every later instant of the run has distance 0. This is
+    {!observe} on every instant, run by run. *)
 
 val export : t -> string array option
 (** The previous sample as big-endian binary strings in interface order,

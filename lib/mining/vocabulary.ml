@@ -17,19 +17,6 @@ let eval_sample t sample = Array.map (fun a -> Atomic.eval a sample) t.atoms
 
 let packed_size t = (Array.length t.atoms + 7) / 8
 
-let eval_into t buf sample =
-  let n = Array.length t.atoms in
-  if Bytes.length buf <> (n + 7) / 8 then
-    invalid_arg "Vocabulary.eval_into: buffer size mismatch";
-  Bytes.fill buf 0 (Bytes.length buf) '\000';
-  for i = 0 to n - 1 do
-    if Atomic.eval (Array.unsafe_get t.atoms i) sample then begin
-      let j = i lsr 3 in
-      Bytes.unsafe_set buf j
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf j) lor (1 lsl (i land 7))))
-    end
-  done
-
 let row_key row =
   let n = Array.length row in
   let bytes = Bytes.make ((n + 7) / 8) '\000' in

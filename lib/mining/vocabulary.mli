@@ -18,12 +18,6 @@ val eval_sample : t -> Psm_bits.Bits.t array -> bool array
 val packed_size : t -> int
 (** Bytes needed to pack one truth row: [ceil (size / 8)]. *)
 
-val eval_into : t -> Bytes.t -> Psm_bits.Bits.t array -> unit
-(** [eval_into t buf sample] evaluates every atom on the sample directly
-    into the packed row buffer [buf] (bit [i] of the row is bit
-    [i mod 8] of byte [i / 8], as in {!row_key}), without allocating.
-    [buf] must be exactly [packed_size t] bytes. *)
-
 val row_key : bool array -> string
 (** Packed representation of a truth row, usable as a hash key: two rows
     have equal keys iff they are equal. *)

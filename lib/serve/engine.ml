@@ -3,7 +3,6 @@ module Table = Psm_mining.Prop_trace.Table
 module Sample_tracker = Psm_mining.Sample_tracker
 module Vocabulary = Psm_mining.Vocabulary
 module Interface = Psm_trace.Interface
-module Functional_trace = Psm_trace.Functional_trace
 module Reader = Psm_trace.Reader
 module Vcd = Psm_trace.Vcd
 module Hmm = Psm_hmm.Hmm
@@ -20,6 +19,7 @@ module Estimate = Psm_flow.Estimate
    caller picks the encoding (pending: proposition or -1 for unknown;
    results: PSM state id). *)
 module Ring = struct
+  (* The capacity is a power of two, so positions wrap with a mask. *)
   type t = {
     mutable code : int array;
     mutable value : float array;
@@ -33,37 +33,75 @@ module Ring = struct
   let length q = q.len
   let is_empty q = q.len = 0
 
-  let ensure q extra =
+  let grow q =
     let cap = Array.length q.code in
-    if q.len + extra > cap then begin
-      let ncap = max (q.len + extra) (cap * 2) in
-      let code = Array.make ncap 0 and value = Array.make ncap 0. in
-      for i = 0 to q.len - 1 do
-        let src = (q.head + i) mod cap in
-        code.(i) <- q.code.(src);
-        value.(i) <- q.value.(src)
-      done;
-      q.code <- code;
-      q.value <- value;
-      q.head <- 0
-    end
+    let code = Array.make (2 * cap) 0 and value = Array.make (2 * cap) 0. in
+    for i = 0 to q.len - 1 do
+      let src = (q.head + i) land (cap - 1) in
+      code.(i) <- q.code.(src);
+      value.(i) <- q.value.(src)
+    done;
+    q.code <- code;
+    q.value <- value;
+    q.head <- 0
 
-  let push q c v =
-    ensure q 1;
-    let cap = Array.length q.code in
-    let tail = (q.head + q.len) mod cap in
-    q.code.(tail) <- c;
-    q.value.(tail) <- v;
+  (* Inlined, so a float argument is not boxed for the call. *)
+  let[@inline] push q c v =
+    if q.len = Array.length q.code then grow q;
+    let tail = (q.head + q.len) land (Array.length q.code - 1) in
+    Array.unsafe_set q.code tail c;
+    Array.unsafe_set q.value tail v;
     q.len <- q.len + 1
 
-  (* Pop the oldest pair into the two refs — no tuple materialized. *)
-  let pop q ~code ~value =
-    if q.len = 0 then invalid_arg "Ring.pop: empty";
-    code := q.code.(q.head);
-    value := q.value.(q.head);
-    q.head <- (q.head + 1) mod Array.length q.code;
+  (* Pop the oldest pair into [codes.(k)] and [values.(k)]: no tuple,
+     and no boxed float. *)
+  let pop_into q codes values k =
+    if q.len = 0 then invalid_arg "Ring.pop_into: empty";
+    codes.(k) <- Array.unsafe_get q.code q.head;
+    values.(k) <- Array.unsafe_get q.value q.head;
+    q.head <- (q.head + 1) land (Array.length q.code - 1);
     q.len <- q.len - 1
+
+  (* The [i]-th oldest pair, left in place. *)
+  let nth q i =
+    let j = (q.head + i) land (Array.length q.code - 1) in
+    (q.code.(j), q.value.(j))
+
+  (* Drop the [n] oldest pairs. *)
+  let drop q n =
+    if n > q.len then invalid_arg "Ring.drop: too many";
+    q.head <- (q.head + n) land (Array.length q.code - 1);
+    q.len <- q.len - n
+
+  (* An empty ring that one large upload grew goes back to its first
+     size. *)
+  let trim q =
+    if q.len = 0 && Array.length q.code > Vcd.kept_records then begin
+      q.code <- Array.make 16 0;
+      q.value <- Array.make 16 0.;
+      q.head <- 0
+    end
 end
+
+(* A session's VCD upload state, made on its first chunk. The chunks of
+   the upload in progress collect in [buf]; the last one is read with
+   {!Vcd.read_upload} against the model's interface, with callbacks made
+   once: [instant] classifies each row the reader hands over (the
+   timestamps where values changed) into [codes] and [distances], and
+   [grid] queues them as the resampled trace's cycles. *)
+type upload = {
+  reader : Vcd.upload;
+  model_iface : Interface.t;
+  tracker : Sample_tracker.t;
+  mutable buf : Bytes.t;
+  mutable len : int; (* bytes of [buf] in use *)
+  mutable codes : int array; (* per row handed to [instant] *)
+  mutable distances : int array;
+  mutable count : int; (* rows classified *)
+  mutable queued : int; (* cycles queued by [grid] *)
+  instant : Psm_bits.Bits.t array -> unit;
+  grid : int -> int -> unit;
+}
 
 type session = {
   id : string;
@@ -76,7 +114,7 @@ type session = {
   seq : int; (* open order: the deterministic processing order *)
   queue : Ring.t; (* pending (proposition code, -1 = unknown; hd) *)
   results : Ring.t; (* produced (state id, power) *)
-  vcd_buf : Buffer.t; (* partial VCD upload *)
+  mutable upload : upload option;
   mutable last_active : float;
 }
 
@@ -208,7 +246,7 @@ let add_session t ~id ~model_name ~nprops est =
       seq = t.next_seq;
       queue = Ring.create ();
       results = Ring.create ();
-      vcd_buf = Buffer.create 0;
+      upload = None;
       last_active = t.now () }
   in
   t.next_seq <- t.next_seq + 1;
@@ -280,53 +318,121 @@ let submit t ~id obs =
 
 let max_vcd_upload = 64 * 1024 * 1024
 
+(* Bytes an upload keeps between documents: a larger buffer goes after
+   its upload, as per-instant records past {!Vcd.kept_records} do. *)
+let kept_upload_bytes = 1 lsl 16
+
+let make_upload (model : Persist.model) queue =
+  let table = model.Persist.table in
+  let model_iface = Vocabulary.interface (Table.vocabulary table) in
+  let tracker = Sample_tracker.create table in
+  let rec u =
+    { reader = Vcd.upload ();
+      model_iface;
+      tracker;
+      buf = Bytes.create 0;
+      len = 0;
+      codes = Array.make 64 0;
+      distances = Array.make 64 0;
+      count = 0;
+      queued = 0;
+      instant =
+        (fun row ->
+          Sample_tracker.observe tracker row;
+          let i = u.count in
+          if i = Array.length u.codes then begin
+            let grow a = Array.append a (Array.make i 0) in
+            u.codes <- grow u.codes;
+            u.distances <- grow u.distances
+          end;
+          Array.unsafe_set u.codes i (Sample_tracker.code tracker);
+          Array.unsafe_set u.distances i (Sample_tracker.distance tracker);
+          u.count <- i + 1);
+      grid =
+        (fun i reps ->
+          let code = u.codes.(i) in
+          Ring.push queue code (float_of_int u.distances.(i));
+          for _ = 2 to reps do
+            Ring.push queue code 0.
+          done;
+          u.queued <- u.queued + reps) }
+  in
+  u
+
+let upload_of t session =
+  match session.upload with
+  | Some u -> u
+  | None ->
+      let u = make_upload (Option.get (find_model t session.model_name)) session.queue in
+      session.upload <- Some u;
+      u
+
+(* Drop the upload in progress, and what a large one grew. *)
+let end_upload u =
+  u.len <- 0;
+  if Bytes.length u.buf > kept_upload_bytes then u.buf <- Bytes.create 0;
+  if Array.length u.codes > Vcd.kept_records then begin
+    u.codes <- Array.make 64 0;
+    u.distances <- Array.make 64 0
+  end
+
+let append_chunk u chunk =
+  let n = String.length chunk in
+  if u.len + n > Bytes.length u.buf then begin
+    let bigger = Bytes.create (Int.max (u.len + n) (2 * Bytes.length u.buf)) in
+    Bytes.blit u.buf 0 bigger 0 u.len;
+    u.buf <- bigger
+  end;
+  Bytes.blit_string chunk 0 u.buf u.len n;
+  u.len <- u.len + n
+
 let vcd_chunk t ~id ~chunk ~last =
   match find_session t id with
   | Error e -> Error e
   | Ok session ->
       session.last_active <- t.now ();
-      if Buffer.length session.vcd_buf + String.length chunk > max_vcd_upload then begin
-        Buffer.reset session.vcd_buf;
+      let u = upload_of t session in
+      if u.len + String.length chunk > max_vcd_upload then begin
+        end_upload u;
         Error (Printf.sprintf "vcd: upload exceeds %d bytes" max_vcd_upload)
       end
       else if not last then begin
-        Buffer.add_string session.vcd_buf chunk;
+        append_chunk u chunk;
         Ok 0
       end
       else begin
-        Buffer.add_string session.vcd_buf chunk;
-        let text = Buffer.contents session.vcd_buf in
-        Buffer.clear session.vcd_buf;
-        match Vcd.parse text with
-        | exception Vcd.Parse_error err ->
-            Error (Printf.sprintf "vcd: %s" (Reader.error_to_string err))
-        | exception Failure msg -> Error (Printf.sprintf "vcd: %s" msg)
-        | parsed ->
-            let model = Option.get (find_model t session.model_name) in
-            let table = model.Persist.table in
-            let model_iface = Vocabulary.interface (Table.vocabulary table) in
-            let trace = parsed.Vcd.trace in
-            if not (Interface.equal (Functional_trace.interface trace) model_iface)
-            then
-              Error
-                (Printf.sprintf
-                   "vcd: interface mismatch (model %S expects different \
-                    signals)"
-                   session.model_name)
-            else begin
-              (* The document is its own trace, walked by the offline
-                 evaluators' front end: one classification per run of
-                 identical samples, whose first instant carries the input
-                 Hamming distance (0 for the document's first) and the
-                 rest 0. The upload then rides the same proposition
-                 queue as [observe]. *)
-              Sample_tracker.iter_runs table trace (fun ~start:_ ~len ~code ~hamming ->
-                  for k = 0 to len - 1 do
-                    Ring.push session.queue code (if k = 0 then hamming else 0.)
-                  done);
-              Ok (Functional_trace.length trace)
-            end
+        (* A one-chunk upload is read where it lies. *)
+        let bytes, len =
+          if u.len = 0 then (Bytes.unsafe_of_string chunk, String.length chunk)
+          else begin
+            append_chunk u chunk;
+            (u.buf, u.len)
+          end
+        in
+        Ring.trim session.queue;
+        u.count <- 0;
+        u.queued <- 0;
+        (* Each upload is its own trace: its first sample has distance 0. *)
+        Sample_tracker.reset u.tracker;
+        let read =
+          Vcd.read_upload u.reader bytes len ~interface:u.model_iface ~instant:u.instant
+            ~grid:u.grid
+        in
+        end_upload u;
+        match read with
+        | Error err -> Error (Printf.sprintf "vcd: %s" (Reader.error_to_string err))
+        | Ok false ->
+            Error
+              (Printf.sprintf
+                 "vcd: interface mismatch (model %S expects different signals)"
+                 session.model_name)
+        | Ok true -> Ok u.queued
       end
+
+let pending t ~id =
+  match find_session t id with
+  | Error _ as e -> e
+  | Ok s -> Ok (Array.init (Ring.length s.queue) (Ring.nth s.queue))
 
 (* ---------- the batched tick ---------- *)
 
@@ -335,11 +441,8 @@ let vcd_chunk t ~id ~chunk ~last =
    advanced. *)
 let run_batched t (members : session array) states codes hds powers rows =
   let n = Array.length members in
-  let code = ref 0 and value = ref 0. in
   for k = 0 to n - 1 do
-    Ring.pop members.(k).queue ~code ~value;
-    codes.(k) <- !code;
-    hds.(k) <- !value
+    Ring.pop_into members.(k).queue codes hds k
   done;
   let filt, _ = Option.get members.(0).fstate in
   Filtering.Stream.sweep filt states codes ~hds ~powers ~rows;
@@ -352,17 +455,19 @@ let run_batched t (members : session array) states codes hds powers rows =
   n
 
 (* Sim sessions step one by one; the stepper keeps its result, so no
-   (power, state) pair is built per cycle. *)
-let run_loop (members : session array) =
-  let code = ref 0 and value = ref 0. in
-  Array.iter
-    (fun s ->
-      Ring.pop s.queue ~code ~value;
-      let st = Option.get s.stepper in
-      Stepper.advance st ~hamming:!value !code;
-      Ring.push s.results (Stepper.state st) (Stepper.power st))
-    members;
-  Array.length members
+   (power, state) pair is built per cycle, and its power goes through
+   [powers] unboxed. *)
+let run_loop (members : session array) codes hds powers =
+  let n = Array.length members in
+  for k = 0 to n - 1 do
+    let s = members.(k) in
+    Ring.pop_into s.queue codes hds k;
+    let st = Option.get s.stepper in
+    Stepper.advance st ~hamming:hds.(k) codes.(k);
+    Stepper.power_into st powers k;
+    Ring.push s.results (Stepper.state st) powers.(k)
+  done;
+  n
 
 (* A tick's work item: a whole shard (every member has a pending
    observation — the cached scratch arrays apply directly), or the
@@ -373,16 +478,15 @@ let process_work t = function
       if sh.members.(0).mode = `Filter then
         run_batched t sh.members sh.sh_states sh.sh_codes sh.sh_hds
           sh.sh_powers sh.sh_rows
-      else run_loop sh.members
+      else run_loop sh.members sh.sh_codes sh.sh_hds sh.sh_powers
   | `Subset (members : session array) ->
-      if members.(0).mode = `Filter then begin
-        let n = Array.length members in
+      let n = Array.length members in
+      let codes = Array.make n 0 and hds = Array.make n 0. and powers = Array.make n 0. in
+      if members.(0).mode = `Filter then
         run_batched t members
           (Array.map (fun s -> snd (Option.get s.fstate)) members)
-          (Array.make n 0) (Array.make n 0.) (Array.make n 0.)
-          (Array.make n 0)
-      end
-      else run_loop members
+          codes hds powers (Array.make n 0)
+      else run_loop members codes hds powers
 
 (* Sessions are grouped by (model, mode) — groups ordered by their
    first-opened member, members in open order, so the schedule is a
@@ -492,14 +596,13 @@ let take_results t ~id ~count =
   | Error _ as e -> e
   | Ok s ->
       let n = min count (Ring.length s.results) in
-      let code = ref 0 and value = ref 0. in
-      (* Explicit ascending fill: [Array.init]'s application order is
-         unspecified, and the popping closure must run oldest-first. *)
-      let out = Array.make n (0., 0) in
-      for i = 0 to n - 1 do
-        Ring.pop s.results ~code ~value;
-        out.(i) <- (!value, !code)
-      done;
+      let out =
+        Array.init n (fun i ->
+            let state, power = Ring.nth s.results i in
+            (power, state))
+      in
+      Ring.drop s.results n;
+      Ring.trim s.results;
       Ok out
 
 let session_stats t ~id =

@@ -93,16 +93,32 @@ val max_vcd_upload : int
 (** Bytes one VCD upload may buffer before its final chunk (64 MiB). *)
 
 val vcd_chunk : t -> id:string -> chunk:string -> last:bool -> (int, string) result
-(** Buffer a VCD fragment; [last:true] parses the whole upload
-    ({!Psm_trace.Vcd.parse} — malformed text returns the reader's
-    positioned error), checks the interface against the session's model,
-    and enqueues every instant's proposition code and input Hamming
-    distance from {!Psm_mining.Sample_tracker.iter_runs}. Each upload
-    is its own trace: its first instant has distance 0, whatever the
-    session received before. Returns cycles enqueued
-    (0 while buffering). An upload that would grow past
-    {!max_vcd_upload} is rejected. Every error is per-session: the buffer
-    is reset and the session remains usable. *)
+(** Buffer a VCD fragment; [last:true] reads the whole upload in one
+    streaming pass ({!Psm_trace.Vcd.read_upload}) and enqueues every
+    cycle's proposition code and input Hamming distance, exactly what
+    {!Psm_trace.Vcd.parse} of the upload walked by
+    {!Psm_mining.Sample_tracker.iter_runs} gives. Each upload is its own
+    trace: its first cycle has distance 0, whatever the session received
+    before. Returns cycles enqueued (0 while buffering).
+
+    Cost: no trace is built. Each distinct timestamp's held sample is
+    classified by the session's own {!Psm_mining.Sample_tracker} as it
+    is read, into per-timestamp records that timestamp gaps expand onto
+    once the document has parsed, so nothing is queued from a bad
+    upload. Every upload's declarations are parsed. What an upload holds
+    is bounded by the document, and storage a large upload grew is
+    dropped after it.
+
+    Errors, first that applies: an upload that would grow past
+    {!max_vcd_upload} bytes; the reader's positioned error, the same
+    text and position as {!Psm_trace.Vcd.parse} of the upload; an
+    interface mismatch against the session's model, for a document that
+    parses. Every error is per-session: nothing is queued, the buffer is
+    reset and the session remains usable. *)
+
+val pending : t -> id:string -> ((int * float) array, string) result
+(** The queued (proposition code, -1 = unknown; input Hamming distance)
+    pairs not yet ticked, oldest first, left in the queue. *)
 
 val tick : t -> int
 (** One scheduler step: every session with a pending observation advances

@@ -7,12 +7,18 @@ let create sigs =
   if sigs = [] then invalid_arg "Interface.create: empty signal list";
   let signals = Array.of_list sigs in
   let by_name = Hashtbl.create (Array.length signals) in
-  Array.iteri
-    (fun i (s : Signal.t) ->
-      if Hashtbl.mem by_name s.name then
-        invalid_arg ("Interface.create: duplicate signal name " ^ s.name);
-      Hashtbl.add by_name s.name i)
-    signals;
+  (* One hash per name; a table shorter than the list has a duplicate,
+     found again for the message. *)
+  Array.iteri (fun i (s : Signal.t) -> Hashtbl.replace by_name s.name i) signals;
+  if Hashtbl.length by_name < Array.length signals then begin
+    let seen = Hashtbl.create (Array.length signals) in
+    Array.iter
+      (fun (s : Signal.t) ->
+        if Hashtbl.mem seen s.name then
+          invalid_arg ("Interface.create: duplicate signal name " ^ s.name);
+        Hashtbl.add seen s.name ())
+      signals
+  end;
   { signals; by_name }
 
 let signals t = Array.copy t.signals

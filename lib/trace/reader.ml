@@ -1,3 +1,17 @@
+(* The last two tokens returned by [next_span], as [start, stop) in
+   [bytes] (the reader's buffer), or -1 when the last token came from
+   another lexer; a refill keeps both in the buffer. [line] and [column]
+   are where the last token of any lexer started. *)
+type span = {
+  mutable bytes : bytes;
+  mutable start : int;
+  mutable stop : int;
+  mutable prev_start : int;
+  mutable prev_stop : int;
+  mutable line : int;
+  mutable column : int;
+}
+
 type t = {
   refill : bytes -> int -> int -> int;
       (* [refill buf off len] reads at most [len] bytes into [buf] at
@@ -10,16 +24,8 @@ type t = {
   mutable cur_line : int;
   mutable line_start : int;  (* input offset of the current line's first byte *)
   tok_buf : Buffer.t;
-  mutable tok_line : int;
-  mutable tok_column : int;
   mutable last_lexeme : string;
-  (* The last two tokens returned by [next_span], as [start, stop) in
-     [buf], or -1 when the last token came from another lexer. A refill
-     keeps both in the buffer. *)
-  mutable span_start : int;
-  mutable span_stop : int;
-  mutable prev_start : int;
-  mutable prev_stop : int;
+  sp : span;
 }
 
 let make ~buf ~len ~eof ~refill =
@@ -32,23 +38,24 @@ let make ~buf ~len ~eof ~refill =
     cur_line = 1;
     line_start = 0;
     tok_buf = Buffer.create 64;
-    tok_line = 1;
-    tok_column = 1;
     last_lexeme = "";
-    span_start = -1;
-    span_stop = -1;
-    prev_start = -1;
-    prev_stop = -1 }
+    sp =
+      { bytes = buf; start = -1; stop = -1; prev_start = -1; prev_stop = -1; line = 1; column = 1 }
+  }
 
 let of_channel ?(buffer = 65536) ic =
   let buf = Bytes.create (max 1 buffer) in
   make ~buf ~len:0 ~eof:false ~refill:(fun b off len -> input ic b off len)
 
+let no_refill _ _ _ = 0
+
 (* In-memory readers start at EOF: there is nothing to refill, and the
-   string under [buf] is never written. *)
-let of_string s =
-  make ~buf:(Bytes.unsafe_of_string s) ~len:(String.length s) ~eof:true
-    ~refill:(fun _ _ _ -> 0)
+   bytes under [buf] are never written. *)
+let of_bytes buf len =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Reader.of_bytes";
+  make ~buf ~len ~eof:true ~refill:no_refill
+
+let of_string s = of_bytes (Bytes.unsafe_of_string s) (String.length s)
 
 (* Read more input after [len], first sliding the bytes from [keep] on to
    the front of the buffer (and doubling it when they fill it). *)
@@ -61,19 +68,21 @@ let fill t ~keep =
       t.base <- t.base + keep;
       t.pos <- t.pos - keep;
       t.len <- live;
-      if t.span_start >= 0 then begin
-        t.span_start <- t.span_start - keep;
-        t.span_stop <- t.span_stop - keep
+      let sp = t.sp in
+      if sp.start >= 0 then begin
+        sp.start <- sp.start - keep;
+        sp.stop <- sp.stop - keep
       end;
-      if t.prev_start >= 0 then begin
-        t.prev_start <- t.prev_start - keep;
-        t.prev_stop <- t.prev_stop - keep
+      if sp.prev_start >= 0 then begin
+        sp.prev_start <- sp.prev_start - keep;
+        sp.prev_stop <- sp.prev_stop - keep
       end
     end;
     if t.len = Bytes.length t.buf then begin
       let bigger = Bytes.create (2 * Bytes.length t.buf) in
       Bytes.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
+      t.buf <- bigger;
+      t.sp.bytes <- bigger
     end;
     let n = t.refill t.buf t.len (Bytes.length t.buf - t.len) in
     if n = 0 then begin
@@ -102,14 +111,15 @@ let is_space = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
 (* The character lexers copy their token into [tok_buf]; any span they
    leave behind is stale. *)
 let drop_spans t =
-  t.span_start <- -1;
-  t.span_stop <- -1;
-  t.prev_start <- -1;
-  t.prev_stop <- -1
+  let sp = t.sp in
+  sp.start <- -1;
+  sp.stop <- -1;
+  sp.prev_start <- -1;
+  sp.prev_stop <- -1
 
 let mark_token t =
-  t.tok_line <- t.cur_line;
-  t.tok_column <- t.base + t.pos - t.line_start + 1;
+  t.sp.line <- t.cur_line;
+  t.sp.column <- t.base + t.pos - t.line_start + 1;
   Buffer.clear t.tok_buf
 
 let finish_token t =
@@ -195,9 +205,8 @@ let next_line t =
 
 (* Everything from the older kept token on survives a refill. *)
 let keep_from t =
-  if t.prev_start >= 0 then t.prev_start
-  else if t.span_start >= 0 then t.span_start
-  else t.pos
+  let sp = t.sp in
+  if sp.prev_start >= 0 then sp.prev_start else if sp.start >= 0 then sp.start else t.pos
 
 (* Top-level loops over a local buffer and index: no closure and no
    field traffic per byte. Every separator is at most ' ', so one
@@ -224,57 +233,73 @@ let rec token_stop buf len i =
       match c with ' ' | '\t' | '\r' | '\n' -> i | _ -> token_stop buf len (i + 1)
   else i
 
-(* Eight bytes at a time while none of them is below 0x21: the word test
-   flags a word exactly when one of its bytes is, and [token_stop] then
-   settles it byte by byte. *)
+(* Eight bytes at a time. The word test flags the bytes below 0x21, and
+   its lowest flag is always a true one (borrows only run upwards), so
+   the first such byte is found with one multiply: [m land (-m)] keeps
+   the lowest flag, at bit [8k + 7], and the multiply brings [k] to the
+   top byte. That byte ends the token when it is a separator; another
+   control byte is part of the token, and [token_stop] goes on from it. *)
 let rec token_words buf len i =
   if i + 8 > len then token_stop buf len i
   else
     let w = Bytes.get_int64_le buf i in
-    if
-      Int64.equal
-        (Int64.logand
-           (Int64.logand (Int64.sub w 0x2121212121212121L) (Int64.lognot w))
-           0x8080808080808080L)
-        0L
-    then token_words buf len (i + 8)
-    else token_stop buf len i
+    let m =
+      Int64.logand
+        (Int64.logand (Int64.sub w 0x2121212121212121L) (Int64.lognot w))
+        0x8080808080808080L
+    in
+    if Int64.equal m 0L then token_words buf len (i + 8)
+    else
+      let low = Int64.shift_right_logical (Int64.logand m (Int64.neg m)) 7 in
+      let k = Int64.to_int (Int64.shift_right_logical (Int64.mul low 0x0001020304050607L) 56) in
+      match Bytes.unsafe_get buf (i + k) with
+      | ' ' | '\t' | '\r' | '\n' -> i + k
+      | _ -> token_stop buf len (i + k + 1)
 
 let rec skip_space t =
-  t.pos <- space_stop t t.buf t.len t.pos;
-  t.pos < t.len || (fill t ~keep:(keep_from t) && skip_space t)
+  let i = space_stop t t.buf t.len t.pos in
+  t.pos <- i;
+  i < t.len || (fill t ~keep:(keep_from t) && skip_space t)
 
 let rec token_end t =
   t.pos <- token_words t.buf t.len t.pos;
   if t.pos = t.len && fill t ~keep:(keep_from t) then token_end t
 
 let next_span t =
-  skip_space t
+  (* [skip_space]'s first step, in line. *)
+  let i = space_stop t t.buf t.len t.pos in
+  t.pos <- i;
+  (i < t.len || (fill t ~keep:(keep_from t) && skip_space t))
   && begin
-       t.tok_line <- t.cur_line;
-       t.tok_column <- t.base + t.pos - t.line_start + 1;
-       t.prev_start <- t.span_start;
-       t.prev_stop <- t.span_stop;
-       t.span_start <- t.pos;
-       token_end t;
-       t.span_stop <- t.pos;
+       let sp = t.sp in
+       let start = t.pos in
+       sp.line <- t.cur_line;
+       sp.column <- t.base + start - t.line_start + 1;
+       sp.prev_start <- sp.start;
+       sp.prev_stop <- sp.stop;
+       sp.start <- start;
+       (* A token that ends inside the buffer, the usual case, needs no
+          refill. *)
+       let stop = token_words t.buf t.len start in
+       if stop < t.len then t.pos <- stop
+       else begin
+         t.pos <- stop;
+         if fill t ~keep:(keep_from t) then token_end t
+       end;
+       sp.stop <- t.pos;
        true
      end
 
-let span_bytes t = t.buf
-let span_start t = t.span_start
-let span_stop t = t.span_stop
-let prev_start t = t.prev_start
-let prev_stop t = t.prev_stop
+let span t = t.sp
 
-let position t = (t.tok_line, t.tok_column)
-let line t = t.tok_line
-let column t = t.tok_column
+let position t = (t.sp.line, t.sp.column)
+let line t = t.sp.line
+let column t = t.sp.column
 let bytes_read t = t.base + t.pos
 
 let lexeme t =
-  if t.span_start >= 0 then Bytes.sub_string t.buf t.span_start (t.span_stop - t.span_start)
-  else t.last_lexeme
+  let sp = t.sp in
+  if sp.start >= 0 then Bytes.sub_string t.buf sp.start (sp.stop - sp.start) else t.last_lexeme
 
 type error = { line : int; column : int; message : string; snippet : string }
 
@@ -283,7 +308,7 @@ let error_at t message =
     let s = lexeme t in
     if String.length s > 60 then String.sub s 0 57 ^ "..." else s
   in
-  { line = t.tok_line; column = t.tok_column; message; snippet }
+  { line = t.sp.line; column = t.sp.column; message; snippet }
 
 let error_to_string e =
   Printf.sprintf "line %d, column %d: %s%s" e.line e.column e.message

@@ -8,7 +8,7 @@
 
     - {e copying} lexers ({!next_token}, {!next_sexp_token},
       {!next_line}) that return each token as a fresh string — used by
-      headers, CSV, SAIF and the model loader;
+      CSV, SAIF, the model loader and the tests' VCD token oracle;
     - a {e span} scanner ({!next_span}) that returns no string at all:
       the token is left in place in the reader's own buffer and exposed
       as a [start, stop) span. When a refill lands mid-token, the partial
@@ -16,9 +16,9 @@
       first, and the buffer doubles when they fill it, so a span is
       always contiguous. Columns are computed from the offset of the
       current line's start, so scanning a byte costs one comparison, and
-      a token's end is found eight bytes at a time. The VCD value-change
-      section is read this way, in one sequential pass from the start of
-      the input.
+      a token's end is found eight bytes at a time. A VCD is read this
+      way, declarations included, in one sequential pass from the start
+      of the input.
 
     Live memory is the buffer plus the token being assembled — a reader
     over a channel never materializes the file as a string or a token
@@ -39,6 +39,10 @@ val of_channel : ?buffer:int -> in_channel -> t
 val of_string : string -> t
 (** Walk an in-memory string. No copy is made. *)
 
+val of_bytes : bytes -> int -> t
+(** [of_bytes b len] walks [b]'s first [len] bytes in place, like
+    {!of_string}; [b] must not change while the reader is in use. *)
+
 (** {1 Lexing} *)
 
 val next_token : t -> string option
@@ -57,19 +61,29 @@ val next_line : t -> string option
 
 val next_span : t -> bool
 (** Advance to the next whitespace-delimited token without copying it,
-    or return [false] at end of input. The token is
-    [span_bytes t] from [span_start t] to [span_stop t] (exclusive); the
-    token before it stays readable at [prev_start t], [prev_stop t] (-1
-    when the previous token came from a copying lexer). Both spans, and
-    the buffer itself, are valid until the next call on [t]: read
-    {!span_bytes} again after every call, and never write to it. At end
-    of input the spans keep pointing at the last token. *)
+    or return [false] at end of input. The token and the one before it
+    are read from {!span}. *)
 
-val span_bytes : t -> bytes
-val span_start : t -> int
-val span_stop : t -> int
-val prev_start : t -> int
-val prev_stop : t -> int
+type span = private {
+  mutable bytes : bytes;  (** the reader's buffer, which holds both tokens *)
+  mutable start : int;  (** the token is [bytes] from [start] to [stop] (exclusive) *)
+  mutable stop : int;
+  mutable prev_start : int;
+      (** the token before it, from [prev_start] to [prev_stop]; -1 when
+          it came from a copying lexer *)
+  mutable prev_stop : int;
+  mutable line : int;  (** = {!line} *)
+  mutable column : int;  (** = {!column} *)
+}
+(** The spans and the token position as one record that every lexer
+    call updates in place: a scanner takes it once and reads its fields,
+    with no call per token. Both spans, and [bytes] itself, are valid
+    until the next call on the reader: read [bytes] again after every
+    call, and never write to it. At end of input the spans keep pointing
+    at the last token. *)
+
+val span : t -> span
+(** The reader's span record, the same value for the reader's life. *)
 
 val lexeme : t -> string
 (** A copy of the last token returned by any of the lexers. *)

@@ -7,18 +7,19 @@
     It appends straight to a [Buffer.t]; only power values go through
     [Printf] (["%.17g"], so they read back bit-exact).
 
-    The reader lexes the declarations with {!Reader.next_token}, then
-    reads the value-change section with one span scanner
-    ({!Reader.next_span}) that works in the reader's buffer: no token
-    string is made, identifier codes resolve through a table built from
+    The reader is one span scanner ({!Reader.next_span}) that works in
+    the reader's buffer. Declaration keywords are compared in place, and
+    only the tokens a declaration keeps (names, codes, widths) are
+    copied. In the value-change section no token string is made,
+    identifier codes resolve through a table built from
     the header (one-character codes index an array), [#digits]
     timestamps and vector digits are decoded in place, and each change
     is applied straight to the held sample. An instant with no value
     change shares the previous instant's sample array and extends its
     run, with no compare and no copy; an instant with changes gets one
     new array. A channel-backed read never materializes the file as a
-    string or token list. {!read}, {!parse}, {!parse_file} and {!stream}
-    all run this one sequential scanner. It implements real VCD
+    string or token list. {!read}, {!parse}, {!parse_file}, {!stream}
+    and {!read_upload} all run this one sequential scanner. It implements real VCD
     semantics, not just the writer's subset:
 
     - timestamps are {e decoded}, values are held across gaps, and one
@@ -108,6 +109,54 @@ val stream :
     The value array is reused between calls and must not be retained.
     Nothing proportional to the trace length is allocated, which is what
     the bench harness uses to demonstrate O(#signals) ingestion. *)
+
+(** {1 Uploads}
+
+    Whole in-memory documents, read one after another by one client (the
+    serve engine's VCD uploads), with no trace built: each distinct
+    timestamp's held sample goes to a callback, and the document's
+    sampling grid is expanded on the caller's per-timestamp records. *)
+
+type upload
+(** A client's reader state, reused from one document to the next: the
+    timestamp storage and the power-token cache. *)
+
+val kept_records : int
+(** 4,096: per-timestamp storage an {!upload} grew past this many
+    records is dropped after its document. A caller that keeps per-instant
+    records of its own beside an upload sizes them by the same bound. *)
+
+val upload : unit -> upload
+
+val read_upload :
+  upload ->
+  bytes ->
+  int ->
+  interface:Interface.t ->
+  instant:(Psm_bits.Bits.t array -> unit) ->
+  grid:(int -> int -> unit) ->
+  (bool, Reader.error) result
+(** [read_upload u b len ~interface ~instant ~grid] reads the document in
+    [b]'s first [len] bytes, which must not change during the call, with
+    the declarations parsed as {!read} parses them. Then:
+    - The declared signals are compared with [interface] (as
+      {!Interface.equal} would compare the interface {!read} builds from
+      them, which is not built). When they differ, the rest of the
+      document is still checked, but [instant] and [grid] are not
+      called, and the result is [Ok false].
+    - [instant row] is called with the held values ([row] is reused:
+      read it, never keep or write it) at the first distinct timestamp
+      and at each later one where a value change was applied; the
+      timestamps in between hold the row it saw last.
+    - Once the whole document has been read and its sampling grid sized
+      (as {!read} does with no [period]), [grid k reps] is called for
+      each call [k] of [instant] (from 0, in order): the next [reps] (at
+      least 1) samples of the resampled trace hold that call's row, and
+      only the first of them can differ from the sample before.
+    Malformed input returns the {!Parse_error} that {!parse} of the same
+    bytes raises, before [grid] is called; nothing else is raised. Power
+    values are checked as {!read} checks them, then dropped; [x]/[z] bits
+    read as 0. *)
 
 (** {1 Writer internals exposed for tests} *)
 

@@ -179,6 +179,27 @@ let properties =
         Bits.equal (Bits.mul a b) (Bits.mul b a));
     prop "add commutative" (arb_pair 96) (fun (a, b) ->
         Bits.equal (Bits.add a b) (Bits.add b a));
+    (* The word-at-a-time decoder against the character reader: digit
+       spans of every length up to 130 at any offset inside noise, read
+       into a wider vector, and one bad character anywhere rejected. *)
+    prop "of_binary_sub = of_binary_string on the span"
+      QCheck.(quad (int_range 1 130) (int_range 0 9) (int_range 0 40) (int_bound 1_000_000))
+      (fun (len, pre, extra, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let digits = String.init len (fun _ -> if Random.State.bool rng then '1' else '0') in
+        let noise n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+        let s = noise pre ^ digits ^ noise 9 in
+        let width = len + extra in
+        let v = Bits.of_binary_sub ~width s ~pos:pre ~len in
+        let expected = Bits.of_binary_string (String.make extra '0' ^ digits) in
+        let bad = Bytes.of_string s in
+        Bytes.set bad (pre + Random.State.int rng len) (if Random.State.bool rng then '2' else '/');
+        Bits.equal v expected
+        && (match
+              Bits.of_binary_sub ~width (Bytes.to_string bad) ~pos:pre ~len
+            with
+           | _ -> false
+           | exception Invalid_argument _ -> true));
     prop "mul distributes over add (mod 2^w)"
       (QCheck.triple (arb_bits 32) (arb_bits 32) (arb_bits 32))
       (fun (a, b, c) ->

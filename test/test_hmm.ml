@@ -455,8 +455,9 @@ let properties =
                dense_acc.(j) <- dense_acc.(j) +. (x.(i) *. a.(i).(j))
              done
            done;
-           let gathered = Array.make m nan in
-           Psm_hmm.Sparse.gather_product (Psm_hmm.Sparse.transpose csr) x gathered;
+           let gathered = Array.make m nan and total = [| nan |] in
+           Psm_hmm.Sparse.gather_scaled (Psm_hmm.Sparse.transpose csr) x
+             ~scale:(Array.make m 1.) gathered ~total;
            let dense =
              Array.init m (fun j ->
                  let acc = ref 0. in
@@ -466,6 +467,7 @@ let properties =
                  !acc)
            in
            same scattered dense_acc && same gathered dense
+           && same total [| Array.fold_left ( +. ) 0. dense |]
            && Psm_hmm.Sparse.nnz csr
               = Array.fold_left
                   (fun n row -> Array.fold_left (fun n v -> if v <> 0. then n + 1 else n) n row)

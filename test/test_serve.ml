@@ -460,6 +460,284 @@ let test_vcd_typed_errors () =
           ~chunk:(with_var (Printf.sprintf "$var wire %s %s also_%s $end" width code name))
           ~last:true))
 
+(* What an upload costs and keeps. Re-uploading a 64-cycle writer
+   document, once the session has its upload state, allocates at most
+   [upload_words_per_cycle] minor words per uploaded cycle (measured
+   14.6 for this RAM document: its declarations, about a third, the
+   decoded vector values, the reader and the per-document records). And
+   what a session holds after one
+   large upload is what it held after a small one, give or take 64 Ki
+   words: the upload buffer, its timestamp records and the session's
+   queues do not stay at the large upload's scale. *)
+let upload_words_per_cycle = 20.
+
+let test_vcd_upload_cost () =
+  let m = model_of "RAM" in
+  let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+  get (Engine.open_session engine ~id:"v" ~model:"RAM" ~mode:`Filter);
+  let trace = ram_trace () in
+  let doc = Vcd.to_string (Functional_trace.sub trace ~start:100 ~stop:163) in
+  let upload text =
+    let n = feed_vcd engine ~id:"v" text ~pieces:2 in
+    ignore (Engine.drain engine);
+    ignore (get (Engine.take_results engine ~id:"v" ~count:n));
+    n
+  in
+  check_int "first upload" 64 (upload doc);
+  let before = Gc.minor_words () in
+  let n = feed_vcd engine ~id:"v" doc ~pieces:2 in
+  let words = Gc.minor_words () -. before in
+  check_int "re-upload" 64 n;
+  ignore (Engine.drain engine);
+  ignore (get (Engine.take_results engine ~id:"v" ~count:n));
+  if words /. 64. > upload_words_per_cycle then
+    Alcotest.failf "re-upload: %.1f words per cycle, bound %.0f" (words /. 64.)
+      upload_words_per_cycle;
+  let held () = Obj.reachable_words (Obj.repr engine) in
+  let small = held () in
+  (* About 1.5 MB of document: the capture's samples, cycled. *)
+  let samples = Array.init 600 (fun time -> Functional_trace.sample trace ~time) in
+  let large =
+    Vcd.to_string
+      (Functional_trace.of_samples (Functional_trace.interface trace)
+         (Array.init 60_000 (fun i -> samples.(i mod 600))))
+  in
+  check_bool "large upload above 1 MiB" true (String.length large > 1 lsl 20);
+  check_int "large upload" 60_000 (upload large);
+  check_int "small upload after" 64 (upload doc);
+  let after = held () in
+  if after - small > 65_536 then
+    Alcotest.failf "a session holds %d words after a large upload, %d before" after small
+
+(* ---------- uploads against the parse-then-walk oracle ---------- *)
+
+let capture_of name length =
+  let make = List.assoc name ip_makes in
+  Capture.run (make ())
+    (List.hd (Workloads.suite ~parts:1 ~total_length:length ~long:false name))
+
+(* Writer documents cut from a capture: windows of 1 to 64 cycles, half of
+   them with the power variable. *)
+let writer_docs rng name =
+  let trace, power = capture_of name 800 in
+  let n = Functional_trace.length trace in
+  Array.init 24 (fun _ ->
+      let len = 1 + Random.State.int rng 64 in
+      let start = Random.State.int rng (n - len) in
+      let stop = start + len - 1 in
+      let window = Functional_trace.sub trace ~start ~stop in
+      if Random.State.bool rng then Vcd.to_string window
+      else
+        Vcd.to_string
+          ~power:(Psm_trace.Power_trace.of_array
+                    (Array.init len (fun i -> Psm_trace.Power_trace.get power (start + i))))
+          window)
+
+let lines_of text = String.split_on_char '\n' text
+let unlines = String.concat "\n"
+
+(* Rewrite the timestamp lines ([#t]) with [f], the others kept. *)
+let map_timestamps f text =
+  unlines
+    (List.map
+       (fun l ->
+         if String.length l > 1 && l.[0] = '#' then
+           match int_of_string_opt (String.sub l 1 (String.length l - 1)) with
+           | Some t -> f l t
+           | None -> l
+         else l)
+       (lines_of text))
+
+let header_end text =
+  let key = "$enddefinitions $end" in
+  let rec find i =
+    if i + String.length key > String.length text then String.length text
+    else if String.sub text i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  find 0
+
+(* One mutation of a writer document, by kind. *)
+let mutate rng docs kind doc =
+  let len = String.length doc in
+  let pick () = Random.State.int rng (max 1 len) in
+  match kind with
+  | 0 -> doc
+  | 1 ->
+      (* byte flip *)
+      let b = Bytes.of_string doc in
+      let chars = " \n\t#$bBrRxXzZ01!\"%&~9:-.e" in
+      if len > 0 then
+        Bytes.set b (pick ())
+          (if Random.State.int rng 4 = 0 then Char.chr (Random.State.int rng 256)
+           else chars.[Random.State.int rng (String.length chars)]);
+      Bytes.to_string b
+  | 2 -> String.sub doc 0 (pick ()) (* truncation *)
+  | 3 ->
+      (* splice: a prefix of this document, a suffix of another *)
+      let other = docs.(Random.State.int rng (Array.length docs)) in
+      let i = pick () and j = Random.State.int rng (max 1 (String.length other)) in
+      String.sub doc 0 i ^ String.sub other j (String.length other - j)
+  | 4 ->
+      (* gaps: stretched or shifted time *)
+      let k = 1 + Random.State.int rng 5 and shift = Random.State.int rng 3 in
+      map_timestamps (fun _ t -> Printf.sprintf "#%d" ((t * k) + if t > 0 then shift else 0)) doc
+  | 5 ->
+      (* a repeated, or backwards, timestamp *)
+      let back = Random.State.bool rng in
+      unlines
+        (List.concat_map
+           (fun l ->
+             if String.length l > 1 && l.[0] = '#' && Random.State.int rng 6 = 0 then
+               match int_of_string_opt (String.sub l 1 (String.length l - 1)) with
+               | Some t when back && t > 0 -> [ l; Printf.sprintf "#%d" (t - 1) ]
+               | _ -> [ l; l ]
+             else [ l ])
+           (lines_of doc))
+  | 6 ->
+      (* x/z digits in value changes *)
+      let h = header_end doc in
+      String.mapi
+        (fun i c ->
+          if i > h && (c = '0' || c = '1') && Random.State.int rng 25 = 0 then
+            "xXzZ".[Random.State.int rng 4]
+          else c)
+        doc
+  | _ ->
+      (* the header: another timescale, a header comment, or text glued
+         to the final $end *)
+      let h = header_end doc in
+      let header = String.sub doc 0 h and body = String.sub doc h (len - h) in
+      (match Random.State.int rng 3 with
+      | 0 -> "$timescale 10ps $end\n" ^ header ^ body
+      | 1 -> "$comment a new header $end\n" ^ header ^ body
+      | _ -> header ^ "junk $end" ^ body)
+
+(* Split [text] into 1 to 3 chunks. *)
+let chunks rng text =
+  let len = String.length text in
+  match Random.State.int rng 3 with
+  | 0 -> [ text ]
+  | 1 ->
+      let i = Random.State.int rng (len + 1) in
+      [ String.sub text 0 i; String.sub text i (len - i) ]
+  | _ ->
+      let i = Random.State.int rng (len + 1) in
+      let j = i + Random.State.int rng (len - i + 1) in
+      [ String.sub text 0 i; String.sub text i (j - i); String.sub text j (len - j) ]
+
+let feed_chunks engine ~id pieces =
+  let rec go = function
+    | [] -> assert false
+    | [ last ] -> Engine.vcd_chunk engine ~id ~chunk:last ~last:true
+    | c :: rest -> (
+        match Engine.vcd_chunk engine ~id ~chunk:c ~last:false with
+        | Ok 0 -> go rest
+        | Ok n -> Alcotest.failf "a middle chunk queued %d cycles" n
+        | Error _ as e -> e)
+  in
+  go pieces
+
+(* Seeded mutations of writer documents, uploaded in 1 to 3 chunks into
+   sessions that keep their upload state between uploads: an upload never
+   raises, fails exactly when [Vcd.parse] of its bytes raises (same text,
+   line and column) or its interface differs, and otherwise queues
+   exactly the oracle's (code, distance) pairs. Documents of one IP go to
+   a session of another IP too, so headers change between uploads and
+   mismatches meet parse errors. *)
+let test_vcd_upload_mutations () =
+  let rng = Random.State.make [| 0x5eed; 24 |] in
+  let names = [ "RAM"; "AES" ] in
+  let models = List.map (fun n -> (n, model_of n)) names in
+  let engine = Engine.create ~idle_timeout:0. models in
+  let sessions = [ ("ram", "RAM"); ("aes", "AES"); ("ram2", "RAM") ] in
+  List.iter
+    (fun (id, model) -> get (Engine.open_session engine ~id ~model ~mode:`Filter))
+    sessions;
+  let docs = List.map (fun n -> (n, writer_docs rng n)) names in
+  let outcomes = Array.make 3 0 in
+  for round = 1 to 400 do
+    let id, model = List.nth sessions (Random.State.int rng (List.length sessions)) in
+    (* Mostly the session's own IP, sometimes the other one. *)
+    let source = if Random.State.int rng 5 = 0 then List.nth names (round mod 2) else model in
+    let pool = List.assoc source docs in
+    let doc = pool.(Random.State.int rng (Array.length pool)) in
+    let kind = if Random.State.int rng 3 = 0 then 0 else Random.State.int rng 8 in
+    let text = mutate rng pool kind doc in
+    let before = get (Engine.pending engine ~id) in
+    let got =
+      match feed_chunks engine ~id (chunks rng text) with
+      | r -> r
+      | exception e ->
+          Alcotest.failf "round %d (kind %d): upload raised %s on %S" round kind
+            (Printexc.to_string e) text
+    in
+    let expected =
+      match Upload_oracle.upload ~model_name:model (List.assoc model models) text with
+      | r -> r
+      | exception e ->
+          Alcotest.failf "round %d: Vcd.parse raised %s on %S" round (Printexc.to_string e) text
+    in
+    let after = get (Engine.pending engine ~id) in
+    (match (expected, got) with
+    | Error e, Error g ->
+        if e <> g then Alcotest.failf "round %d (kind %d): error %S, oracle %S on %S" round kind g e text;
+        if Array.length after <> Array.length before then
+          Alcotest.failf "round %d: a failed upload queued cycles" round;
+        outcomes.(if contains e "interface mismatch" then 1 else 2) <-
+          outcomes.(if contains e "interface mismatch" then 1 else 2) + 1
+    | Ok pairs, Ok n ->
+        if n <> Array.length pairs then
+          Alcotest.failf "round %d: %d cycles returned, oracle %d" round n (Array.length pairs);
+        let queued = Array.sub after (Array.length before) (Array.length after - Array.length before) in
+        if Array.length queued <> n then
+          Alcotest.failf "round %d: %d cycles queued, %d returned" round (Array.length queued) n;
+        Array.iteri
+          (fun i (c, d) ->
+            let c', d' = queued.(i) in
+            if c <> c' || Float.compare d d' <> 0 then
+              Alcotest.failf "round %d (kind %d) cycle %d: queued (%d, %g), oracle (%d, %g)" round
+                kind i c' d' c d)
+          pairs;
+        outcomes.(0) <- outcomes.(0) + 1
+    | Error e, Ok _ -> Alcotest.failf "round %d (kind %d): accepted, oracle %S on %S" round kind e text
+    | Ok _, Error g -> Alcotest.failf "round %d (kind %d): %S, oracle accepted %S" round kind g text);
+    ignore (Engine.drain engine);
+    List.iter
+      (fun (id, _) ->
+        ignore (get (Engine.take_results engine ~id ~count:max_int)))
+      sessions
+  done;
+  (* A header that changes between uploads of one session, and one whose
+     bytes match the previous header but not its token boundary: the byte
+     after the final [$end] is not whitespace, so [$end] is not a token
+     there. *)
+  let doc = (List.assoc "RAM" docs).(0) in
+  let h = header_end doc in
+  let header = String.sub doc 0 h and body = String.sub doc h (String.length doc - h) in
+  List.iter
+    (fun (what, text) ->
+      let expected = Upload_oracle.upload ~model_name:"RAM" (List.assoc "RAM" models) text in
+      let before = Array.length (get (Engine.pending engine ~id:"ram2")) in
+      let got = feed_chunks engine ~id:"ram2" [ text ] in
+      let after = get (Engine.pending engine ~id:"ram2") in
+      match (expected, got) with
+      | Ok pairs, Ok n ->
+          check_int (what ^ ": cycles") (Array.length pairs) n;
+          if Array.sub after before n <> pairs then Alcotest.failf "%s: queued pairs differ" what
+      | Error e, Error g -> check_string (what ^ ": error") e g
+      | _ -> Alcotest.failf "%s: engine and oracle disagree" what)
+    [ ("plain", doc);
+      ("new timescale", "$timescale 1ps $end\n" ^ header ^ body);
+      ("plain again", doc);
+      ("glued to $end", header ^ "x" ^ body);
+      ("$end then junk", header ^ "junk $end" ^ body);
+      ("plain once more", doc) ];
+  (* The mix the seed gives: every outcome occurs often. *)
+  check_bool "accepted uploads" true (outcomes.(0) >= 100);
+  check_bool "interface mismatches" true (outcomes.(1) >= 20);
+  check_bool "parse errors" true (outcomes.(2) >= 50)
+
 let test_idle_eviction () =
   let clock = ref 0. in
   let m = model_of "RAM" in
@@ -1081,6 +1359,9 @@ let suite =
         test_observe_rejects_bad_hd;
       Alcotest.test_case "vcd upload bound" `Quick test_vcd_upload_bound;
       Alcotest.test_case "vcd typed header and gap errors" `Quick test_vcd_typed_errors;
+      Alcotest.test_case "vcd upload mutations = parse-then-walk oracle" `Quick
+        test_vcd_upload_mutations;
+      Alcotest.test_case "vcd upload allocation and storage" `Quick test_vcd_upload_cost;
       Alcotest.test_case "vcd faults + observe equivalence" `Slow
         test_vcd_faults_and_equivalence;
       Alcotest.test_case "idle eviction (injected clock)" `Quick

@@ -544,6 +544,32 @@ let test_filter_step_allocates_nothing () =
   Alcotest.(check (float 0.)) "10,000 steps" 0. (words -. baseline);
   Alcotest.(check int) "steps counted" 10_001 (Psm_hmm.Filtering.Stream.steps s)
 
+(* Whole-trace filtering over an IP capture: [expected_power] allocates
+   its output array (straight to the major heap at these lengths) and a
+   fixed set-up in the minor heap (the sample tracker and the belief
+   vectors), and nothing per cycle, as each cycle's power is written into
+   the output unboxed. *)
+let test_expected_power_allocates_output_only () =
+  let workload length =
+    Psm_ips.Workloads.ram_long ?length:(Some length) ?seed:(Some 5L) ()
+  in
+  let trained =
+    Flow.train_on_ip (Psm_ips.Ram.create ())
+      (Psm_ips.Workloads.suite ~parts:2 ~total_length:2_000 ~long:false "RAM")
+  in
+  let filt = Psm_hmm.Filtering.create trained.Flow.hmm in
+  let minor n =
+    let trace, _ = Psm_ips.Capture.run (Psm_ips.Ram.create ()) (workload n) in
+    Alcotest.(check int) "capture length" n (FT.length trace);
+    let power = ref [||] in
+    let words = minor_words (fun () -> power := Psm_hmm.Filtering.expected_power filt trace) in
+    Alcotest.(check int) "one power per cycle" n (Array.length !power);
+    words
+  in
+  let short = minor 2_000 and long = minor 4_000 in
+  if short > 1024. then Alcotest.failf "%.0f words of set-up" short;
+  Alcotest.(check (float 0.)) "no words per cycle" short long
+
 (* Resynchronization allocates per event, not per cycle of history:
    doubling a resync-heavy trace at most doubles the words. *)
 let test_resync_words_linear () =
@@ -581,4 +607,6 @@ let suite =
       Alcotest.test_case "resync words linear in cycles" `Quick test_resync_words_linear;
       Alcotest.test_case "front end allocates nothing" `Quick test_front_end_allocates_nothing;
       Alcotest.test_case "filter step allocates nothing" `Quick
-        test_filter_step_allocates_nothing ] )
+        test_filter_step_allocates_nothing;
+      Alcotest.test_case "expected_power allocates its output only" `Quick
+        test_expected_power_allocates_output_only ] )
