@@ -302,11 +302,9 @@ let train_vcd_cmd =
 
 (* ---- train-stream: incremental black-box training, O(model) memory ---- *)
 
-let train_stream files dot unknowns period watermark checkpoint =
+let train_stream files dot unknowns period checkpoint =
   let result =
-    try
-      Psm_flow.Stream_train.train_stream ~unknowns ~period ?watermark ?checkpoint
-        files
+    try Psm_flow.Stream_train.train_stream ~unknowns ~period ?checkpoint files
     with
     | Psm_trace.Vcd.Parse_error e ->
         Printf.eprintf "parse error: %s\n" (Psm_trace.Reader.error_to_string e);
@@ -321,9 +319,8 @@ let train_stream files dot unknowns period watermark checkpoint =
         exit 1
   in
   Format.printf "%a@." Psm.pp result.Psm_flow.Stream_train.optimized;
-  Printf.printf "streamed %d cycles over %d trace(s), %d compaction(s)\n"
-    result.Psm_flow.Stream_train.cycles result.Psm_flow.Stream_train.traces_seen
-    result.Psm_flow.Stream_train.compactions;
+  Printf.printf "streamed %d cycles over %d trace(s)\n"
+    result.Psm_flow.Stream_train.cycles result.Psm_flow.Stream_train.traces_seen;
   Option.iter
     (fun path ->
       Psm_core.Dot.write_file path result.Psm_flow.Stream_train.optimized;
@@ -341,12 +338,6 @@ let train_stream_cmd =
              ~doc:"Sampling period in timescale units (default 1; streaming \
                    cannot infer the GCD of the timestamp deltas up front).")
   in
-  let watermark =
-    Arg.(value & opt (some int) None
-         & info [ "watermark" ] ~docv:"CYCLES"
-             ~doc:"Compact the in-flight pipeline every CYCLES training \
-                   samples (default 4096).")
-  in
   let checkpoint =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
@@ -359,7 +350,7 @@ let train_stream_cmd =
        ~doc:"Mine PSMs from VCD traces incrementally, without materializing \
              any trace in memory")
     Term.(const train_stream $ files $ dot_arg
-          $ unknowns_arg $ stream_period $ watermark $ checkpoint)
+          $ unknowns_arg $ stream_period $ checkpoint)
 
 (* ---- apply: run a persisted model over recorded traces ---- *)
 

@@ -20,8 +20,6 @@ module Regression = Psm_stats.Regression
 module Hmm = Psm_hmm.Hmm
 module Analyzer = Psm_analysis.Analyzer
 
-let default_watermark = 4096
-
 (* ---------- result ---------- *)
 
 type result = {
@@ -130,9 +128,11 @@ let add_sums a b =
    explicit so it survives [`Counts] provenance, which drops the
    interval lists). An open run's intervals wait in [parts], newest
    member first, and [attr] holds its ⟨μ, σ, n⟩ only; [close] joins
-   them once the run is committed. *)
+   them once the run is committed. [members] counts the raw segments
+   merged into this one, consecutive in one trace: [members - 1] chain
+   edges run inside it. *)
 type seg = {
-  uid : int;
+  members : int;
   strace : int;
   skey : int * int;
   assertion : Assertion.t;
@@ -166,7 +166,6 @@ type level = { mutable run : seg option }
    of them — this is where a cyclic workload's unbounded stream of
    simplified segments collapses to constant live memory. *)
 type cluster = {
-  cuid : int;
   mutable members : int;
   mutable cattr : Power_attr.t; (* ⟨μ, σ, n⟩; intervals in [cparts] *)
   mutable cparts : Power_attr.interval list list; (* reverse order *)
@@ -201,14 +200,17 @@ and phase = Mining | Training
    stays put whatever the live table's index looks like. *)
 type 'table core_of = {
   iface : Interface.t;
-  watermark : int;
   provenance : [ `Full | `Counts ];
   miner : Miner.Incremental.t;
+  (* Mining-phase run coalescer: the open run of equal samples, handed
+     to [observe_run] once a different sample or the trace end closes
+     it. A run left open across a checkpoint simply continues. *)
+  mutable rsample : Bits.t array option;
+  mutable rlen : int;
   mutable table : 'table option;
   mutable phase : phase;
   mutable cycles : int; (* training-phase samples *)
   mutable traces_done : int; (* completed training traces *)
-  mutable compactions : int;
   input_idx : int list;
   (* per-trace scratch *)
   mutable cur_trace : int;
@@ -221,50 +223,31 @@ type 'table core_of = {
   buf_ham : Fbuf.t;
   buf_prop : Ibuf.t;
   mutable held_triplet : triplet option;
-  mutable prev_uid : int; (* uid of the last released triplet, -1 at trace start *)
-  (* raw-edge occurrence counts and uid redirection *)
-  mutable next_uid : int;
-  redirect : (int, int) Hashtbl.t;
-  counts : (int * int, float) Hashtbl.t;
-  (* pending raw segments awaiting the next compaction *)
-  mutable pending : seg list; (* reverse order *)
-  mutable pending_n : int;
-  mutable since_compact : int;
   (* downstream pipeline *)
   levels : level array; (* Simplify.max_simplify_passes static levels *)
   clusters : cluster_vec;
   mutable last_absorbed : (int * int) option; (* trace, cluster index *)
   cedges : (int * int * int, unit) Hashtbl.t; (* cluster, guard, cluster *)
+  counts : (int * int, float) Hashtbl.t; (* cluster pair -> raw chain-edge occurrences *)
   mutable cinitials : int list; (* reverse order, one cluster per trace *)
   (* coarse stage timings *)
   mutable mine_s : float;
-  mutable generate_s : float;
 }
 
 type core = Table.t core_of
 
-(* Mining-phase run coalescer. Lives on the wrapper, NOT in [core]: the
-   checkpoint payload is one [Marshal] of [core] and must keep its
-   layout. Pending runs are flushed at trace boundaries and before any
-   checkpoint — flushing early is exact, because [observe_run] works in
-   absolute time and a value re-observed at the next instant continues
-   its run regardless of how the observations were batched. *)
-type mine_rle = { mutable rsample : Bits.t array option; mutable rlen : int }
+type trainer = { config : Flow.config; core : core }
 
-and trainer = { config : Flow.config; core : core; mine_rle : mine_rle }
-
-let create_core ?(config = Flow.default) ?(watermark = default_watermark)
-    ?(provenance = `Full) iface =
-  if watermark <= 0 then invalid_arg "Stream_train: watermark must be positive";
+let create_core ~config ~provenance iface =
   { iface;
-    watermark;
     provenance;
     miner = Miner.Incremental.create ~config:config.Flow.miner iface;
+    rsample = None;
+    rlen = 0;
     table = None;
     phase = Mining;
     cycles = 0;
     traces_done = 0;
-    compactions = 0;
     input_idx = List.map fst (Interface.inputs iface);
     cur_trace = 0;
     cur_len = 0;
@@ -276,30 +259,17 @@ let create_core ?(config = Flow.default) ?(watermark = default_watermark)
     buf_ham = Fbuf.create ();
     buf_prop = Ibuf.create ();
     held_triplet = None;
-    prev_uid = -1;
-    next_uid = 0;
-    redirect = Hashtbl.create 256;
-    counts = Hashtbl.create 256;
-    pending = [];
-    pending_n = 0;
-    since_compact = 0;
     levels =
       Array.init Psm_core.Simplify.max_simplify_passes (fun _ -> { run = None });
     clusters = cluster_vec ();
     last_absorbed = None;
     cedges = Hashtbl.create 64;
+    counts = Hashtbl.create 64;
     cinitials = [];
-    mine_s = 0.;
-    generate_s = 0. }
+    mine_s = 0. }
 
-let resolve_uid core uid =
-  let rec go u = match Hashtbl.find_opt core.redirect u with Some v -> go v | None -> u in
-  go uid
-
-let fresh_uid core =
-  let u = core.next_uid in
-  core.next_uid <- u + 1;
-  u
+let bump table key by =
+  Hashtbl.replace table key (by +. Option.value ~default:0. (Hashtbl.find_opt table key))
 
 (* A segment's interval lists as [Power_attr.concat_rev] parts. Empty
    lists ([`Counts] provenance) are left out, so a run's [parts] stays
@@ -322,16 +292,9 @@ let close s =
    run keeps its members' intervals in [parts] until it is committed.
    The accumulator's emissions table is exclusively owned by the run,
    so it is extended in place. *)
-let merge_seg core a b =
-  Hashtbl.iter
-    (fun p c ->
-      Hashtbl.replace a.emissions p
-        (c +. Option.value ~default:0. (Hashtbl.find_opt a.emissions p)))
-    b.emissions;
-  let uid = fresh_uid core in
-  Hashtbl.replace core.redirect a.uid uid;
-  Hashtbl.replace core.redirect b.uid uid;
-  { uid;
+let merge_seg a b =
+  Hashtbl.iter (fun p c -> bump a.emissions p c) b.emissions;
+  { members = a.members + b.members;
     strace = a.strace;
     skey = a.skey;
     assertion = Assertion.seq [ a.assertion; b.assertion ];
@@ -365,14 +328,15 @@ let add_component core c assertion attr =
    order is the arrival order). Also accumulates the pass-1 output
    machine's transitions and initial states: the chain edge into this
    segment connects the clusters of two consecutive commits of the same
-   trace, guarded by this segment's entry proposition. *)
-let absorb config core seg =
+   trace, guarded by this segment's entry proposition. The raw chain
+   edges are counted here too: the segment's [members - 1] inner edges
+   stay in its cluster, and the edge into it is that chain edge. *)
+let absorb config core (seg : seg) =
   let v = core.clusters in
   let rec place i =
     if i >= v.cn then begin
       let c =
-        { cuid = fresh_uid core;
-          members = 1;
+        { members = 1;
           cattr = seg.attr;
           cparts = cons_intervals seg.attr [];
           components = [ (seg.assertion, seg.attr) ];
@@ -381,7 +345,6 @@ let absorb config core seg =
           first_key = seg.skey }
       in
       cluster_push v c;
-      Hashtbl.replace core.redirect seg.uid c.cuid;
       v.cn - 1
     end
     else begin
@@ -392,21 +355,18 @@ let absorb config core seg =
         c.cparts <- cons_intervals seg.attr c.cparts;
         add_component core c seg.assertion seg.attr;
         c.csums <- add_sums c.csums seg.sums;
-        Hashtbl.iter
-          (fun p cnt ->
-            Hashtbl.replace c.cemissions p
-              (cnt +. Option.value ~default:0. (Hashtbl.find_opt c.cemissions p)))
-          seg.emissions;
-        Hashtbl.replace core.redirect seg.uid c.cuid;
+        Hashtbl.iter (bump c.cemissions) seg.emissions;
         i
       end
       else place (i + 1)
     end
   in
   let ci = place 0 in
+  if seg.members > 1 then bump core.counts (ci, ci) (float_of_int (seg.members - 1));
   (match core.last_absorbed with
   | Some (tr, prev_ci) when tr = seg.strace ->
-      Hashtbl.replace core.cedges (prev_ci, seg.entry, ci) ()
+      Hashtbl.replace core.cedges (prev_ci, seg.entry, ci) ();
+      bump core.counts (prev_ci, ci) 1.
   | _ -> core.cinitials <- ci :: core.cinitials);
   core.last_absorbed <- Some (seg.strace, ci)
 
@@ -419,40 +379,13 @@ let rec feed config core i seg =
     | None -> lvl.run <- Some seg
     | Some acc ->
         if acc.strace = seg.strace && Merge.mergeable config acc.attr seg.attr then
-          lvl.run <- Some (merge_seg core acc seg)
+          lvl.run <- Some (merge_seg acc seg)
         else begin
           lvl.run <- Some seg;
           feed config core (i + 1) acc
         end
 
 let feed_pipeline config core seg = feed config core 0 seg
-
-(* ---------- compaction ---------- *)
-
-let compact config core =
-  Psm_obs.span "stream.compact" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let batch = List.rev core.pending in
-  core.pending <- [];
-  core.pending_n <- 0;
-  List.iter (feed_pipeline config.Flow.merge core) batch;
-  (* Re-key the raw-edge counts through the accumulated merge
-     redirections, then forget them: every uid a future edge or merge
-     can mention is live again after [prev_uid] is itself resolved. *)
-  let resolved = Hashtbl.create (Hashtbl.length core.counts) in
-  Hashtbl.iter
-    (fun (a, b) v ->
-      let key = (resolve_uid core a, resolve_uid core b) in
-      Hashtbl.replace resolved key
-        (v +. Option.value ~default:0. (Hashtbl.find_opt resolved key)))
-    core.counts;
-  Hashtbl.reset core.counts;
-  Hashtbl.iter (Hashtbl.replace core.counts) resolved;
-  if core.prev_uid >= 0 then core.prev_uid <- resolve_uid core core.prev_uid;
-  Hashtbl.reset core.redirect;
-  core.compactions <- core.compactions + 1;
-  core.since_compact <- 0;
-  core.generate_s <- core.generate_s +. (Unix.gettimeofday () -. t0)
 
 (* ---------- releasing triplets as raw segments ---------- *)
 
@@ -475,7 +408,8 @@ let mean_var_slice buf ~start ~stop =
     (mu, sqrt (!dev /. float_of_int (n - 1)))
   end
 
-let release_triplet core { pat; tstart; tstop } =
+(* A released triplet is a raw segment, fed straight into the cascade. *)
+let release_triplet config core { pat; tstart; tstop } =
   let mu, sigma = mean_var_slice core.buf_power ~start:tstart ~stop:tstop in
   let intervals =
     match core.provenance with
@@ -499,13 +433,10 @@ let release_triplet core { pat; tstart; tstop } =
         sxx = !sums.sxx +. (x *. x);
         syy = !sums.syy +. (y *. y);
         sxy = !sums.sxy +. (x *. y) };
-    let p = Ibuf.get core.buf_prop i in
-    Hashtbl.replace emissions p
-      (1. +. Option.value ~default:0. (Hashtbl.find_opt emissions p))
+    bump emissions (Ibuf.get core.buf_prop i) 1.
   done;
-  let uid = fresh_uid core in
-  let seg =
-    { uid;
+  feed_pipeline config core
+    { members = 1;
       strace = core.cur_trace;
       skey = (core.cur_trace, tstart);
       assertion;
@@ -513,16 +444,7 @@ let release_triplet core { pat; tstart; tstop } =
       parts = [];
       entry;
       sums = !sums;
-      emissions }
-  in
-  if core.prev_uid >= 0 then begin
-    let key = (core.prev_uid, uid) in
-    Hashtbl.replace core.counts key
-      (1. +. Option.value ~default:0. (Hashtbl.find_opt core.counts key))
-  end;
-  core.prev_uid <- uid;
-  core.pending <- seg :: core.pending;
-  core.pending_n <- core.pending_n + 1;
+      emissions };
   Fbuf.drop_to core.buf_power (tstop + 1);
   Fbuf.drop_to core.buf_ham (tstop + 1);
   Ibuf.drop_to core.buf_prop (tstop + 1)
@@ -530,10 +452,10 @@ let release_triplet core { pat; tstart; tstop } =
 (* A newly recognized triplet displaces the held-back previous one; the
    hold-back exists because the trace's *last* triplet may still be
    extended by the end-of-trace attribution. *)
-let emit_triplet core pat tstart tstop =
+let emit_triplet config core pat tstart tstop =
   Psm_obs.span "stream.extend" @@ fun () ->
   (match core.held_triplet with
-  | Some t -> release_triplet core t
+  | Some t -> release_triplet config core t
   | None -> ());
   core.held_triplet <- Some { pat; tstart; tstop }
 
@@ -577,24 +499,22 @@ let push_training trainer sample ~power =
       if core.xu_in_until then Xu.Until (core.prev_prop, prop)
       else Xu.Next (core.prev_prop, prop)
     in
-    emit_triplet core pat core.run_start (t - 1);
+    emit_triplet trainer.config.Flow.merge core pat core.run_start (t - 1);
     core.xu_in_until <- false;
     core.run_start <- t
   end;
   core.prev_prop <- prop;
   if not memo_hit then core.prev_inputs <- Some (Array.copy sample);
   core.cur_len <- t + 1;
-  core.cycles <- core.cycles + 1;
-  core.since_compact <- core.since_compact + 1;
-  if core.since_compact >= core.watermark then compact trainer.config core
+  core.cycles <- core.cycles + 1
 
-let flush_mine_rle trainer =
-  match trainer.mine_rle.rsample with
+let flush_mine_rle core =
+  match core.rsample with
   | None -> ()
   | Some s ->
-      Miner.Incremental.observe_run trainer.core.miner s trainer.mine_rle.rlen;
-      trainer.mine_rle.rsample <- None;
-      trainer.mine_rle.rlen <- 0
+      Miner.Incremental.observe_run core.miner s core.rlen;
+      core.rsample <- None;
+      core.rlen <- 0
 
 let push trainer sample ~power =
   let core = trainer.core in
@@ -602,17 +522,17 @@ let push trainer sample ~power =
     invalid_arg "Stream_train.push: sample arity mismatch";
   match core.phase with
   | Mining -> (
-      match trainer.mine_rle.rsample with
-      | Some s when Functional_trace.same_sample s sample ->
-          trainer.mine_rle.rlen <- trainer.mine_rle.rlen + 1
+      match core.rsample with
+      | Some s when Functional_trace.same_sample s sample -> core.rlen <- core.rlen + 1
       | _ ->
-          flush_mine_rle trainer;
-          trainer.mine_rle.rsample <- Some (Array.copy sample);
-          trainer.mine_rle.rlen <- 1)
+          flush_mine_rle core;
+          core.rsample <- Some (Array.copy sample);
+          core.rlen <- 1)
   | Training -> push_training trainer sample ~power
 
 let end_trace_training trainer =
   let core = trainer.core in
+  let release = release_triplet trainer.config.Flow.merge core in
   let len = core.cur_len in
   if len = 0 then invalid_arg "Stream_train.end_trace: empty trace";
   (* End-of-trace attribution, mirroring Generator.generate: a trailing
@@ -622,20 +542,16 @@ let end_trace_training trainer =
   (match core.held_triplet with
   | None ->
       let p = Ibuf.get core.buf_prop 0 in
-      release_triplet core
-        { pat = Xu.Until (p, p); tstart = 0; tstop = len - 1 }
+      release { pat = Xu.Until (p, p); tstart = 0; tstop = len - 1 }
   | Some held ->
       let tail_start = held.tstop + 1 in
-      if len - 1 = tail_start then
-        release_triplet core { held with tstop = len - 1 }
+      if len - 1 = tail_start then release { held with tstop = len - 1 }
       else begin
-        release_triplet core held;
+        release held;
         let p = Ibuf.get core.buf_prop tail_start in
-        release_triplet core
-          { pat = Xu.Until (p, p); tstart = tail_start; tstop = len - 1 }
+        release { pat = Xu.Until (p, p); tstart = tail_start; tstop = len - 1 }
       end);
   core.held_triplet <- None;
-  core.prev_uid <- -1;
   core.cur_len <- 0;
   core.prev_inputs <- None;
   Fbuf.reset core.buf_power;
@@ -648,7 +564,7 @@ let end_trace trainer =
   let core = trainer.core in
   match core.phase with
   | Mining ->
-      flush_mine_rle trainer;
+      flush_mine_rle core;
       Miner.Incremental.end_trace core.miner;
       core.traces_done <- core.traces_done + 1
   | Training -> end_trace_training trainer
@@ -658,7 +574,7 @@ let finish_mining trainer =
   (match core.phase with
   | Training -> invalid_arg "Stream_train.finish_mining: already training"
   | Mining -> ());
-  flush_mine_rle trainer;
+  flush_mine_rle core;
   let t0 = Unix.gettimeofday () in
   let vocabulary =
     Psm_obs.span "stream.mine" @@ fun () -> Miner.Incremental.vocabulary core.miner
@@ -675,13 +591,9 @@ let finish_mining trainer =
 (* ---------- finalization ---------- *)
 
 let close_pipeline (config : Merge.config) core =
-  (* Flush the pending raw segments, then close every level's open run
-     in pass order: level i's final run enters level i+1 before i+1's
-     own run closes, exactly as pass i+1 sees pass i's complete output. *)
-  let batch = List.rev core.pending in
-  core.pending <- [];
-  core.pending_n <- 0;
-  List.iter (feed_pipeline config core) batch;
+  (* Close every level's open run in pass order: level i's final run
+     enters level i+1 before i+1's own run closes, exactly as pass i+1
+     sees pass i's complete output. *)
   Array.iteri
     (fun i lvl ->
       match lvl.run with
@@ -700,12 +612,11 @@ let finish trainer =
   if core.cur_len > 0 then end_trace_training trainer;
   if core.traces_done = 0 then invalid_arg "Stream_train.finish: no training traces";
   let table = match core.table with Some t -> t | None -> assert false in
-  let combine_slot = ref 0. in
-  let analyze_slot = ref 0. in
   let t0 = Unix.gettimeofday () in
+  close_pipeline config.Flow.merge core;
+  let t1 = Unix.gettimeofday () in
   let optimized, optimize_reports, hmm, transition_counts, emission_counts =
     Psm_obs.span "stream.finalize" @@ fun () ->
-    close_pipeline config.Flow.merge core;
     (* The absorber now holds the join pass-1 clustering of the final
        simplified machine. Materialize that pass's output machine in
        canonical (trace, start) order — merge_clusters + renumber would
@@ -747,22 +658,12 @@ let finish trainer =
        decisions as Optimize.optimize, with the Pearson r and the fit
        computed from ⟨n, Σx, Σy, Σx², Σy², Σxy⟩. *)
     let fsums = Hashtbl.create 32 and femissions = Hashtbl.create 64 in
-    Array.iteri
-      (fun i c ->
-        if i < v.cn then begin
-          let fid = final_of_cluster.(i) in
-          Hashtbl.replace fsums fid
-            (add_sums
-               (Option.value ~default:zero_sums (Hashtbl.find_opt fsums fid))
-               c.csums);
-          Hashtbl.iter
-            (fun p cnt ->
-              let key = (fid, p) in
-              Hashtbl.replace femissions key
-                (cnt +. Option.value ~default:0. (Hashtbl.find_opt femissions key)))
-            c.cemissions
-        end)
-      v.items;
+    for i = 0 to v.cn - 1 do
+      let c = v.items.(i) and fid = final_of_cluster.(i) in
+      Hashtbl.replace fsums fid
+        (add_sums (Option.value ~default:zero_sums (Hashtbl.find_opt fsums fid)) c.csums);
+      Hashtbl.iter (fun p cnt -> bump femissions (fid, p) cnt) c.cemissions
+    done;
     let opt_config = config.Flow.optimize in
     let optimized, reports =
       List.fold_left
@@ -800,23 +701,10 @@ let finish trainer =
         (joined, []) (Psm.states joined)
     in
     let reports = List.rev reports in
-    (* Raw chain-edge occurrences onto the final machine. Every uid has
-       been redirected into some cluster by now. *)
-    let cluster_of_uid = Hashtbl.create v.cn in
-    Array.iteri
-      (fun i c -> if i < v.cn then Hashtbl.replace cluster_of_uid c.cuid i)
-      v.items;
+    (* Raw chain-edge occurrences onto the final machine. *)
     let final_counts = Hashtbl.create 64 in
     Hashtbl.iter
-      (fun (a, b) cnt ->
-        let fid u =
-          match Hashtbl.find_opt cluster_of_uid (resolve_uid core u) with
-          | Some ci -> final_of_cluster.(ci)
-          | None -> invalid_arg "Stream_train.finish: unresolved raw edge"
-        in
-        let key = (fid a, fid b) in
-        Hashtbl.replace final_counts key
-          (cnt +. Option.value ~default:0. (Hashtbl.find_opt final_counts key)))
+      (fun (a, b) cnt -> bump final_counts (final_of_cluster.(a), final_of_cluster.(b)) cnt)
       core.counts;
     let transition_counts =
       List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) final_counts [])
@@ -827,21 +715,19 @@ let finish trainer =
     let hmm = Hmm.build ~transition_counts ~emission_counts optimized in
     (optimized, reports, hmm, transition_counts, emission_counts)
   in
-  combine_slot := Unix.gettimeofday () -. t0;
-  let t1 = Unix.gettimeofday () in
+  let t2 = Unix.gettimeofday () in
   (* No stored training traces in streaming mode: the analyzer runs with
      the model-only context (Γ/power-dependent rules are skipped). *)
   let analysis =
     Psm_obs.span "stream.analyze" @@ fun () ->
     Analyzer.analyze ~config:config.Flow.analysis ~hmm optimized
   in
-  analyze_slot := Unix.gettimeofday () -. t1;
+  let t3 = Unix.gettimeofday () in
   Psm_obs.count "stream.cycles" core.cycles;
-  Psm_obs.count "stream.compactions" core.compactions;
   Psm_obs.gc_snapshot "train_stream";
   Log.info (fun m ->
-      m "stream training: %d cycles over %d traces, %d compactions -> %d states"
-        core.cycles core.traces_done core.compactions (Psm.state_count optimized));
+      m "stream training: %d cycles over %d traces -> %d states" core.cycles
+        core.traces_done (Psm.state_count optimized));
   { config;
     table;
     optimized;
@@ -851,23 +737,19 @@ let finish trainer =
     emission_counts;
     analysis;
     timings =
-      { Flow.mine_s = core.mine_s;
-        generate_s = core.generate_s;
-        combine_s = !combine_slot;
-        analyze_s = !analyze_slot };
+      { Flow.mine_s = core.mine_s; generate_s = t1 -. t0; combine_s = t2 -. t1;
+        analyze_s = t3 -. t2 };
     cycles = core.cycles;
     traces_seen = core.traces_done;
-    compactions = core.compactions }
+    compactions = 0 }
 
 (* ---------- public trainer wrapper ---------- *)
 
 module Trainer = struct
   type t = trainer
 
-  let create ?config ?watermark ?provenance iface =
-    { config = Option.value ~default:Flow.default config;
-      core = create_core ?config ?watermark ?provenance iface;
-      mine_rle = { rsample = None; rlen = 0 } }
+  let create ?(config = Flow.default) ?(provenance = `Full) iface =
+    { config; core = create_core ~config ~provenance iface }
 
   let push = push
   let end_trace = end_trace
@@ -877,8 +759,6 @@ module Trainer = struct
   let phase t = match t.core.phase with Mining -> `Mining | Training -> `Training
   let cycles t = t.core.cycles
   let traces t = t.core.traces_done
-  let compactions t = t.core.compactions
-  let watermark t = t.core.watermark
 
   let table t =
     match t.core.table with
@@ -891,20 +771,16 @@ end
 module Checkpoint = struct
   (* The payload is the marshaled [core] with its table saved, so any
      change to the layout of what it holds takes a new version. *)
-  let version_line = "psm-repro-trainer 2"
+  let version_line = "psm-repro-trainer 3"
 
   exception Restore_error of string
 
   let save_channel oc (t : Trainer.t) =
-    (* The pending mining run lives outside [core]; fold it into the
-       miner's counters so the marshaled payload is self-contained.
-       Early flushing is exact (absolute-time run continuity). *)
-    flush_mine_rle t;
     output_string oc (version_line ^ "\n");
     output_string oc
-      (Printf.sprintf "state %s watermark %d cycles %d\n"
+      (Printf.sprintf "state %s cycles %d\n"
          (match t.core.phase with Mining -> "mining" | Training -> "training")
-         t.core.watermark t.core.cycles);
+         t.core.cycles);
     let saved : Table.saved core_of =
       { t.core with table = Option.map Table.save t.core.table }
     in
@@ -932,8 +808,7 @@ module Checkpoint = struct
       with Failure msg | Sys_error msg ->
         raise (Restore_error (source ^ ": corrupt checkpoint payload: " ^ msg))
     in
-    let core = { saved with table = Option.map Table.restore saved.table } in
-    { config; core; mine_rle = { rsample = None; rlen = 0 } }
+    { config; core = { saved with table = Option.map Table.restore saved.table } }
 
   let load_file ?config path =
     let ic = open_in_bin path in
@@ -1035,8 +910,8 @@ let stream_file ?unknowns ~period ~on_header ~push_sample path =
       Resample.finish rs;
       stats)
 
-let train_stream ?(config = Flow.default) ?unknowns ?(period = 1) ?watermark
-    ?provenance ?checkpoint paths =
+let train_stream ?(config = Flow.default) ?unknowns ?(period = 1) ?provenance ?checkpoint
+    paths =
   Psm_obs.span "flow.train_stream" @@ fun () ->
   if paths = [] then invalid_arg "Stream_train.train_stream: no files";
   let trainer = ref None in
@@ -1058,7 +933,7 @@ let train_stream ?(config = Flow.default) ?unknowns ?(period = 1) ?watermark
           invalid_arg "Stream_train.train_stream: VCD interfaces differ"
     | None ->
         trainer :=
-          Some (Trainer.create ~config ?watermark ?provenance header.Vcd.interface)
+          Some (Trainer.create ~config ?provenance header.Vcd.interface)
   in
   let save_checkpoint () =
     match (checkpoint, !trainer) with
@@ -1112,14 +987,14 @@ let train_stream ?(config = Flow.default) ?unknowns ?(period = 1) ?watermark
 
 (* In-memory variant for tests and for workloads captured outside VCD:
    both phases over the same functional/power trace lists. *)
-let train_traces ?(config = Flow.default) ?watermark ?provenance ~traces ~powers () =
+let train_traces ?(config = Flow.default) ?provenance ~traces ~powers () =
   if List.length traces <> List.length powers then
     invalid_arg "Stream_train.train_traces: traces and powers differ in number";
   if traces = [] then invalid_arg "Stream_train.train_traces: no training traces";
   let module Ft = Psm_trace.Functional_trace in
   let module Pt = Psm_trace.Power_trace in
   let iface = Ft.interface (List.hd traces) in
-  let t = Trainer.create ~config ?watermark ?provenance iface in
+  let t = Trainer.create ~config ?provenance iface in
   let feed () =
     List.iter2
       (fun trace power ->

@@ -14,12 +14,13 @@
       segment, so the data-dependent-state optimization and the HMM need
       no retained traces either.
 
-    Every [watermark] pushed cycles the pending simplified segments are
-    compacted into the pipeline ([stream.compact] span) so live memory
-    tracks the model size, not the trace length. The result is
-    *bit-identical in structure* to the batch flow (same optimized PSM,
-    same HMM inputs); the floating-point attributes agree to the exact
-    Chan-merge arithmetic the batch path uses. *)
+    Each raw segment enters the cascade as soon as its XU triplet is
+    released, and chain-edge occurrences are counted per join cluster as
+    segments are absorbed, so live memory tracks the model size, not the
+    trace length. The result is *bit-identical in structure* to the
+    batch flow (same optimized PSM, same HMM inputs); the floating-point
+    attributes agree to the exact Chan-merge arithmetic the batch path
+    uses. *)
 
 type result = {
   config : Flow.config;
@@ -34,13 +35,21 @@ type result = {
           training traces, so Γ/power-dependent rules are skipped; the
           structural and HMM rules run in full. *)
   timings : Flow.timings;
+      (** [mine_s] is the vocabulary freeze in {!Trainer.finish_mining};
+          [generate_s] is the time {!Trainer.finish} spends closing the
+          simplify cascade's open runs into the join clusters. The rest
+          of generation (XU recognition, the cascade, join absorption)
+          runs inside {!Trainer.push}, interleaved with the caller's own
+          work, and is not timed: bracket the pushes to measure it.
+          [combine_s] covers the join fixpoint, optimization and the HMM
+          build; [analyze_s] the analyzer. *)
   cycles : int;  (** Training-phase samples consumed. *)
   traces_seen : int;  (** Completed training traces. *)
-  compactions : int;  (** Watermark compactions performed. *)
+  compactions : int;
+      (** Always 0: segments enter the pipeline as they are released,
+          with no batched compaction. Kept for callers that still
+          report it. *)
 }
-
-val default_watermark : int
-(** 4096 cycles. *)
 
 (** Two-phase push trainer. Phase 1 ([`Mining]) feeds the vocabulary
     miner; {!Trainer.finish_mining} freezes the proposition vocabulary;
@@ -53,13 +62,10 @@ module Trainer : sig
 
   val create :
     ?config:Flow.config ->
-    ?watermark:int ->
     ?provenance:[ `Full | `Counts ] ->
     Psm_trace.Interface.t ->
     t
-  (** Raises [Invalid_argument] when [watermark <= 0].
-
-      [provenance] (default [`Full]) controls per-occurrence metadata.
+  (** [provenance] (default [`Full]) controls per-occurrence metadata.
       [`Full] matches the batch machine verbatim, including every
       {!Psm_core.Power_attr.t} interval and one component per merged
       member — which necessarily grows with the number of segment
@@ -93,15 +99,13 @@ module Trainer : sig
   (** Traces completed in the current phase (reset by
       {!finish_mining}). *)
   val traces : t -> int
-  val compactions : t -> int
-  val watermark : t -> int
 
   val table : t -> Psm_mining.Prop_trace.Table.t
   (** Raises [Invalid_argument] while still mining. *)
 end
 
 (** Checkpoint / restore of an in-flight trainer, so a long capture can
-    survive restarts. The format is a ["psm-repro-trainer 2"] version
+    survive restarts. The format is a ["psm-repro-trainer 3"] version
     line, one human-readable summary line, then the marshaled trainer
     state (config excluded — it is re-supplied on restore, keeping the
     payload closure-free). Checkpoints are whole-process artifacts: they
@@ -115,7 +119,9 @@ module Checkpoint : sig
   val save_file : string -> Trainer.t -> unit
 
   val load_file : ?config:Flow.config -> string -> Trainer.t
-  (** Raises {!Restore_error} on a bad header or corrupt payload. *)
+  (** Raises {!Restore_error} on a bad header (an older version line
+      included, naming the line found and the one expected) or a
+      corrupt payload. *)
 end
 
 exception Too_many_samples of { path : string; gap_from : int; gap_to : int; filled : int }
@@ -157,7 +163,6 @@ val train_stream :
   ?config:Flow.config ->
   ?unknowns:Psm_trace.Reader.unknown_policy ->
   ?period:int ->
-  ?watermark:int ->
   ?provenance:[ `Full | `Counts ] ->
   ?checkpoint:string ->
   string list ->
@@ -167,8 +172,10 @@ val train_stream :
     mining pass, then a training pass — without ever materializing a
     trace. Raw per-timestamp samples are re-expanded onto the uniform
     [period] grid (default 1) exactly as the batch {!Flow.load_vcd}
-    resampler does, so the result matches
-    {!Flow.train_on_vcd_files} on the same files. Raises
+    resampler does at the same [period], so the result matches
+    {!Flow.train_on_vcd_files} given the same files and the same
+    [period]. The two defaults differ: batch infers the GCD of the
+    timestamp deltas, streaming cannot and uses 1. Raises
     {!Too_many_samples} on a file whose timestamp gaps would fill more
     than {!Psm_trace.Vcd.max_samples} grid points.
 
@@ -180,7 +187,6 @@ val train_stream :
 
 val train_traces :
   ?config:Flow.config ->
-  ?watermark:int ->
   ?provenance:[ `Full | `Counts ] ->
   traces:Psm_trace.Functional_trace.t list ->
   powers:Psm_trace.Power_trace.t list ->

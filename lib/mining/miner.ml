@@ -128,9 +128,6 @@ module Value_counter = struct
       t.table init
 end
 
-let total_length traces =
-  List.fold_left (fun acc t -> acc + Functional_trace.length t) 0 traces
-
 let stats_of ~total atom occ runs short_runs =
   { atom;
     support = float_of_int occ /. float_of_int total;
@@ -159,30 +156,6 @@ let consts_of_counters ~total counters =
         counter ())
     counters;
   !candidates
-
-let const_candidates config traces iface total =
-  Psm_obs.span "mine.consts" @@ fun () ->
-  let arity = Interface.arity iface in
-  let short_below = short_below_of config in
-  let counters = Array.init arity (fun _ -> Value_counter.create ~short_below ()) in
-  let narrow = narrow_signal config iface in
-  (* Offset the per-trace times so that runs cannot bridge traces. *)
-  let offset = ref 0 in
-  List.iter
-    (fun trace ->
-      (* A run of identical samples is a run of identical values on
-         every signal; one bulk observation per signal per run. *)
-      Functional_trace.iter_runs
-        (fun ~start ~len sample ->
-          Array.iteri
-            (fun s v ->
-              if narrow s then
-                Value_counter.observe_run counters.(s) (!offset + start) v len)
-            sample)
-        trace;
-      offset := !offset + Functional_trace.length trace + 2)
-    traces;
-  consts_of_counters ~total counters
 
 (* Mutable run accumulator mirroring [predicate_stats]'s counters, one per
    atom, so a single trace pass can score many atoms at once. *)
@@ -239,8 +212,7 @@ module Run_acc = struct
     end
 end
 
-(* Stats list construction shared by the batch pass and the incremental
-   accumulator: ⟨=, <, >⟩ per pair, in pair order. *)
+(* ⟨=, <, >⟩ stats per pair, in pair order. *)
 let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
   List.concat
     (Array.to_list
@@ -252,39 +224,6 @@ let pair_stats_list ~total (pairs : (int * int) array) eqs lts gts =
                   acc.Run_acc.runs acc.Run_acc.short_runs)
               [ (Atomic.Eq, eqs.(j)); (Atomic.Lt, lts.(j)); (Atomic.Gt, gts.(j)) ])
           pairs))
-
-(* One fused pass over all traces scoring every (pair x {=,<,>}) atom of
-   [pairs]: each run of identical samples costs one three-way
-   [Bits.compare] per pair instead of three predicate evaluations in
-   three separate trace passes. Produces exactly [predicate_stats]'s
-   counts per atom. *)
-let pair_stats ~short_below ~total traces (pairs : (int * int) array) =
-  let k = Array.length pairs in
-  let eqs = Array.init k (fun _ -> Run_acc.create ()) in
-  let lts = Array.init k (fun _ -> Run_acc.create ()) in
-  let gts = Array.init k (fun _ -> Run_acc.create ()) in
-  List.iter
-    (fun trace ->
-      (* Identical samples compare identically: one three-way compare
-         per pair per run, bulk-stepped over the run length. *)
-      Functional_trace.iter_runs
-        (fun ~start:_ ~len sample ->
-          for j = 0 to k - 1 do
-            let a, b = Array.unsafe_get pairs j in
-            let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-            Run_acc.step_run ~short_below (Array.unsafe_get eqs j) (c = 0) len;
-            Run_acc.step_run ~short_below (Array.unsafe_get lts j) (c < 0) len;
-            Run_acc.step_run ~short_below (Array.unsafe_get gts j) (c > 0) len
-          done)
-        trace;
-      Array.iter (Run_acc.boundary ~short_below) eqs;
-      Array.iter (Run_acc.boundary ~short_below) lts;
-      Array.iter (Run_acc.boundary ~short_below) gts)
-    traces;
-  Array.iter (Run_acc.close_pending ~short_below) eqs;
-  Array.iter (Run_acc.close_pending ~short_below) lts;
-  Array.iter (Run_acc.close_pending ~short_below) gts;
-  pair_stats_list ~total pairs eqs lts gts
 
 let signal_pairs config iface =
   let signals = Interface.signals iface in
@@ -299,22 +238,6 @@ let signal_pairs config iface =
         signals)
     signals;
   Array.of_list !pairs
-
-let pair_candidates config traces iface total =
-  Psm_obs.span "mine.pairs" @@ fun () ->
-  let pairs = signal_pairs config iface in
-  if Array.length pairs = 0 then []
-  else pair_stats ~short_below:(short_below_of config) ~total traces pairs
-
-let candidate_stats ?(config = default) traces =
-  let iface = check_traces traces in
-  let total = total_length traces in
-  if total = 0 then invalid_arg "Miner: empty training traces";
-  let consts = const_candidates config traces iface total in
-  let pairs =
-    if config.mine_pairs then pair_candidates config traces iface total else []
-  in
-  consts @ pairs
 
 let passes config s =
   s.support >= config.min_support
@@ -357,17 +280,10 @@ let vocabulary_of_candidates config iface all =
   in
   Vocabulary.create iface (List.map (fun s -> s.atom) (capped_consts @ pair_atoms))
 
-let mine_vocabulary ?(config = default) traces =
-  Psm_obs.span "mine.vocabulary" @@ fun () ->
-  let iface = check_traces traces in
-  let all = candidate_stats ~config traces in
-  vocabulary_of_candidates config iface all
-
-(* Push-mode candidate scoring: the same counters the batch passes use,
-   fed one sample at a time. Feeding every training trace in order (with
-   [end_trace] between them) leaves every counter in the exact state the
-   batch passes produce, so [vocabulary] is bit-identical to
-   {!mine_vocabulary} — asserted by a QCheck property in the tests. *)
+(* Candidate scoring, one sample or one run of equal samples at a time.
+   The batch entry points below feed it each trace run by run, so the
+   streaming trainer and the batch flow score candidates through the
+   same calls. *)
 module Incremental = struct
   type t = {
     config : config;
@@ -403,52 +319,34 @@ module Incremental = struct
   let interface t = t.iface
   let total t = t.total
 
-  let observe t sample =
+  (* [observe_run t sample len]: [len] successive observations of the
+     same sample, collapsed to one bulk observation per counter and one
+     comparison + bulk step per pair. At [len = 1] the bulk steps are the
+     per-cycle ones. *)
+  let observe_run t sample len =
+    if len <= 0 then invalid_arg "Miner.Incremental.observe_run: non-positive length";
     if Array.length sample <> Array.length t.counters then
-      invalid_arg "Miner.Incremental.observe: sample arity mismatch";
+      invalid_arg "Miner.Incremental: sample arity mismatch";
     Array.iteri
       (fun s v ->
-        if Array.unsafe_get t.narrow s then Value_counter.observe t.counters.(s) t.time v)
+        if Array.unsafe_get t.narrow s then
+          Value_counter.observe_run t.counters.(s) t.time v len)
       sample;
     let short_below = t.short_below in
     for j = 0 to Array.length t.pairs - 1 do
       let a, b = Array.unsafe_get t.pairs j in
       let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-      Run_acc.step ~short_below (Array.unsafe_get t.eqs j) (c = 0);
-      Run_acc.step ~short_below (Array.unsafe_get t.lts j) (c < 0);
-      Run_acc.step ~short_below (Array.unsafe_get t.gts j) (c > 0)
+      Run_acc.step_run ~short_below (Array.unsafe_get t.eqs j) (c = 0) len;
+      Run_acc.step_run ~short_below (Array.unsafe_get t.lts j) (c < 0) len;
+      Run_acc.step_run ~short_below (Array.unsafe_get t.gts j) (c > 0) len
     done;
-    t.time <- t.time + 1;
-    t.total <- t.total + 1
+    t.time <- t.time + len;
+    t.total <- t.total + len
 
-  (* [observe_run t sample len]: [len] successive [observe]s of the same
-     sample, collapsed to one bulk observation per counter and one
-     comparison + bulk step per pair. *)
-  let observe_run t sample len =
-    if len <= 0 then invalid_arg "Miner.Incremental.observe_run: non-positive length";
-    if len = 1 then observe t sample
-    else begin
-      if Array.length sample <> Array.length t.counters then
-        invalid_arg "Miner.Incremental.observe_run: sample arity mismatch";
-      Array.iteri
-        (fun s v ->
-          if Array.unsafe_get t.narrow s then
-            Value_counter.observe_run t.counters.(s) t.time v len)
-        sample;
-      let short_below = t.short_below in
-      for j = 0 to Array.length t.pairs - 1 do
-        let a, b = Array.unsafe_get t.pairs j in
-        let c = Bits.compare (Array.unsafe_get sample a) (Array.unsafe_get sample b) in
-        Run_acc.step_run ~short_below (Array.unsafe_get t.eqs j) (c = 0) len;
-        Run_acc.step_run ~short_below (Array.unsafe_get t.lts j) (c < 0) len;
-        Run_acc.step_run ~short_below (Array.unsafe_get t.gts j) (c > 0) len
-      done;
-      t.time <- t.time + len;
-      t.total <- t.total + len
-    end
+  let observe t sample = observe_run t sample 1
 
   (* Trace boundary: runs must not bridge traces. The +2 time gap breaks
-     const-value runs exactly as the batch pass's per-trace offset does. *)
+     const-value runs. *)
   let end_trace t =
     let short_below = t.short_below in
     Array.iter (Run_acc.boundary ~short_below) t.eqs;
@@ -456,9 +354,9 @@ module Incremental = struct
     Array.iter (Run_acc.boundary ~short_below) t.gts;
     t.time <- t.time + 2
 
-  (* Candidates in batch order: consts (counter fold order) then pairs
-     (pair order). Run_accs are snapshotted before the pending-run close
-     so scoring is reentrant and observation may continue. *)
+  (* Consts (counter fold order), then pairs (pair order). Run_accs are
+     snapshotted before the pending-run close so scoring is reentrant and
+     observation may continue. *)
   let candidate_stats t =
     let total = t.total in
     let consts = consts_of_counters ~total t.counters in
@@ -474,3 +372,24 @@ module Incremental = struct
     if t.total = 0 then invalid_arg "Miner: empty training traces";
     vocabulary_of_candidates t.config t.iface (candidate_stats t)
 end
+
+(* Each trace run by run, with a boundary after it. *)
+let incremental_of_traces config traces =
+  let inc = Incremental.create ~config (check_traces traces) in
+  List.iter
+    (fun trace ->
+      Functional_trace.iter_runs
+        (fun ~start:_ ~len sample -> Incremental.observe_run inc sample len)
+        trace;
+      Incremental.end_trace inc)
+    traces;
+  inc
+
+let candidate_stats ?(config = default) traces =
+  let inc = incremental_of_traces config traces in
+  if Incremental.total inc = 0 then invalid_arg "Miner: empty training traces";
+  Incremental.candidate_stats inc
+
+let mine_vocabulary ?(config = default) traces =
+  Psm_obs.span "mine.vocabulary" @@ fun () ->
+  Incremental.vocabulary (incremental_of_traces config traces)

@@ -48,9 +48,11 @@ val mine_vocabulary :
     interface). Raises [Invalid_argument] on an empty list or mismatched
     interfaces.
 
-    Pair mining is a single fused pass over all signal pairs — every
-    run of identical samples pays one three-way comparison per pair,
-    scoring the [=], [<] and [>] atoms at once. *)
+    The traces go through one {!Incremental} run, run by run, with
+    {!Incremental.end_trace} after each: every run of identical samples
+    pays one bulk counter update per signal and one three-way
+    comparison per signal pair, scoring the [=], [<] and [>] atoms at
+    once. *)
 
 type atom_stats = {
   atom : Atomic.t;
@@ -70,10 +72,11 @@ val candidate_stats :
 
 (** {1 Push-mode mining}
 
-    The same counters the batch passes use, fed one sample at a time —
-    the vocabulary-mining half of the streaming trainer. Feeding every
-    training trace in order (with {!Incremental.end_trace} between and
-    after them) reproduces {!mine_vocabulary} bit-for-bit. *)
+    The counters behind {!mine_vocabulary}, fed one sample or one run of
+    equal samples at a time — also the vocabulary-mining half of the
+    streaming trainer. Feeding every training trace in order (with
+    {!Incremental.end_trace} after each) gives {!mine_vocabulary}'s
+    vocabulary. *)
 module Incremental : sig
   type t
 

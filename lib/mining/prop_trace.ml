@@ -134,33 +134,15 @@ module Table = struct
 
   let classify t sample = match code t sample with -1 -> None | id -> Some id
 
-  (* The layout trainer checkpoints have marshaled since
-     "psm-repro-trainer 2": the field order and types must not change. *)
-  type saved = {
-    s_vocabulary : Vocabulary.t;
-    s_index : (string, int) Hashtbl.t; (* packed truth row -> prop id *)
-    s_rows : string array;
-    s_count : int;
-    s_scratch : Bytes.t;
-  }
-  [@@warning "-69"] (* [s_index] and [s_scratch] are kept for the layout *)
+  (* What trainer checkpoints marshal: changing it takes a new
+     checkpoint version. *)
+  type saved = { s_vocabulary : Vocabulary.t; s_rows : string array (* by prop id *) }
 
-  let save t =
-    let index = Hashtbl.create 64 in
-    for id = 0 to t.count - 1 do
-      Hashtbl.add index t.rows.(id) id
-    done;
-    { s_vocabulary = t.vocabulary;
-      s_index = index;
-      s_rows = Array.copy t.rows;
-      s_count = t.count;
-      s_scratch = Bytes.make (Bytes.length t.scratch) '\000' }
+  let save t = { s_vocabulary = t.vocabulary; s_rows = Array.sub t.rows 0 t.count }
 
   let restore s =
     let t = create s.s_vocabulary in
-    for id = 0 to s.s_count - 1 do
-      ignore (add_key t s.s_rows.(id))
-    done;
+    Array.iter (fun row -> ignore (add_key t row)) s.s_rows;
     t
 
   let intern_row t row =

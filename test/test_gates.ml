@@ -152,51 +152,6 @@ let test_gf_mul_const_gadget () =
         outputs)
     [ 0; 1; 0x53; 0x80; 0xFF; 0xC3 ]
 
-(* ---------- event-driven simulator ---------- *)
-
-let test_event_sim_equivalent_on_ram () =
-  (* Lockstep vs the levelized simulator on the RAM netlist (sparse
-     activity: the event queue's best case), including toggle counts. *)
-  let levelized = Psm_rtl.Sim.create (Psm_ips.Ram_gates.netlist ()) in
-  let event = Psm_rtl.Event_sim.create (Psm_ips.Ram_gates.netlist ()) in
-  let stim = Workloads.ram_short ~length:400 () in
-  Array.iteri
-    (fun t pis ->
-      let ins =
-        [ ("ce", pis.(0)); ("we", pis.(1)); ("addr", pis.(2)); ("wdata", pis.(3)) ]
-      in
-      let a = Psm_rtl.Sim.step levelized ins in
-      let b = Psm_rtl.Event_sim.step event ins in
-      Alcotest.(check string)
-        (Printf.sprintf "rdata cycle %d" t)
-        (Bits.to_hex_string (List.assoc "rdata" a))
-        (Bits.to_hex_string (List.assoc "rdata" b));
-      check_int
-        (Printf.sprintf "toggles cycle %d" t)
-        (Psm_rtl.Sim.last_toggles levelized)
-        (Psm_rtl.Event_sim.last_toggles event))
-    stim;
-  (* And the event queue actually saved work. *)
-  let full_work = 400 * Netlist.gate_count (Psm_ips.Ram_gates.netlist ()) in
-  check_bool "fewer evaluations" true
-    (Psm_rtl.Event_sim.gate_evaluations event < full_work / 2)
-
-let test_event_sim_reset () =
-  let event = Psm_rtl.Event_sim.create (Psm_ips.Ram_gates.netlist ()) in
-  let op w = [ ("ce", Bits.of_bool true); ("we", Bits.of_bool true);
-               ("addr", Bits.zero 10); ("wdata", Bits.of_int ~width:32 w) ] in
-  ignore (Psm_rtl.Event_sim.step event (op 0xFF));
-  Psm_rtl.Event_sim.reset event;
-  check_int "cycle cleared" 0 (Psm_rtl.Event_sim.cycle event);
-  (* After reset, a read of word 0 returns 0 (the write was erased). *)
-  ignore (Psm_rtl.Event_sim.step event
-            [ ("ce", Bits.of_bool true); ("we", Bits.of_bool false);
-              ("addr", Bits.zero 10); ("wdata", Bits.zero 32) ]);
-  let outs = Psm_rtl.Event_sim.step event
-      [ ("ce", Bits.of_bool false); ("we", Bits.of_bool false);
-        ("addr", Bits.zero 10); ("wdata", Bits.zero 32) ] in
-  check_int "memory cleared" 0 (Bits.to_int (List.assoc "rdata" outs))
-
 (* ---------- gadget properties ---------- *)
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:100 ~name arb f)
@@ -230,8 +185,6 @@ let suite =
       Alcotest.test_case "structural registry" `Quick test_structural_registry;
       Alcotest.test_case "netlists validate" `Quick test_netlists_validate;
       Alcotest.test_case "gate count ordering" `Quick test_gate_counts_ordering;
-      Alcotest.test_case "event sim == levelized (RAM)" `Slow test_event_sim_equivalent_on_ram;
-      Alcotest.test_case "event sim reset" `Quick test_event_sim_reset;
       Alcotest.test_case "sbox LUT gadget" `Quick test_sbox_lut_gadget;
       Alcotest.test_case "xtime gadget" `Quick test_xtime_gadget;
       Alcotest.test_case "gf_mul_const gadget" `Quick test_gf_mul_const_gadget ]

@@ -366,9 +366,9 @@ let check_all_exact name pairs =
   check_trained_exact name oracle trained;
   check_stream_exact (name ^ " stream") oracle
     ~per_cycle:
-      (Stream.train_traces ~watermark:32 ~traces:(List.map Per_cycle.with_toggle traces)
+      (Stream.train_traces ~traces:(List.map Per_cycle.with_toggle traces)
          ~powers ())
-    (Stream.train_traces ~watermark:32 ~traces ~powers ());
+    (Stream.train_traces ~traces ~powers ());
   check_simulation_exact name trained traces
 
 let test_adversarial_shapes () =

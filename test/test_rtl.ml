@@ -412,15 +412,11 @@ let random_circuit_prop =
          let outputs = Array.of_list (List.rev !nets) in
          Netlist.output nl "out" outputs;
          let sim = Sim.create nl in
-         let esim = Psm_rtl.Event_sim.create nl in
          let in_bits =
            Bits.init ~width:4 (fun i -> List.nth input_values i)
          in
          let result = List.assoc "out" (Sim.step sim [ ("in", in_bits) ]) in
-         let eresult = List.assoc "out" (Psm_rtl.Event_sim.step esim [ ("in", in_bits) ]) in
-         Bits.equal result eresult
-         && Sim.last_toggles sim = Psm_rtl.Event_sim.last_toggles esim
-         && Array.for_all
+         Array.for_all
               (fun i -> Bits.get result i = (Hashtbl.find semantics outputs.(i)) ())
               (Array.init (Array.length outputs) Fun.id)))
 

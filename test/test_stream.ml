@@ -1,5 +1,6 @@
 (* Streaming-trainer equivalence: Stream_train consumes cycles one at a
-   time with watermark compaction, yet must produce the same optimized
+   time, feeding each released segment straight into its simplify
+   cascade, yet must produce the same optimized
    PSM, the same HMM inputs and the same regression decisions as the
    batch Flow.train — structure exactly, float attributes within a
    1e-9 relative tolerance (the two paths run the same Chan-merge
@@ -125,20 +126,18 @@ let capture_suite ?(parts = 3) ?(total_length = 4500) name make =
 
 (* ---------- bundled-IP equivalence ---------- *)
 
-let ip_case ?watermark name make () =
+let ip_case name make () =
   let traces, powers = capture_suite name make in
   let batch = Flow.train ~traces ~powers () in
-  let streamed = Stream.train_traces ?watermark ~traces ~powers () in
+  let streamed = Stream.train_traces ~traces ~powers () in
   check_bool (name ^ " cycles counted") true
     (streamed.Stream.cycles = List.fold_left (fun a t -> a + Functional_trace.length t) 0 traces);
   check_equiv name batch streamed
 
-(* A small watermark on one IP forces many compactions mid-trace; the
-   default watermark on the others exercises the single-flush path. *)
-let test_ram () = ip_case ~watermark:256 "RAM" Psm_ips.Ram.create ()
+let test_ram () = ip_case "RAM" Psm_ips.Ram.create ()
 let test_multsum () = ip_case "MultSum" Psm_ips.Multsum.create ()
 let test_aes () = ip_case "AES" Psm_ips.Aes.create ()
-let test_camellia () = ip_case ~watermark:1000 "Camellia" Psm_ips.Camellia.create ()
+let test_camellia () = ip_case "Camellia" Psm_ips.Camellia.create ()
 
 (* ---------- random-trace property ---------- *)
 
@@ -186,7 +185,7 @@ let test_random_equiv =
     (QCheck.make gen_pair) (fun pairs ->
       let traces, powers = List.split pairs in
       let batch = Flow.train ~traces ~powers () in
-      let streamed = Stream.train_traces ~watermark:32 ~traces ~powers () in
+      let streamed = Stream.train_traces ~traces ~powers () in
       check_equiv "random" batch streamed;
       true)
 
@@ -214,9 +213,9 @@ let test_incremental_miner () =
 
 let test_counts_provenance () =
   let traces, powers = capture_suite ~total_length:3000 "MultSum" Psm_ips.Multsum.create in
-  let full = Stream.train_traces ~watermark:512 ~traces ~powers () in
+  let full = Stream.train_traces ~traces ~powers () in
   let light =
-    Stream.train_traces ~watermark:512 ~provenance:`Counts ~traces ~powers ()
+    Stream.train_traces ~provenance:`Counts ~traces ~powers ()
   in
   let fp = full.Stream.optimized and lp = light.Stream.optimized in
   check_int "states" (Psm.state_count fp) (Psm.state_count lp);
@@ -242,7 +241,7 @@ let test_counts_provenance () =
 
 let test_checkpoint_mid_trace () =
   let traces, powers = capture_suite ~total_length:3000 "MultSum" Psm_ips.Multsum.create in
-  let reference = Stream.train_traces ~watermark:512 ~traces ~powers () in
+  let reference = Stream.train_traces ~traces ~powers () in
   let iface = Functional_trace.interface (List.hd traces) in
   let feed_phase t =
     List.iter2
@@ -254,7 +253,7 @@ let test_checkpoint_mid_trace () =
         Stream.Trainer.end_trace t)
       traces powers
   in
-  let t = Stream.Trainer.create ~watermark:512 iface in
+  let t = Stream.Trainer.create iface in
   feed_phase t;
   Stream.Trainer.finish_mining t;
   (* Training pass: checkpoint in the middle of the second trace, resume
@@ -315,8 +314,8 @@ let test_checkpoint_mid_trace () =
    the shared harness: the only thing surviving the kill is the
    checkpoint file's bytes. Steps are half-traces, so the default and
    chosen kill points land mid-trace in the middle of the training
-   pass — the hardest resume point (open trace cursor, pending watermark
-   state). The revived trainer must finish on the exact result of the
+   pass — the hardest resume point (open trace cursor, open cascade
+   runs). The revived trainer must finish on the exact result of the
    uninterrupted run. *)
 let test_harness_kill_resume () =
   let traces, powers = capture_suite ~total_length:3000 "RAM" Psm_ips.Ram.create in
@@ -351,7 +350,7 @@ let test_harness_kill_resume () =
   let subject =
     { Resume_harness.label = "stream-train";
       steps = Array.length ops;
-      create = (fun () -> Stream.Trainer.create ~watermark:512 iface);
+      create = (fun () -> Stream.Trainer.create iface);
       feed =
         (fun t i ->
           ops.(i) t;
@@ -403,45 +402,130 @@ let test_harness_kill_resume () =
       compare_results expected actual)
     [ None; Some 1 ]
 
+(* A model file, and a checkpoint of the previous trainer layout. *)
 let test_checkpoint_bad_header () =
   let path = Filename.temp_file "psm-trainer" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "psm-repro-model 1\nnot a trainer\n";
-      close_out oc;
-      match Stream.Checkpoint.load_file path with
-      | _ -> Alcotest.fail "expected Restore_error"
-      | exception Stream.Checkpoint.Restore_error msg ->
-          check_bool "names found header" true (contains msg "psm-repro-model 1");
-          check_bool "names expected header" true
-            (contains msg Stream.Checkpoint.version_line);
-          check_bool "names source" true (contains msg path))
+      List.iter
+        (fun (header, summary) ->
+          let oc = open_out path in
+          output_string oc (header ^ "\n" ^ summary ^ "\n");
+          close_out oc;
+          match Stream.Checkpoint.load_file path with
+          | _ -> Alcotest.failf "%s: expected Restore_error" header
+          | exception Stream.Checkpoint.Restore_error msg ->
+              check_bool "names found header" true (contains msg header);
+              check_bool "names expected header" true
+                (contains msg Stream.Checkpoint.version_line);
+              check_bool "names source" true (contains msg path))
+        [ ("psm-repro-model 1", "not a trainer");
+          ("psm-repro-trainer 2", "state training watermark 4096 cycles 1200") ])
 
 (* ---------- VCD streaming path ---------- *)
+
+(* [text] on a stride-10 time axis, each timestamp moved a seeded 0..9
+   units past its grid point, so most of them fall off the grid. *)
+let stride_10_off_grid seed text =
+  let st = Random.State.make [| seed |] in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         if String.length line > 1 && line.[0] = '#' then
+           let t = int_of_string (String.sub line 1 (String.length line - 1)) in
+           Printf.sprintf "#%d" ((10 * t) + Random.State.int st 10)
+         else line)
+  |> String.concat "\n"
 
 let test_vcd_stream_matches_batch () =
   let traces, powers = capture_suite ~total_length:3000 "RAM" Psm_ips.Ram.create in
   let dir = Filename.temp_file "psm-stream" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let paths =
-    List.mapi
-      (fun i (trace, power) ->
-        let path = Filename.concat dir (Printf.sprintf "t%d.vcd" i) in
-        Psm_trace.Vcd.write_file ~power path trace;
-        path)
-      (List.combine traces powers)
+  let write name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let paths, off_grid =
+    List.split
+      (List.mapi
+         (fun i (trace, power) ->
+           let text = Psm_trace.Vcd.to_string ~power trace in
+           ( write (Printf.sprintf "t%d.vcd" i) text,
+             write (Printf.sprintf "s%d.vcd" i) (stride_10_off_grid i text) ))
+         (List.combine traces powers))
   in
   Fun.protect
     ~finally:(fun () ->
-      List.iter Sys.remove paths;
+      List.iter Sys.remove (paths @ off_grid);
       Sys.rmdir dir)
     (fun () ->
       let batch, _ingested = Flow.train_on_vcd_files ~period:1 paths in
       let streamed = Stream.train_stream ~period:1 paths in
-      check_equiv "vcd" batch streamed)
+      check_equiv "vcd" batch streamed;
+      let batch, _ingested = Flow.train_on_vcd_files ~period:10 off_grid in
+      let streamed = Stream.train_stream ~period:10 off_grid in
+      check_bool "off-grid timestamps expand the grid" true
+        (streamed.Stream.cycles > streamed.Stream.traces_seen);
+      check_equiv "vcd stride 10, off-grid" batch streamed)
+
+(* Seeded random documents: distinct timestamps at random deltas (most
+   off any grid, some closer than the period), values and power changing
+   at random. At every forced period the resampler must hand on exactly
+   the samples and powers of the batch reader's trace. *)
+let test_resample_matches_read () =
+  let st = Random.State.make [| 25 |] in
+  let document () =
+    let buf = Buffer.create 1024 in
+    List.iter
+      (fun l -> Buffer.add_string buf (l ^ "\n"))
+      [ "$timescale 1ns $end"; "$scope module dut $end"; "$var wire 1 ! a $end";
+        "$var wire 2 # b $end"; "$var real 64 \" __power__ $end"; "$upscope $end";
+        "$enddefinitions $end" ];
+    let t = ref (Random.State.int st 30) in
+    for i = 0 to Random.State.int st 40 do
+      if i > 0 then t := !t + 1 + Random.State.int st 25;
+      Printf.bprintf buf "#%d\n" !t;
+      let change () = i = 0 || Random.State.bool st in
+      if change () then Printf.bprintf buf "%d!\n" (Random.State.int st 2);
+      if change () then
+        Printf.bprintf buf "b%s #\n"
+          (Bits.to_binary_string (Bits.of_int ~width:2 (Random.State.int st 4)));
+      if change () then Printf.bprintf buf "r%g \"\n" (float_of_int (Random.State.int st 100) /. 4.)
+    done;
+    Buffer.contents buf
+  in
+  for doc = 1 to 300 do
+    let text = document () in
+    List.iter
+      (fun period ->
+        let label = Printf.sprintf "document %d, period %d" doc period in
+        let parsed = Psm_trace.Vcd.parse ~period text in
+        let power = Option.get parsed.Psm_trace.Vcd.power in
+        let pushed = ref [] in
+        let r =
+          Stream.Resample.create ~path:"doc.vcd" ~period ~limit:Psm_trace.Vcd.max_samples
+            (fun sample ~power -> pushed := (Array.copy sample, power) :: !pushed)
+        in
+        ignore
+          (Psm_trace.Vcd.stream (Psm_trace.Reader.of_string text)
+             ~init:(fun _ -> ())
+             ~sample:(fun ~time sample ~power -> Stream.Resample.push r ~time sample ~power));
+        Stream.Resample.finish r;
+        let pushed = Array.of_list (List.rev !pushed) in
+        check_int (label ^ " samples") (Functional_trace.length parsed.Psm_trace.Vcd.trace)
+          (Array.length pushed);
+        Array.iteri
+          (fun i (sample, p) ->
+            let expected = Functional_trace.sample parsed.Psm_trace.Vcd.trace ~time:i in
+            if not (Array.for_all2 Bits.equal expected sample) then
+              Alcotest.failf "%s: sample %d differs" label i;
+            if Int64.bits_of_float (Power_trace.get power i) <> Int64.bits_of_float p then
+              Alcotest.failf "%s: power %d is %g, batch %g" label i p (Power_trace.get power i))
+          pushed)
+      [ 2; 7; 10 ]
+  done
 
 (* A timestamp far past the last one must be refused before its gap is
    filled (filling it one grid point at a time would run for minutes),
@@ -572,7 +656,6 @@ let golden_of_result (r : Stream.result) =
   out "{\n";
   out "  \"ip\": %S,\n" stream_golden_name;
   out "  \"cycles\": %d,\n" r.Stream.cycles;
-  out "  \"compactions\": %d,\n" r.Stream.compactions;
   out "  \"machines\": %d,\n" (Psm.machine_count psm);
   out "  \"states\": %d,\n" (Psm.state_count psm);
   out "  \"transitions\": %d,\n" (Psm.transition_count psm);
@@ -591,7 +674,7 @@ let golden_of_result (r : Stream.result) =
 
 let test_stream_golden () =
   let traces, powers = capture_suite "RAM" Psm_ips.Ram.create in
-  let streamed = Stream.train_traces ~watermark:1024 ~traces ~powers () in
+  let streamed = Stream.train_traces ~traces ~powers () in
   let regen =
     match Sys.getenv_opt "PSM_REGEN_GOLDEN" with
     | Some ("" | "0") | None -> false
@@ -715,10 +798,10 @@ let test_counts_live_heap_bounded () =
 
 let suite =
   ( "stream",
-    [ Alcotest.test_case "stream = batch (RAM, watermark 256)" `Slow test_ram;
+    [ Alcotest.test_case "stream = batch (RAM)" `Slow test_ram;
       Alcotest.test_case "stream = batch (MultSum)" `Slow test_multsum;
       Alcotest.test_case "stream = batch (AES)" `Slow test_aes;
-      Alcotest.test_case "stream = batch (Camellia, watermark 1000)" `Slow test_camellia;
+      Alcotest.test_case "stream = batch (Camellia)" `Slow test_camellia;
       QCheck_alcotest.to_alcotest test_random_equiv;
       Alcotest.test_case "incremental miner = batch miner" `Quick test_incremental_miner;
       Alcotest.test_case "counts provenance" `Slow test_counts_provenance;
@@ -726,6 +809,8 @@ let suite =
       Alcotest.test_case "kill/resume harness (mid-pass)" `Slow test_harness_kill_resume;
       Alcotest.test_case "checkpoint rejects model files" `Quick test_checkpoint_bad_header;
       Alcotest.test_case "VCD streaming = batch ingestion" `Slow test_vcd_stream_matches_batch;
+      Alcotest.test_case "resampler = Vcd.read at period > 1" `Quick
+        test_resample_matches_read;
       Alcotest.test_case "train_stream checkpoint resume" `Slow test_vcd_checkpoint_resume;
       Alcotest.test_case "train_stream bounds a timestamp gap" `Quick test_vcd_gap_bound;
       Alcotest.test_case "gap bound ignores file length" `Quick test_resample_bound;
