@@ -8,52 +8,65 @@ type cluster_acc = {
   mutable components : (Assertion.t * Power_attr.t) list; (* reverse order *)
 }
 
-let pass config psm =
-  let clusters = Queue.create () in
-  List.iter
-    (fun (s : Psm.state) ->
-      match
-        Seq.find (fun c -> Merge.mergeable config c.attr s.Psm.attr) (Queue.to_seq clusters)
-      with
-      | Some c ->
-          c.members <- s.Psm.id :: c.members;
-          c.attr <- Power_attr.merge_stats c.attr s.Psm.attr;
-          c.parts <- s.Psm.attr.Power_attr.intervals :: c.parts;
-          c.components <- List.rev_append s.Psm.components c.components
-      | None ->
-          Queue.add
-            { members = [ s.Psm.id ];
-              attr = s.Psm.attr;
-              parts = [ s.Psm.attr.Power_attr.intervals ];
-              components = List.rev s.Psm.components }
-            clusters)
-    (Psm.states psm);
-  let real_clusters =
-    List.filter_map
-      (fun c ->
-        match c.members with
-        | [] | [ _ ] -> None
-        | members ->
-            let components = List.rev c.components in
-            let assertion = Assertion.alt (List.map fst components) in
-            Some
-              { Psm.members = List.rev members;
-                new_assertion = assertion;
-                new_attr = { c.attr with Power_attr.intervals = Power_attr.concat_rev c.parts };
-                new_components = components })
-      (List.of_seq (Queue.to_seq clusters))
-  in
-  match real_clusters with
-  | [] -> (psm, [], false)
+(* One pass over the working machine's slots; false when no two states
+   merge. Open clusters sit in creation order in a growable array. *)
+let pass config (w : Chain_table.t) =
+  let open_ = ref [||] and count = ref 0 in
+  for i = 0 to w.Chain_table.n - 1 do
+    let attr = w.attrs.(i) in
+    let rec first_fit k =
+      if k = !count then -1
+      else if Merge.mergeable config !open_.(k).attr attr then k
+      else first_fit (k + 1)
+    in
+    let k = first_fit 0 in
+    if k >= 0 then begin
+      let c = !open_.(k) in
+      c.members <- i :: c.members;
+      c.attr <- Power_attr.merge_stats c.attr attr;
+      c.parts <- attr.Power_attr.intervals :: c.parts;
+      c.components <- List.rev_append w.components.(i) c.components
+    end
+    else begin
+      let c =
+        { members = [ i ];
+          attr;
+          parts = [ attr.Power_attr.intervals ];
+          components = List.rev w.components.(i) }
+      in
+      if !count = Array.length !open_ then
+        open_ := Array.append !open_ (Array.make (max 8 !count) c);
+      !open_.(!count) <- c;
+      incr count
+    end
+  done;
+  let clusters = ref [] in
+  for k = !count - 1 downto 0 do
+    let c = !open_.(k) in
+    match c.members with
+    | [] | [ _ ] -> ()
+    | members ->
+        let components = List.rev c.components in
+        clusters :=
+          { Psm.members = List.rev members;
+            new_assertion = Assertion.alt (List.map fst components);
+            new_attr = { c.attr with Power_attr.intervals = Power_attr.concat_rev c.parts };
+            new_components = components }
+          :: !clusters
+  done;
+  match !clusters with
+  | [] -> false
   | cs ->
-      let psm', mapping = Psm.merge_clusters psm ~internal_edges:`Self_loop cs in
-      (psm', mapping, true)
+      Chain_table.merge w ~drop_links:false cs;
+      true
 
 let join_traced ?(config = Merge.default) psm =
   Psm_obs.span "combine.join" @@ fun () ->
-  let before = Psm.state_count psm in
-  let result = Simplify.compose_passes (pass config) psm in
-  Psm_obs.count "combine.join_merged" (before - Psm.state_count (fst result));
+  let w = Chain_table.of_psm psm in
+  let rec fixpoint () = if pass config w then fixpoint () in
+  fixpoint ();
+  let result = Chain_table.to_psm w in
+  Psm_obs.count "combine.join_merged" (Psm.state_count psm - Psm.state_count (fst result));
   result
 
 let join ?config psm = fst (join_traced ?config psm)

@@ -10,10 +10,11 @@
     the distinct power modes and is small). A cluster folds its ⟨μ, σ, n⟩
     with {!Power_attr.merge_stats} and joins its members' interval lists
     once, when the pass ends, so the interval bookkeeping is linear in
-    the intervals; the rest of a pass is {!Psm.merge_clusters} and
-    {!Psm.renumber}, O((S + E) log (S + E)). Transitions between members
-    of one cluster become self-loops. The procedure iterates until no
-    two clusters can merge.
+    the intervals. The passes run over {!Chain_table}'s flat tables, and
+    the {!Psm.t} is built once, after the last pass, in
+    O((S + E) log (S + E)). Transitions between members of one cluster
+    become self-loops. The procedure iterates until no two clusters can
+    merge.
 
     When a cluster absorbs states with identical assertions (and matching
     guards), the result is a non-deterministic PSM — resolved during

@@ -39,3 +39,7 @@ type case = Case1_next_next | Case2_until_until | Case3_until_next
 val case_of : Power_attr.t -> Power_attr.t -> case
 
 val mergeable : config -> Power_attr.t -> Power_attr.t -> bool
+(** Raises [Invalid_argument] when [epsilon <= 0] or [alpha] is outside
+    (0, 1), whichever case decides. Under [practical_equivalence] the ε
+    criterion is evaluated first and the t-test only when it fails; the
+    verdict is the same in either order. *)

@@ -145,49 +145,32 @@ let union parts =
             next_id = offset + part.next_id })
         first rest
 
-(* Canonical renumbering: states are reassigned dense ids 0..n-1 ordered
-   by the training position of their earliest power interval — i.e. chain
-   order, (trace, start)-lexicographic — independently of the merge
-   history that produced them. Two distinct states can never share a
-   first instant (intervals partition the training instants), but the old
-   id breaks ties defensively for interval-less states (loaded models). *)
-let renumber t =
-  let ordered = Array.of_list (IntMap.bindings t.states |> List.map snd) in
-  let n = Array.length ordered in
-  (* Sort keys computed once per state, compared without allocation. *)
-  let trace = Array.make n max_int and start = Array.make n max_int in
-  Array.iteri
-    (fun i (s : state) ->
-      match s.attr.Power_attr.intervals with
-      | { Power_attr.trace = tr; start = st; _ } :: _ ->
-          trace.(i) <- tr;
-          start.(i) <- st
-      | [] -> ())
-    ordered;
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      let c = Int.compare trace.(a) trace.(b) in
-      if c <> 0 then c
-      else
-        let c = Int.compare start.(a) start.(b) in
-        if c <> 0 then c else Int.compare ordered.(a).id ordered.(b).id)
-    order;
-  let map = Array.make t.next_id (-1) in
-  Array.iteri (fun i k -> map.(ordered.(k).id) <- i) order;
-  let renum id =
-    if id >= 0 && id < Array.length map && map.(id) >= 0 then map.(id)
-    else invalid_arg (Printf.sprintf "Psm.renumber: unknown state %d" id)
+let of_states table states ~transitions ~initial =
+  let n = Array.length states in
+  let known id = id >= 0 && id < n in
+  let map =
+    Array.fold_left
+      (fun (i, acc) s ->
+        if s.id <> i then invalid_arg (Printf.sprintf "Psm.of_states: state %d at index %d" s.id i);
+        (i + 1, IntMap.add i s acc))
+      (0, IntMap.empty) states
+    |> snd
   in
-  let states = ref IntMap.empty in
-  Array.iteri (fun i k -> states := IntMap.add i { (ordered.(k)) with id = i } !states) order;
-  let transitions =
-    TransSet.fold
-      (fun (src, guard, dst) acc -> TransSet.add (renum src, guard, renum dst) acc)
-      t.transitions TransSet.empty
+  let triples =
+    List.map
+      (fun tr ->
+        if not (known tr.src && known tr.dst) then
+          invalid_arg
+            (Printf.sprintf "Psm.of_states: transition s%d -> s%d names no state" tr.src tr.dst);
+        (tr.src, tr.guard, tr.dst))
+      transitions
   in
-  ( { t with states = !states; transitions; initial = List.map renum t.initial; next_id = n },
-    renum )
+  List.iter
+    (fun id ->
+      if not (known id) then
+        invalid_arg (Printf.sprintf "Psm.of_states: initial state %d names no state" id))
+    initial;
+  { table; states = map; transitions = TransSet.of_list triples; initial; next_id = n }
 
 type cluster = {
   members : int list;

@@ -64,6 +64,18 @@ val add_initial : t -> int -> t
 (** Appends to S₀ (multiplicity preserved: one entry per training trace
     that starts in this state). *)
 
+val of_states :
+  Psm_mining.Prop_trace.Table.t ->
+  state array ->
+  transitions:transition list ->
+  initial:int list ->
+  t
+(** A whole machine in one step: [states.(i)] becomes state [i] and
+    must carry id [i]; duplicate transitions are kept once; [initial]
+    keeps its order and multiplicity. Raises [Invalid_argument] on a
+    state out of place or an endpoint or initial entry that names no
+    state. O(S log S + E log E). *)
+
 (** {1 Observation} *)
 
 val state : t -> int -> state
@@ -82,7 +94,7 @@ val id_bound : t -> int
 (** One past the largest id ever allocated: every state id lies in
     [\[0, id_bound t)], so id-indexed arrays of this length cover the
     machine even when its ids are sparse (after {!merge_clusters} or
-    {!union}). [state_count t] after {!renumber}. *)
+    {!union}). [state_count t] for a machine from {!of_states}. *)
 
 val successors : t -> int -> transition list
 (** Outgoing transitions of a state, ordered by [(guard, dst)] — the
@@ -102,17 +114,10 @@ val union : t list -> t
 (** Disjoint union (states renumbered). All constituents must share the
     same proposition table (physical equality). *)
 
-val renumber : t -> t * (int -> int)
-(** Canonical renumbering: dense ids 0..n-1 assigned in training-position
-    order — states sorted by the (trace, start) of their earliest power
-    interval, old id as tie-break for interval-less states. The returned
-    function maps old ids to new ids (raising [Invalid_argument] on
-    unknown ids). Merge history stops mattering: any two machines with
-    the same states-by-content get the same ids, which is what makes the
-    batch and streaming combine pipelines comparable state-for-state. *)
-
 type cluster = {
-  members : int list;  (** ≥ 2 distinct existing state ids. *)
+  members : int list;
+      (** ≥ 2 distinct existing state ids ({!Chain_table.merge}: slots),
+          in merge order. *)
   new_assertion : Assertion.t;
   new_attr : Power_attr.t;
   new_components : (Assertion.t * Power_attr.t) list;
@@ -121,8 +126,9 @@ type cluster = {
 val merge_clusters :
   t -> internal_edges:[ `Drop | `Self_loop ] -> cluster list -> t * (int * int) list
 (** Also returns the (member id → replacement id) mapping.
-    The surgery primitive behind [simplify] and [join]: each cluster's
-    members are replaced by one fresh state carrying the given assertion
+    The merge surgery on a whole machine, which {!Simplify} and {!Join}
+    do on flat tables instead ({!Chain_table}); the test oracle applies it
+    after every pass. Each cluster's members are replaced by one fresh state carrying the given assertion
     and attributes (output = [Const new_attr.mu]); every transition
     endpoint and initial-state entry is redirected to the replacement
     (initial multiplicity preserved). Under [`Drop] (simplify), a

@@ -8,12 +8,13 @@
     The chain's internal transitions are absorbed; the new state connects
     to the predecessor of the first and the successor of the last member.
 
-    A pass keeps its degree, chain-link and membership tables in arrays
-    indexed by state id ({!Psm.id_bound} long) and joins each run's
-    interval lists once, when the run closes, so it is linear in
-    states, transitions and intervals apart from the
-    O((S + E) log (S + E)) rebuild in {!Psm.merge_clusters} and
-    {!Psm.renumber}.
+    The passes run over flat tables in chain order ({!Chain_table}): a
+    pass keeps its degree, chain-link and membership tables in arrays,
+    joins each run's interval lists once, when the run closes, and
+    redirects the transitions in place, so it is linear in states,
+    transitions and intervals. The {!Psm.t} is built once, after the
+    last pass, in O((S + E) log (S + E)); a call that merges nothing
+    returns its input.
 
     Runs at most {!max_simplify_passes} greedy passes rather than a full
     fixpoint: a later pass can reach one commit further *backwards* per
@@ -34,16 +35,3 @@ val simplify_traced : ?config:Merge.config -> Psm.t -> Psm.t * (int -> int)
 (** Also returns the total (original state id → final state id) mapping
     across all merge passes, used to project training-trace statistics
     onto the simplified machine. *)
-
-(**/**)
-
-val compose_passes :
-  ?max_passes:int ->
-  (Psm.t -> Psm.t * (int * int) list * bool) ->
-  Psm.t ->
-  Psm.t * (int -> int)
-(** Internal: iterate a merge pass (to fixpoint by default, or at most
-    [max_passes] times) while composing its redirect maps, updated in
-    place in one array over the input's ids: O(id_bound) per pass.
-    Shared with {!Join}, whose cross-chain pass keeps the unbounded
-    fixpoint. *)

@@ -165,27 +165,13 @@ let train ?(config = default) ~traces ~powers () =
         (Psm.state_count optimized) (Psm.transition_count optimized)
         (List.length (List.filter (fun r -> r.Psm_core.Optimize.upgraded) optimize_reports))
         combine_s);
-  (* Gate-check the model like a compiler pass: the raw chains first (a
-     generator bug must be blamed on the generator, not on simplify), then
-     the combined model with the full training context. *)
+  (* Gate-check the combined model like a compiler pass, with the full
+     training context. The generator's raw chains are not analyzed here:
+     their findings would name states the result no longer has, and a
+     test pins that the generator produces none with an Error. *)
   let analysis =
     timed "flow.analyze" analyze_slot (fun () ->
-        let gammas = gammas_arr in
-        let raw_findings =
-          Analyzer.analyze ~config:config.analysis ~gammas ~powers:powers_arr raw
-        in
-        (* Raw-chain findings are re-located on states that no longer
-           exist after combination; surface them but keep the combined
-           model's findings as the record of truth. *)
-        (match Psm_analysis.Finding.errors raw_findings with
-        | [] -> ()
-        | errors ->
-            Log.warn (fun m ->
-                m "analysis: raw chains have %d error finding(s): %a"
-                  (List.length errors)
-                  (Format.pp_print_list Psm_analysis.Finding.pp)
-                  errors));
-        Analyzer.analyze ~config:config.analysis ~hmm ~gammas ~powers:powers_arr
+        Analyzer.analyze ~config:config.analysis ~hmm ~gammas:gammas_arr ~powers:powers_arr
           optimized)
   in
   let analyze_s = !analyze_slot in

@@ -13,11 +13,13 @@ type config = {
   optimize : Psm_core.Optimize.config;
   power : Psm_rtl.Power_model.config;
   analysis : Psm_analysis.Analyzer.config;
-      (** The static analyzer gate-checks the model after generation and
-          again after combination; with [analysis.strict] set, an
-          [Error]-severity finding raises
+      (** The static analyzer gate-checks the combined model once, with
+          the full training context; with [analysis.strict] set, an
+          [Error]-severity finding on that model raises
           {!Psm_analysis.Analyzer.Strict_failure} instead of silently
-          degrading simulation. *)
+          degrading simulation. The generator's raw chains are not
+          analyzed at training time: a test pins that they carry no
+          [Error] finding. *)
 }
 
 val default : config
@@ -27,7 +29,7 @@ type timings = {
   generate_s : float;  (** PSMGenerator over all traces. *)
   combine_s : float;  (** simplify + join + optimize + HMM build. *)
   analyze_s : float;
-      (** Static analysis of the raw chains and the combined model.
+      (** Static analysis of the combined model (one analyzer pass).
           Deliberately excluded from {!total_generation_s}: Table II's
           "PSMs gen." column predates the analyzer. *)
 }
@@ -69,9 +71,10 @@ val train :
   trained
 (** All traces must share one interface; traces and powers are paired
     positionally and must have matching lengths. The static analyzer
-    runs after generation and after combination (see {!config.analysis});
-    with [analysis.strict] set it raises
-    [Psm_analysis.Analyzer.Strict_failure] on any [Error] finding. *)
+    runs once, on the combined model (see {!config.analysis}); with
+    [analysis.strict] set it raises
+    [Psm_analysis.Analyzer.Strict_failure] on any [Error] finding of that
+    model. *)
 
 val lint : trained -> Psm_analysis.Finding.t list
 (** Re-run the analyzer over the trained model with the full training

@@ -619,8 +619,8 @@ let finish trainer =
     Psm_obs.span "stream.finalize" @@ fun () ->
     (* The absorber now holds the join pass-1 clustering of the final
        simplified machine. Materialize that pass's output machine in
-       canonical (trace, start) order — merge_clusters + renumber would
-       produce exactly this — and let the batch join fixpoint take over:
+       canonical (trace, start) order — Join's first pass would produce
+       exactly this — and let the batch join fixpoint take over:
        iterating the same pass function from the pass-1 output IS the
        rest of the fixpoint. *)
     let v = core.clusters in
@@ -628,31 +628,32 @@ let finish trainer =
     Array.sort (fun a b -> compare v.items.(a).first_key v.items.(b).first_key) order;
     let id_of = Array.make v.cn 0 in
     Array.iteri (fun pos i -> id_of.(i) <- pos) order;
-    let machine = ref (Psm.empty table) in
-    Array.iter
-      (fun i ->
-        let c = v.items.(i) in
-        let components = List.rev c.components in
-        let assertion =
-          if c.members >= 2 then Assertion.alt (List.map fst components)
-          else fst (List.hd components)
-        in
-        let m, id =
-          Psm.add_state_full !machine assertion
-            { c.cattr with Power_attr.intervals = Power_attr.concat_rev c.cparts }
-            ~output:(Psm.Const c.cattr.Power_attr.mu) ~components
-        in
-        assert (id = id_of.(i));
-        machine := m)
-      order;
-    Hashtbl.iter
-      (fun (ci, guard, cj) () ->
-        machine := Psm.add_transition !machine ~src:id_of.(ci) ~guard ~dst:id_of.(cj))
-      core.cedges;
-    List.iter
-      (fun ci -> machine := Psm.add_initial !machine id_of.(ci))
-      (List.rev core.cinitials);
-    let joined, jmap = Join.join_traced ~config:config.Flow.merge !machine in
+    let states =
+      Array.mapi
+        (fun id i ->
+          let c = v.items.(i) in
+          let components = List.rev c.components in
+          let assertion =
+            if c.members >= 2 then Assertion.alt (List.map fst components)
+            else fst (List.hd components)
+          in
+          { Psm.id;
+            assertion;
+            attr = { c.cattr with Power_attr.intervals = Power_attr.concat_rev c.cparts };
+            output = Psm.Const c.cattr.Power_attr.mu;
+            components })
+        order
+    in
+    let transitions =
+      Hashtbl.fold
+        (fun (ci, guard, cj) () acc -> { Psm.src = id_of.(ci); guard; dst = id_of.(cj) } :: acc)
+        core.cedges []
+    in
+    let machine =
+      Psm.of_states table states ~transitions
+        ~initial:(List.rev_map (fun ci -> id_of.(ci)) core.cinitials)
+    in
+    let joined, jmap = Join.join_traced ~config:config.Flow.merge machine in
     let final_of_cluster = Array.map (fun i -> jmap id_of.(i)) (Array.init v.cn Fun.id) in
     (* Optimization from the streamed sufficient statistics: same
        decisions as Optimize.optimize, with the Pearson r and the fit

@@ -554,10 +554,11 @@ module Stepper = struct
     then enter t origin_row o
 
   (* The cursor/transition state machine, one proposition code per
-     cycle (-1 = unknown behaviour). Writes the step's result into
-     [state_id] and [power] instead of returning it, so the paths that
-     only move cursors or exit through a transition allocate nothing. *)
-  let advance t ~hamming o =
+     cycle (-1 = unknown behaviour). Writes the step's state into
+     [state_id]; the callers below write its power into [power] instead
+     of returning it, so the paths that only move cursors or exit
+     through a transition allocate nothing. *)
+  let step t o =
     (match t.kind with
     | Unstarted ->
         if o = -1 then desync t 0
@@ -570,16 +571,27 @@ module Stepper = struct
     | Synced -> if o = -1 then handle_failure t ~row:t.row ~o else synced_step t o
     | Desynced -> if o <> -1 then desynced_step t o);
     t.cycles <- t.cycles + 1;
-    let plan = t.plan and row = t.row in
-    (match t.kind with
-    | Synced -> t.state_id <- plan.Plan.ids.(row)
+    match t.kind with
+    | Synced -> t.state_id <- t.plan.Plan.ids.(t.row)
     | Desynced ->
         t.wrong_instants <- t.wrong_instants + 1;
         t.state_id <- -1
-    | Unstarted -> assert false);
+    | Unstarted -> assert false
+
+  (* Inlined into both entries, so the distance stays unboxed. *)
+  let[@inline] set_power t hamming =
+    let plan = t.plan and row = t.row in
     t.power.(0) <-
       (if plan.Plan.affine.(row) then (plan.Plan.slope.(row) *. hamming) +. plan.Plan.level.(row)
        else plan.Plan.level.(row))
+
+  let advance t ~hamming o =
+    step t o;
+    set_power t hamming
+
+  let advance_at t hds k o =
+    step t o;
+    set_power t hds.(k)
 
   let power t = t.power.(0)
   let power_into t out i = out.(i) <- t.power.(0)

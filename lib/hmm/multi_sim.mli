@@ -108,6 +108,12 @@ module Stepper : sig
       nothing; a resynchronization allocates a constant amount (its
       ban-log entry, a first-ban row copy). *)
 
+  val advance_at : t -> float array -> int -> int -> unit
+  (** [advance_at t hds k o] is [advance t ~hamming:hds.(k) o], reading
+      the distance from the caller's array: a float passed as an
+      argument across modules is boxed, one read here is not. The
+      per-cycle loop of a batch of sessions uses it. *)
+
   val power : t -> float
   (** The power estimate of the last step. *)
 

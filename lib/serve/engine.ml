@@ -455,15 +455,15 @@ let run_batched t (members : session array) states codes hds powers rows =
   n
 
 (* Sim sessions step one by one; the stepper keeps its result, so no
-   (power, state) pair is built per cycle, and its power goes through
-   [powers] unboxed. *)
+   (power, state) pair is built per cycle, its distance is read from
+   [hds] and its power goes through [powers], both unboxed. *)
 let run_loop (members : session array) codes hds powers =
   let n = Array.length members in
   for k = 0 to n - 1 do
     let s = members.(k) in
     Ring.pop_into s.queue codes hds k;
     let st = Option.get s.stepper in
-    Stepper.advance st ~hamming:hds.(k) codes.(k);
+    Stepper.advance_at st hds k codes.(k);
     Stepper.power_into st powers k;
     Ring.push s.results (Stepper.state st) powers.(k)
   done;

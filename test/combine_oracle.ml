@@ -1,22 +1,24 @@
 (* Reference for the combine stage (paper Sec. IV: simplify, join,
-   optimize). The library's passes keep their tables in id-indexed
-   arrays, fold ⟨μ, σ, n⟩ with [Power_attr.merge_stats] and join each
-   cluster's interval lists once, and fill the regression samples into
-   float arrays. This module keeps the straightforward versions they
-   replaced — hash tables rebuilt every pass, [Power_attr.merge] (with its
-   interval append) at every absorption, boxed sample lists, a per-instant
-   Hamming series and a renumbering sort on polymorphic tuple compare —
-   and test_combine pins the library against it exactly: machines, ids,
+   optimize). The library runs simplify's and join's passes over the flat
+   tables of [Chain_table] and builds the machine once per call, folds
+   ⟨μ, σ, n⟩ with [Power_attr.merge_stats] and joins each cluster's
+   interval lists once, and fills the regression samples into float
+   arrays. This module keeps the straightforward versions they replaced —
+   hash tables rebuilt every pass, [Psm.merge_clusters] and then its own
+   canonical [renumber] after every changed pass, [Power_attr.merge]
+   (with its interval append) at every absorption, boxed sample lists, a
+   per-instant Hamming series and the t-test-first [mergeable] — and
+   test_combine pins the library against it exactly: machines, ids,
    floats by bits, redirect maps and optimize reports.
 
-   Only [Psm]'s surgery primitive [merge_clusters] and the public
-   constructors are shared with the library. One change from the old
-   simplify pass is deliberate: a run stops when it comes back to its
-   head. Without that, a component that is one ring of mergeable states
-   made the pass loop forever, in the library as here. The ring's
-   closing edge then survives as the merged state's self-loop: under
-   [`Drop], [merge_clusters] absorbs only the links between consecutive
-   members. *)
+   Only [Psm]'s public constructors and its surgery primitive
+   [merge_clusters] are used here; the library's passes no longer call
+   [merge_clusters]. One change from the old simplify pass is deliberate:
+   a run stops when it comes back to its head. Without that, a component
+   that is one ring of mergeable states made the pass loop forever, in
+   the library as here. The ring's closing edge then survives as the
+   merged state's self-loop: under [`Drop], [merge_clusters] absorbs only
+   the links between consecutive members. *)
 
 module Power_trace = Psm_trace.Power_trace
 module Functional_trace = Psm_trace.Functional_trace
@@ -39,6 +41,36 @@ let merge (a : Power_attr.t) (b : Power_attr.t) =
   let m2_total = m2 a +. m2 b +. (delta *. delta *. na *. nb /. nf) in
   let sigma = if n < 2 then 0. else sqrt (m2_total /. (nf -. 1.)) in
   { Power_attr.mu; sigma; n; intervals = a.intervals @ b.intervals }
+
+(* The mergeability predicate as it was before practical equivalence
+   was tested first: the t-test verdict, then the ε override. Only
+   [epsilon] is checked up front; an invalid [alpha] raises only when a
+   t-test runs. *)
+let mergeable (config : Merge.config) (a : Power_attr.t) (b : Power_attr.t) =
+  let module Ttest = Psm_stats.Ttest in
+  let close_means mu1 mu2 =
+    let scale = Float.max (abs_float mu1) (abs_float mu2) in
+    if scale = 0. then true else abs_float (mu1 -. mu2) < config.epsilon *. scale
+  in
+  if config.epsilon <= 0. then invalid_arg "Merge: epsilon must be positive";
+  let small x = x.Power_attr.n < config.min_n_for_test in
+  let by_test =
+    match Merge.case_of a b with
+    | Merge.Case1_next_next -> close_means a.mu b.mu
+    | Merge.Case2_until_until ->
+        if small a || small b then close_means a.mu b.mu
+        else
+          Ttest.equal_means ~alpha:config.alpha
+            (Ttest.welch ~mean1:a.mu ~stddev1:a.sigma ~n1:a.n ~mean2:b.mu
+               ~stddev2:b.sigma ~n2:b.n)
+    | Merge.Case3_until_next ->
+        let pop, single = if a.n > 1 then (a, b) else (b, a) in
+        if small pop then close_means a.mu b.mu
+        else
+          Ttest.equal_means ~alpha:config.alpha
+            (Ttest.one_sample ~mean:pop.mu ~stddev:pop.sigma ~n:pop.n ~value:single.mu)
+  in
+  by_test || (config.practical_equivalence && close_means a.mu b.mu)
 
 (* Canonical renumbering, rebuilt through the public constructors:
    states sorted by (trace, start, old id) of their first interval. *)

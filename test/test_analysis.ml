@@ -67,11 +67,20 @@ let attr ?(sigma = 0.) ~mu ~trace ~start ~stop () =
 
 (* ---------- clean trained models ---------- *)
 
+(* Flow.train analyzes only the combined model, so the check that the
+   generator's chains are sound lives here: with the full training Γ and
+   power, the raw chains carry no Error finding. A generator bug is then
+   blamed on the generator, not on simplify or join. *)
+let raw_errors (trained : Flow.trained) =
+  Finding.errors
+    (Analyzer.analyze ~gammas:trained.Flow.gammas ~powers:trained.Flow.powers trained.Flow.raw)
+
 let test_trained_model_clean () =
   let ip = Psm_ips.Ram.create () in
   let suite = Workloads.suite ~parts:3 ~total_length:9000 ~long:false "RAM" in
   let trained = Flow.train_on_ip ip suite in
   check_int "no errors recorded at train time" 0 (errors_of trained.Flow.analysis);
+  check_int "raw chains without errors" 0 (List.length (raw_errors trained));
   let relint = Flow.lint trained in
   check_int "re-lint agrees" 0 (errors_of relint);
   check_bool "analyze time recorded" true (trained.Flow.timings.Flow.analyze_s >= 0.)
@@ -82,7 +91,8 @@ let test_trained_model_clean_all_ips () =
       let ip : Psm_ips.Ip.t = make () in
       let suite = Workloads.suite ~parts:3 ~total_length:6000 ~long:false name in
       let trained = Flow.train_on_ip ip suite in
-      check_int (name ^ " lints without errors") 0 (errors_of trained.Flow.analysis))
+      check_int (name ^ " lints without errors") 0 (errors_of trained.Flow.analysis);
+      check_int (name ^ " raw chains without errors") 0 (List.length (raw_errors trained)))
     [ ("MultSum", Psm_ips.Multsum.create);
       ("AES", Psm_ips.Aes.create);
       ("FIFO", Psm_ips.Fifo.create) ]
@@ -323,14 +333,36 @@ let lax_flow_config =
         min_mean_run = 1.;
         max_short_run_fraction = 1.0 } }
 
+(* The combined model and the generator's raw chains are both free of
+   Error findings. *)
 let pipeline_lint_clean training =
   let traces = List.map fst training and powers = List.map snd training in
   let trained = Flow.train ~config:lax_flow_config ~traces ~powers () in
-  Finding.errors trained.Flow.analysis = []
+  Finding.errors trained.Flow.analysis = [] && raw_errors trained = []
+
+(* ---------- the generator's raw chains ---------- *)
+
+(* The four paper IPs' Table II training suites. *)
+let test_raw_chains_clean_table2 () =
+  List.iter
+    (fun (name, make) ->
+      let suite =
+        Workloads.suite ~total_length:(Workloads.paper_short_length name) ~long:false name
+      in
+      let trained = Flow.train_on_ip (make ()) suite in
+      match raw_errors trained with
+      | [] -> ()
+      | errors ->
+          Alcotest.failf "%s raw chains: %d error(s), first: %s" name (List.length errors)
+            (Format.asprintf "%a" Finding.pp (List.hd errors)))
+    [ ("RAM", Psm_ips.Ram.create);
+      ("MultSum", Psm_ips.Multsum.create);
+      ("AES", Psm_ips.Aes.create);
+      ("Camellia", Psm_ips.Camellia.create) ]
 
 let properties =
   [ QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:20 ~name:"train->simplify->join->hmm is lint-clean"
+      (QCheck.Test.make ~count:40 ~name:"train->simplify->join->hmm is lint-clean"
          arb_training_set pipeline_lint_clean) ]
 
 let suite =
@@ -347,5 +379,7 @@ let suite =
       Alcotest.test_case "rule selection" `Quick test_rule_selection;
       Alcotest.test_case "registry lists builtins" `Quick test_registry_lists_builtins;
       Alcotest.test_case "persist round-trip stays clean" `Quick
-        test_persist_roundtrip_lint_clean ]
+        test_persist_roundtrip_lint_clean;
+      Alcotest.test_case "Table II raw chains have no Error finding" `Quick
+        test_raw_chains_clean_table2 ]
     @ properties )

@@ -1,5 +1,5 @@
-(* The combine stage against its reference: Simplify, Join, Optimize and
-   Psm.renumber must equal test/combine_oracle.ml exactly on random
+(* The combine stage against its reference: Simplify, Join and Optimize
+   must equal test/combine_oracle.ml exactly on random
    machines — including sparse, non-canonical ids, self-loops and two
    guards on one (src, dst) pair — and must stay linear: doubling the
    number of mergeable states may not quadruple the words allocated. *)
@@ -54,8 +54,7 @@ let same_machine a b =
   && Psm.initial a = Psm.initial b
 
 (* The redirect maps agree on every id the input has, and on ids it
-   does not have (which redirect to themselves, or raise the same
-   [Invalid_argument] for [renumber]). *)
+   does not have (which redirect to themselves). *)
 let same_map input f g =
   let outcome h id = try Ok (h id) with Invalid_argument m -> Error m in
   List.for_all
@@ -172,7 +171,7 @@ let add_extras rng psm =
   !psm
 
 (* Up to two interval-less states, as a model loaded without provenance
-   has: [renumber] orders them last, by id. σ = 0 keeps them out of
+   has: the canonical order puts them last, by id. σ = 0 keeps them out of
    optimize's regression, which needs samples. *)
 let add_bare rng psm =
   let psm = ref psm in
@@ -279,7 +278,6 @@ let check_stage name input (lib, lib_map) (oracle, oracle_map) =
 let combine_equals_oracle seed =
   let w = random_world seed in
   let m = w.machine in
-  check_stage "renumber" m (Psm.renumber m) (Oracle.renumber m);
   let config = w.config in
   let simplified = Simplify.simplify_traced ~config m in
   check_stage "simplify" m simplified (Oracle.simplify_traced ~config m);
@@ -410,10 +408,122 @@ let test_simplify_scaling () =
       Alcotest.(check int) "one simplified state" 1 (Psm.state_count s);
       s)
 
+(* ---------- the merge predicate ---------- *)
+
+(* [Merge.mergeable] tests practical equivalence before the t-test; the
+   verdict must be the oracle's, which runs them the other way round. The
+   attributes cover n = 1, n below [min_n_for_test], σ = 0, equal means
+   (drawn from a few levels), zero and negative means. *)
+let gen_attr =
+  QCheck.Gen.(
+    let* n = oneofl [ 1; 1; 2; 3; 4; 5; 9; 50; 10_000 ] in
+    let* mu = oneofl [ 0.; 1.; 1.; 1.05; 1.2; 2.; -1. ] in
+    let* jitter = oneofl [ 0.; 0.; 1e-3; 0.05 ] in
+    let* sigma = oneofl [ 0.; 0.; 0.01; 0.3 ] in
+    return { Power_attr.mu = mu +. jitter; sigma = (if n = 1 then 0. else sigma); n; intervals = [] })
+
+let gen_merge_config =
+  QCheck.Gen.(
+    let* epsilon = oneofl [ 0.15; 0.4; 1e-3 ] in
+    let* alpha = oneofl [ 0.005; 0.05; 0.5 ] in
+    let* min_n_for_test = oneofl [ 0; 2; 4; 10 ] in
+    let* practical_equivalence = bool in
+    return { Merge.epsilon; alpha; min_n_for_test; practical_equivalence })
+
+let test_mergeable_equals_oracle =
+  let print (c, a, b) =
+    let attr (x : Power_attr.t) = Printf.sprintf "(mu %h sigma %h n %d)" x.mu x.sigma x.n in
+    Printf.sprintf "eps %g alpha %g min_n %d pe %b: %s %s" c.Merge.epsilon c.alpha
+      c.min_n_for_test c.practical_equivalence (attr a) (attr b)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000 ~name:"mergeable = oracle predicate"
+       (QCheck.make ~print QCheck.Gen.(triple gen_merge_config gen_attr gen_attr))
+       (fun (config, a, b) -> Merge.mergeable config a b = Oracle.mergeable config a b))
+
+(* An invalid α or ε raises whichever way the verdict would be reached,
+   including when the means are close enough that no t-test runs. *)
+let test_mergeable_rejects_bad_parameters () =
+  let attr mu n = { Power_attr.mu; sigma = 0.1; n; intervals = [] } in
+  let pairs = [ (attr 1. 1, attr 1. 1); (attr 1. 10, attr 1.01 10); (attr 1. 10, attr 5. 1) ] in
+  let raises config (a, b) =
+    match Merge.mergeable config a b with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (what, config) ->
+      Alcotest.(check bool) what true (List.for_all (raises config) pairs))
+    [ ("alpha = 0", { Merge.default with alpha = 0. });
+      ("alpha = 1", { Merge.default with alpha = 1. });
+      ("alpha < 0", { Merge.default with alpha = -0.1 });
+      ("alpha > 1", { Merge.default with alpha = 1.5 });
+      ("epsilon = 0", { Merge.default with epsilon = 0. });
+      ("epsilon < 0", { Merge.default with epsilon = -0.15 }) ]
+
+(* ---------- one machine per call ---------- *)
+
+(* A chain of one-instant states at the given power levels. *)
+let chain_of_levels levels =
+  let psm = ref (Psm.empty (table ())) in
+  Array.iteri
+    (fun i mu ->
+      let attr =
+        { Power_attr.mu; sigma = 0.; n = 1; intervals = [ { trace = 0; start = i; stop = i } ] }
+      in
+      let p, id = Psm.add_state !psm (Assertion.Until (0, 1)) attr in
+      psm := if id > 0 then Psm.add_transition p ~src:(id - 1) ~guard:(id mod 3) ~dst:id else p)
+    levels;
+  Psm.add_initial !psm 0
+
+(* Levels 3 and 9 alternate (never within ε = 0.15 of each other), then
+   a tail. In [four_pass_chain] each pass merges one run: pass 1 merges
+   1.1 and 1.0 (mean 1.05), which widens enough for pass 2 to take the
+   0.92 before it (0.92 and 1.1 alone are 0.18 apart), pass 3 the 1.13
+   and pass 4 the last 0.92 — AES's shape. [one_pass_chain] ends in the
+   same 1.1, 1.0, and its second pass finds nothing. *)
+let prefix n = Array.init n (fun i -> if i land 1 = 0 then 3. else 9.)
+let four_pass_chain n = chain_of_levels (Array.append (prefix (n - 5)) [| 0.92; 1.13; 0.92; 1.1; 1.0 |])
+let one_pass_chain n = chain_of_levels (Array.append (prefix (n - 2)) [| 1.1; 1.0 |])
+
+let states_after_passes psm =
+  List.map
+    (fun k ->
+      Psm.state_count
+        (fst (Oracle.compose_passes ~max_passes:k (Oracle.simplify_pass Merge.default) psm)))
+    [ 1; 2; 3; 4 ]
+
+(* Rebuilding the machine after every changed pass
+   ([Psm.merge_clusters], then a canonical renumbering) costs the four-pass chain
+   about 3.5 times the words of the one-pass chain at 3,000 states.
+   Passes over flat tables with one build per call keep it within
+   [max_pass_ratio] (about 1.2). Join's fixpoint runs on the same tables
+   ({!Psm_core.Chain_table}). *)
+let max_pass_ratio = 1.6
+
+let test_one_machine_per_call () =
+  let n = 3000 in
+  let four = four_pass_chain n and one = one_pass_chain n in
+  Alcotest.(check (list int)) "four passes, one merge each" [ n - 1; n - 2; n - 3; n - 4 ]
+    (states_after_passes four);
+  Alcotest.(check (list int)) "one merging pass" [ n - 1; n - 1; n - 1; n - 1 ]
+    (states_after_passes one);
+  Alcotest.(check bool) "same machine as the oracle" true
+    (same_machine (Simplify.simplify four) (fst (Oracle.simplify_traced four)));
+  let words_four = minor_words (fun m -> Simplify.simplify m) four
+  and words_one = minor_words (fun m -> Simplify.simplify m) one in
+  if words_four /. words_one > max_pass_ratio then
+    Alcotest.failf "simplify: %.0f minor words over four merging passes, %.0f over one (%.2fx > %.1fx)"
+      words_four words_one (words_four /. words_one) max_pass_ratio
+
 let suite =
   ( "combine",
     [ test_combine_equals_oracle;
       Alcotest.test_case "random worlds cover the shapes" `Quick test_worlds_cover_shapes;
       Alcotest.test_case "simplify stops on a ring" `Quick test_simplify_ring;
       Alcotest.test_case "join allocation is linear" `Quick test_join_scaling;
-      Alcotest.test_case "simplify allocation is linear" `Quick test_simplify_scaling ] )
+      Alcotest.test_case "simplify allocation is linear" `Quick test_simplify_scaling;
+      Alcotest.test_case "one machine per simplify call" `Quick test_one_machine_per_call;
+      test_mergeable_equals_oracle;
+      Alcotest.test_case "mergeable rejects a bad alpha or epsilon" `Quick
+        test_mergeable_rejects_bad_parameters ] )

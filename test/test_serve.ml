@@ -509,6 +509,49 @@ let test_vcd_upload_cost () =
   if after - small > 65_536 then
     Alcotest.failf "a session holds %d words after a large upload, %d before" after small
 
+(* A Sim shard's tick allocates nothing per cycle: the tick's own
+   set-up (its work list, clock reads) is the same for 64 sessions as
+   for 128, so ten ticks of either must cost the same words. The plan is
+   one proposition repeated with a non-zero distance, which the model
+   follows without a resynchronization, so every step is a stay. *)
+let test_sim_tick_allocation () =
+  let m = model_of "RAM" in
+  let steady p =
+    let st = Multi_sim.Stepper.create m.Persist.hmm in
+    let ok = ref true in
+    for _ = 1 to 40 do
+      Multi_sim.Stepper.advance st ~hamming:1.5 p;
+      if Multi_sim.Stepper.state st < 0 then ok := false
+    done;
+    !ok && Multi_sim.Stepper.resync_events st = 0
+  in
+  let p =
+    match List.find_opt steady (List.init (nprops m) Fun.id) with
+    | Some p -> p
+    | None -> Alcotest.fail "no proposition the RAM model stays on"
+  in
+  let ticks sessions =
+    let engine = Engine.create ~idle_timeout:0. [ ("RAM", m) ] in
+    let ids = List.init sessions (Printf.sprintf "s%d") in
+    List.iter (fun id -> get (Engine.open_session engine ~id ~model:"RAM" ~mode:`Sim)) ids;
+    let round () =
+      List.iter (fun id -> ignore (get (Engine.submit engine ~id (Array.make 10 (Some p, 1.5))))) ids;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10 do
+        check_int "one cycle per session" sessions (Engine.tick engine)
+      done;
+      let words = Gc.minor_words () -. before in
+      List.iter (fun id -> ignore (get (Engine.take_results engine ~id ~count:10))) ids;
+      words
+    in
+    ignore (round ());
+    round ()
+  in
+  let small = ticks 64 and large = ticks 128 in
+  if large -. small <> 0. then
+    Alcotest.failf "10 ticks: %.0f words for 64 Sim sessions, %.0f for 128 (%.2f per cycle)" small
+      large ((large -. small) /. 640.)
+
 (* ---------- uploads against the parse-then-walk oracle ---------- *)
 
 let capture_of name length =
@@ -1362,6 +1405,7 @@ let suite =
       Alcotest.test_case "vcd upload mutations = parse-then-walk oracle" `Quick
         test_vcd_upload_mutations;
       Alcotest.test_case "vcd upload allocation and storage" `Quick test_vcd_upload_cost;
+      Alcotest.test_case "sim tick allocates nothing per cycle" `Quick test_sim_tick_allocation;
       Alcotest.test_case "vcd faults + observe equivalence" `Slow
         test_vcd_faults_and_equivalence;
       Alcotest.test_case "idle eviction (injected clock)" `Quick
