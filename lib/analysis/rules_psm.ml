@@ -173,23 +173,29 @@ let trace_length (ctx : Rule.context) trace =
   | Some _, _ | _, Some _ -> Some (-1) (* traces known, index out of range *)
   | None, None -> None
 
-let check_one_attr (ctx : Rule.context) ~location ~what (a : Power_attr.t) =
+(* [component] is the index of the provenance component checked, [None]
+   for the state's own attributes; its name is spelled out only in a
+   finding. *)
+let check_one_attr (ctx : Rule.context) ~location ?component (a : Power_attr.t) =
+  let what () =
+    match component with None -> "attributes" | Some k -> Printf.sprintf "component %d" k
+  in
   let findings = ref [] in
   let emit severity msg = findings := v ~rule:"attr-sanity" ~severity ~location msg :: !findings in
   let not_finite x = Float.is_nan x || x = Float.infinity || x = Float.neg_infinity in
   if not_finite a.Power_attr.mu then
-    emit Finding.Error (Printf.sprintf "%s: μ = %g is not finite" what a.Power_attr.mu)
+    emit Finding.Error (Printf.sprintf "%s: μ = %g is not finite" (what ()) a.Power_attr.mu)
   else if a.Power_attr.mu < 0. then
     emit Finding.Warning
-      (Printf.sprintf "%s: μ = %g is negative (energy per instant should be ≥ 0)" what
+      (Printf.sprintf "%s: μ = %g is negative (energy per instant should be ≥ 0)" (what ())
          a.Power_attr.mu);
   if not_finite a.Power_attr.sigma then
-    emit Finding.Error (Printf.sprintf "%s: σ = %g is not finite" what a.Power_attr.sigma)
+    emit Finding.Error (Printf.sprintf "%s: σ = %g is not finite" (what ()) a.Power_attr.sigma)
   else if a.Power_attr.sigma < 0. then
-    emit Finding.Error (Printf.sprintf "%s: σ = %g is negative" what a.Power_attr.sigma);
+    emit Finding.Error (Printf.sprintf "%s: σ = %g is negative" (what ()) a.Power_attr.sigma);
   if a.Power_attr.n < 1 then
     emit Finding.Error
-      (Printf.sprintf "%s: n = %d (every state covers ≥ 1 instant)" what a.Power_attr.n);
+      (Printf.sprintf "%s: n = %d (every state covers ≥ 1 instant)" (what ()) a.Power_attr.n);
   (* Interval well-formedness; [intervals = []] is legitimate for
      persisted component attributes, which drop their provenance. *)
   if a.Power_attr.intervals <> [] then begin
@@ -197,45 +203,47 @@ let check_one_attr (ctx : Rule.context) ~location ~what (a : Power_attr.t) =
       (fun (iv : Power_attr.interval) ->
         if iv.Power_attr.trace < 0 then
           emit Finding.Error
-            (Printf.sprintf "%s: interval names negative trace %d" what iv.Power_attr.trace);
+            (Printf.sprintf "%s: interval names negative trace %d" (what ()) iv.Power_attr.trace);
         if iv.Power_attr.start < 0 || iv.Power_attr.stop < iv.Power_attr.start then
           emit Finding.Error
-            (Printf.sprintf "%s: malformed interval [%d..%d]" what iv.Power_attr.start
+            (Printf.sprintf "%s: malformed interval [%d..%d]" (what ()) iv.Power_attr.start
                iv.Power_attr.stop);
         match trace_length ctx iv.Power_attr.trace with
         | Some len when len >= 0 && iv.Power_attr.stop >= len ->
             emit Finding.Error
-              (Printf.sprintf "%s: interval [%d..%d] exceeds trace %d (length %d)" what
+              (Printf.sprintf "%s: interval [%d..%d] exceeds trace %d (length %d)" (what ())
                  iv.Power_attr.start iv.Power_attr.stop iv.Power_attr.trace len)
         | Some len when len < 0 ->
             emit Finding.Error
-              (Printf.sprintf "%s: interval names unknown trace %d" what
+              (Printf.sprintf "%s: interval names unknown trace %d" (what ())
                  iv.Power_attr.trace)
         | Some _ | None -> ())
       a.Power_attr.intervals;
-    (* Per-trace overlap. *)
-    let by_trace = Hashtbl.create 4 in
-    List.iter
-      (fun (iv : Power_attr.interval) ->
-        Hashtbl.replace by_trace iv.Power_attr.trace
-          ((iv.Power_attr.start, iv.Power_attr.stop)
-          :: Option.value ~default:[] (Hashtbl.find_opt by_trace iv.Power_attr.trace)))
-      a.Power_attr.intervals;
-    Hashtbl.iter
-      (fun trace ivs ->
-        let sorted = List.sort compare ivs in
-        ignore
-          (List.fold_left
-             (fun prev (start, stop) ->
-               (match prev with
-               | Some (_, pstop) when start <= pstop ->
-                   emit Finding.Error
-                     (Printf.sprintf "%s: intervals overlap at trace %d instant %d" what
-                        trace start)
-               | Some _ | None -> ());
-               Some (start, stop))
-             None sorted))
-      by_trace;
+    (* Per-trace overlap; one interval cannot overlap. *)
+    if List.compare_length_with a.Power_attr.intervals 2 >= 0 then begin
+      let by_trace = Hashtbl.create 4 in
+      List.iter
+        (fun (iv : Power_attr.interval) ->
+          Hashtbl.replace by_trace iv.Power_attr.trace
+            ((iv.Power_attr.start, iv.Power_attr.stop)
+            :: Option.value ~default:[] (Hashtbl.find_opt by_trace iv.Power_attr.trace)))
+        a.Power_attr.intervals;
+      Hashtbl.iter
+        (fun trace ivs ->
+          let sorted = List.sort compare ivs in
+          ignore
+            (List.fold_left
+               (fun prev (start, stop) ->
+                 (match prev with
+                 | Some (_, pstop) when start <= pstop ->
+                     emit Finding.Error
+                       (Printf.sprintf "%s: intervals overlap at trace %d instant %d" (what ())
+                          trace start)
+                 | Some _ | None -> ());
+                 Some (start, stop))
+               None sorted))
+        by_trace
+    end;
     let covered =
       List.fold_left
         (fun acc (iv : Power_attr.interval) ->
@@ -244,7 +252,7 @@ let check_one_attr (ctx : Rule.context) ~location ~what (a : Power_attr.t) =
     in
     if covered <> a.Power_attr.n then
       emit Finding.Error
-        (Printf.sprintf "%s: intervals cover %d instants but n = %d" what covered
+        (Printf.sprintf "%s: intervals cover %d instants but n = %d" (what ()) covered
            a.Power_attr.n)
   end;
   List.rev !findings
@@ -253,7 +261,7 @@ let check_attr_sanity (ctx : Rule.context) =
   List.concat_map
     (fun (s : Psm.state) ->
       let location = Finding.State s.Psm.id in
-      let own = check_one_attr ctx ~location ~what:"attributes" s.Psm.attr in
+      let own = check_one_attr ctx ~location s.Psm.attr in
       let comps =
         if s.Psm.components = [] then
           [ v ~rule:"attr-sanity" ~severity:Finding.Warning ~location
@@ -262,7 +270,7 @@ let check_attr_sanity (ctx : Rule.context) =
           List.concat
             (List.mapi
                (fun k (_, attr) ->
-                 check_one_attr ctx ~location ~what:(Printf.sprintf "component %d" k) attr)
+                 check_one_attr ctx ~location ~component:k attr)
                s.Psm.components)
       in
       own @ comps)

@@ -355,7 +355,17 @@ let hamming_distance a b =
   done;
   !acc
 
-let hash v = Hashtbl.hash (v.width, v.limbs)
+(* Width and limbs folded by multiply-xorshift steps, then a final
+   mix so that small values spread over the low bits an open-addressing
+   table masks with. Allocates nothing. *)
+let hash v =
+  let h = ref (v.width * 0x2545F491) in
+  for i = 0 to Array.length v.limbs - 1 do
+    let x = (!h lxor Array.unsafe_get v.limbs i) * 0x5BD1E995 in
+    h := x lxor (x lsr 29)
+  done;
+  let x = !h * 0x9E3779B97F4A7C1 in
+  (x lxor (x lsr 32)) land max_int
 
 let pp fmt v = Format.fprintf fmt "%d'h%s" v.width (to_hex_string v)
 let pp_binary fmt v = Format.fprintf fmt "%d'b%s" v.width (to_binary_string v)

@@ -134,6 +134,8 @@ val hamming_distance : t -> t -> int
     linear-regression calibration of data-dependent states. *)
 
 val hash : t -> int
+(** Consistent with {!equal}; non-negative, mixed over all bits (a
+    table may mask the low bits) and allocation-free. *)
 
 (** {1 Printing} *)
 

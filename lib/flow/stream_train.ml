@@ -772,7 +772,7 @@ end
 module Checkpoint = struct
   (* The payload is the marshaled [core] with its table saved, so any
      change to the layout of what it holds takes a new version. *)
-  let version_line = "psm-repro-trainer 3"
+  let version_line = "psm-repro-trainer 4"
 
   exception Restore_error of string
 

@@ -105,7 +105,7 @@ module Trainer : sig
 end
 
 (** Checkpoint / restore of an in-flight trainer, so a long capture can
-    survive restarts. The format is a ["psm-repro-trainer 3"] version
+    survive restarts. The format is a ["psm-repro-trainer 4"] version
     line, one human-readable summary line, then the marshaled trainer
     state (config excluded — it is re-supplied on restore, keeping the
     payload closure-free). Checkpoints are whole-process artifacts: they

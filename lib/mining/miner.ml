@@ -44,88 +44,191 @@ let check_traces traces =
       iface
 
 (* Occurrence and run counting for one signal's values, with periodic
-   pruning of hapax values so wide random buses cannot blow up memory. *)
-module Value_counter = struct
-  type cell = {
-    mutable occ : int;
-    mutable runs : int;
-    mutable short_runs : int;
-    mutable run_len : int;
-    mutable last : int;
-  }
+   pruning of hapax values so wide random buses cannot blow up memory.
 
+   One open-addressing table: the entries sit in first-seen order as a
+   struct of arrays, and [slots] (linear probing, at most half full)
+   maps a value's [Bits.hash] to its entry. A hit updates the arrays in
+   place, so observing a known value allocates nothing; a new value
+   costs an amortised array growth. *)
+module Value_counter = struct
   type t = {
-    table : (Bits.t, cell) Hashtbl.t;
     short_below : int;
     prune_at : int;
+    mutable size : int; (* entries in use: [0, size) *)
+    mutable values : Bits.t array;
+    mutable occs : int array;
+    mutable run_counts : int array;
+    mutable short_counts : int array; (* closed runs shorter than [short_below] *)
+    mutable run_lens : int array; (* length of the value's latest run *)
+    mutable lasts : int array; (* instant the value was last seen *)
+    mutable slots : int array; (* entry index, or -1 for an empty slot *)
+    mutable hit : int; (* entry observed last, or -1 *)
   }
 
-  let create ?(prune_at = 100_000) ~short_below () =
-    { table = Hashtbl.create 256; short_below; prune_at }
+  let no_value = Bits.zero 1
 
-  let observe t time v =
-    (match Hashtbl.find_opt t.table v with
-    | Some c ->
-        c.occ <- c.occ + 1;
-        if c.last <> time - 1 then begin
-          if c.run_len < t.short_below then c.short_runs <- c.short_runs + 1;
-          c.runs <- c.runs + 1;
-          c.run_len <- 1
-        end
-        else c.run_len <- c.run_len + 1;
-        c.last <- time
-    | None ->
-        Hashtbl.add t.table v { occ = 1; runs = 1; short_runs = 0; run_len = 1; last = time });
-    if Hashtbl.length t.table > t.prune_at then begin
-      (* Values seen once so far can never dominate a long trace; dropping
-         them only risks losing atoms far below any sane support level. *)
-      let doomed =
-        Hashtbl.fold (fun v c acc -> if c.occ <= 1 then v :: acc else acc) t.table []
-      in
-      List.iter (Hashtbl.remove t.table) doomed
+  let create ?(prune_at = 100_000) ~short_below () =
+    let cap = 16 in
+    { short_below;
+      prune_at;
+      size = 0;
+      values = Array.make cap no_value;
+      occs = Array.make cap 0;
+      run_counts = Array.make cap 0;
+      short_counts = Array.make cap 0;
+      run_lens = Array.make cap 0;
+      lasts = Array.make cap 0;
+      slots = Array.make (2 * cap) (-1);
+      hit = -1 }
+
+  let length t = t.size
+
+  (* The slot holding [v]'s entry, or the empty slot where it would go. *)
+  let rec probe slots values mask v i =
+    let e = Array.unsafe_get slots i in
+    if e < 0 || Bits.equal (Array.unsafe_get values e) v then i
+    else probe slots values mask v ((i + 1) land mask)
+
+  let find_slot t v =
+    let mask = Array.length t.slots - 1 in
+    probe t.slots t.values mask v (Bits.hash v land mask)
+
+  let rec free_slot slots mask i =
+    if Array.unsafe_get slots i < 0 then i else free_slot slots mask ((i + 1) land mask)
+
+  let rebuild_slots t n =
+    let slots = Array.make n (-1) and mask = n - 1 in
+    for e = 0 to t.size - 1 do
+      slots.(free_slot slots mask (Bits.hash t.values.(e) land mask)) <- e
+    done;
+    t.slots <- slots
+
+  let grow t =
+    let cap = 2 * Array.length t.occs in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.size;
+      b
+    in
+    t.values <- extend t.values no_value;
+    t.occs <- extend t.occs 0;
+    t.run_counts <- extend t.run_counts 0;
+    t.short_counts <- extend t.short_counts 0;
+    t.run_lens <- extend t.run_lens 0;
+    t.lasts <- extend t.lasts 0;
+    rebuild_slots t (2 * cap)
+
+  let insert t slot time v =
+    let slot =
+      if t.size < Array.length t.occs then slot
+      else begin
+        grow t;
+        find_slot t v
+      end
+    in
+    let e = t.size in
+    t.size <- e + 1;
+    t.values.(e) <- v;
+    t.occs.(e) <- 1;
+    t.run_counts.(e) <- 1;
+    t.short_counts.(e) <- 0;
+    t.run_lens.(e) <- 1;
+    t.lasts.(e) <- time;
+    t.slots.(slot) <- e;
+    e
+
+  (* Values seen once so far can never dominate a long trace; dropping
+     them only risks losing atoms far below any sane support level. The
+     survivors keep their order. Returns [e]'s new index, or -1 when [e]
+     was dropped. *)
+  let prune t e =
+    let kept = ref 0 and moved = ref (-1) in
+    for i = 0 to t.size - 1 do
+      if t.occs.(i) > 1 then begin
+        let j = !kept in
+        if i = e then moved := j;
+        t.values.(j) <- t.values.(i);
+        t.occs.(j) <- t.occs.(i);
+        t.run_counts.(j) <- t.run_counts.(i);
+        t.short_counts.(j) <- t.short_counts.(i);
+        t.run_lens.(j) <- t.run_lens.(i);
+        t.lasts.(j) <- t.lasts.(i);
+        kept := j + 1
+      end
+    done;
+    if !kept < t.size then begin
+      Array.fill t.values !kept (t.size - !kept) no_value;
+      t.size <- !kept;
+      rebuild_slots t (Array.length t.slots)
+    end;
+    !moved
+
+  (* Entry [e]'s value holds again at [time]. *)
+  let bump t e time =
+    t.occs.(e) <- t.occs.(e) + 1;
+    if t.lasts.(e) <> time - 1 then begin
+      if t.run_lens.(e) < t.short_below then t.short_counts.(e) <- t.short_counts.(e) + 1;
+      t.run_counts.(e) <- t.run_counts.(e) + 1;
+      t.run_lens.(e) <- 1
     end
+    else t.run_lens.(e) <- t.run_lens.(e) + 1;
+    t.lasts.(e) <- time
+
+  (* [observe], returning the entry that now holds [v] (-1 when the
+     prune dropped it). *)
+  let touch t time v =
+    let h = t.hit in
+    let e =
+      if h >= 0 && Bits.equal (Array.unsafe_get t.values h) v then begin
+        bump t h time;
+        h
+      end
+      else begin
+        let slot = find_slot t v in
+        let e = Array.unsafe_get t.slots slot in
+        if e < 0 then insert t slot time v
+        else begin
+          bump t e time;
+          e
+        end
+      end
+    in
+    let e = if t.size > t.prune_at then prune t e else e in
+    t.hit <- e;
+    e
+
+  let observe t time v = ignore (touch t time v)
 
   (* [observe_run t time v len]: the signal held [v] over the [len]
      instants [time, time + len). Exact w.r.t. [len] successive
-     [observe] calls: the first cycle goes through [observe] (including
-     its prune), and the remaining [len - 1] cycles only ever extend the
-     just-touched cell's run — occ, run_len and last advance by bulk
-     arithmetic, and the reference's per-cycle prune checks in that
-     stretch are no-ops (no new hapax cell appears between them). When
-     the table is beyond [prune_at], or the first observe's prune evicted
-     [v] itself, fall back to the literal per-cycle loop. *)
-  let observe_run t time v len =
-    if len = 1 then observe t time v
-    else begin
-      observe t time v;
-      if Hashtbl.length t.table <= t.prune_at then
-        match Hashtbl.find_opt t.table v with
-        | Some c when c.last = time ->
-            c.occ <- c.occ + len - 1;
-            c.run_len <- c.run_len + len - 1;
-            c.last <- time + len - 1
-        | _ ->
-            for i = 1 to len - 1 do
-              observe t (time + i) v
-            done
-      else
-        for i = 1 to len - 1 do
-          observe t (time + i) v
-        done
-    end
+     [observe] calls: the first cycle goes through [touch] (including
+     its prune), and the remaining [len - 1] cycles only extend the entry
+     it returned — occ, run_len and last advance by bulk arithmetic. The
+     per-cycle prunes in that stretch would drop nothing: no new entry
+     appears, and a prune leaves no hapax behind. Only when the prune
+     dropped [v] itself does the next cycle start over. *)
+  let rec observe_run t time v len =
+    let e = touch t time v in
+    if len > 1 then
+      if e >= 0 then begin
+        t.occs.(e) <- t.occs.(e) + len - 1;
+        t.run_lens.(e) <- t.run_lens.(e) + len - 1;
+        t.lasts.(e) <- time + len - 1
+      end
+      else observe_run t (time + 1) v (len - 1)
 
-  let fold f t init =
-    (* Each value's final run is still open; close it into a snapshot
-       cell rather than mutating the live one, so folding is reentrant
-       (folding twice gives identical results) and observation may
-       continue correctly afterwards. *)
-    Hashtbl.fold
-      (fun v c acc ->
-        let short_runs =
-          if c.run_len < t.short_below then c.short_runs + 1 else c.short_runs
-        in
-        f v { c with short_runs } acc)
-      t.table init
+  (* Each value's final run is still open; it is closed into the
+     reported [short_runs] without touching the entry, so iterating is
+     reentrant and observation may continue afterwards. *)
+  let iter f t =
+    for e = 0 to t.size - 1 do
+      let short_runs =
+        if t.run_lens.(e) < t.short_below then t.short_counts.(e) + 1
+        else t.short_counts.(e)
+      in
+      f t.values.(e) ~occ:t.occs.(e) ~runs:t.run_counts.(e) ~short_runs
+    done
 end
 
 let stats_of ~total atom occ runs short_runs =
@@ -141,24 +244,22 @@ let narrow_signal config iface s =
 
 let short_below_of config = int_of_float (ceil config.min_mean_run)
 
-(* Candidate extraction from finished per-signal counters. The fold
-   order (and hence the candidate list order) is a function of the
-   observation sequence only, so any path that feeds the counters the
-   same samples in the same order yields the same list. *)
-let consts_of_counters ~total counters =
-  let candidates = ref [] in
-  Array.iteri
-    (fun s counter ->
-      Value_counter.fold
-        (fun v (c : Value_counter.cell) () ->
-          candidates :=
-            stats_of ~total (Atomic.eq_const s v) c.occ c.runs c.short_runs :: !candidates)
-        counter ())
-    counters;
-  !candidates
+(* Signal [s]'s [= constant] candidates in first-seen order; with
+   [min_support], only those whose support reaches it. Any path that
+   feeds the counters the same samples in the same order yields the same
+   list. *)
+let consts_of_counter ?min_support ~total s counter =
+  let acc = ref [] in
+  Value_counter.iter
+    (fun v ~occ ~runs ~short_runs ->
+      match min_support with
+      | Some m when float_of_int occ /. float_of_int total < m -> ()
+      | Some _ | None -> acc := stats_of ~total (Atomic.eq_const s v) occ runs short_runs :: !acc)
+    counter;
+  List.rev !acc
 
-(* Mutable run accumulator mirroring [predicate_stats]'s counters, one per
-   atom, so a single trace pass can score many atoms at once. *)
+(* Mutable run accumulator, one per pair atom, so a single trace pass
+   can score many atoms at once. *)
 module Run_acc = struct
   type t = {
     mutable occ : int;
@@ -246,39 +347,11 @@ let passes config s =
      || float_of_int s.short_runs /. float_of_int s.runs
         <= config.max_short_run_fraction)
 
-(* Filtering and per-signal capping over a scored candidate list; shared
-   verbatim by the batch and incremental paths so both produce the same
-   vocabulary from the same statistics. *)
-let vocabulary_of_candidates config iface all =
-  let kept = List.filter (passes config) all in
-  Psm_obs.count "mine.candidates" (List.length all);
-  Psm_obs.count "mine.atoms_kept" (List.length kept);
-  (* Cap the per-signal constant atoms at the top-k by support. *)
-  let by_signal = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      match s.atom.Atomic.rhs with
-      | Atomic.Const _ ->
-          let key = s.atom.Atomic.lhs in
-          let existing = Option.value ~default:[] (Hashtbl.find_opt by_signal key) in
-          Hashtbl.replace by_signal key (s :: existing)
-      | Atomic.Sig _ -> ())
-    kept;
-  let capped_consts =
-    Hashtbl.fold
-      (fun _ entries acc ->
-        let sorted =
-          List.sort (fun x y -> Float.compare y.support x.support) entries
-        in
-        List.filteri (fun i _ -> i < config.max_consts_per_signal) sorted @ acc)
-      by_signal []
-  in
-  let pair_atoms =
-    List.filter
-      (fun s -> match s.atom.Atomic.rhs with Atomic.Sig _ -> true | Atomic.Const _ -> false)
-      kept
-  in
-  Vocabulary.create iface (List.map (fun s -> s.atom) (capped_consts @ pair_atoms))
+(* The per-signal cap: the top [k] by support, ties to the candidate
+   seen first (the sort is stable). *)
+let top_k k candidates =
+  List.filteri (fun i _ -> i < k)
+    (List.stable_sort (fun x y -> Float.compare y.support x.support) candidates)
 
 (* Candidate scoring, one sample or one run of equal samples at a time.
    The batch entry points below feed it each trace run by run, so the
@@ -327,11 +400,12 @@ module Incremental = struct
     if len <= 0 then invalid_arg "Miner.Incremental.observe_run: non-positive length";
     if Array.length sample <> Array.length t.counters then
       invalid_arg "Miner.Incremental: sample arity mismatch";
-    Array.iteri
-      (fun s v ->
-        if Array.unsafe_get t.narrow s then
-          Value_counter.observe_run t.counters.(s) t.time v len)
-      sample;
+    let time = t.time in
+    for s = 0 to Array.length sample - 1 do
+      if Array.unsafe_get t.narrow s then
+        Value_counter.observe_run (Array.unsafe_get t.counters s) time
+          (Array.unsafe_get sample s) len
+    done;
     let short_below = t.short_below in
     for j = 0 to Array.length t.pairs - 1 do
       let a, b = Array.unsafe_get t.pairs j in
@@ -354,23 +428,48 @@ module Incremental = struct
     Array.iter (Run_acc.boundary ~short_below) t.gts;
     t.time <- t.time + 2
 
-  (* Consts (counter fold order), then pairs (pair order). Run_accs are
-     snapshotted before the pending-run close so scoring is reentrant and
-     observation may continue. *)
-  let candidate_stats t =
-    let total = t.total in
-    let consts = consts_of_counters ~total t.counters in
+  (* Pair candidates in pair order. The Run_accs are snapshotted before
+     the pending-run close, so scoring is reentrant and observation may
+     continue. *)
+  let pair_candidates t =
     let snap (a : Run_acc.t array) = Array.map (fun r -> { r with Run_acc.occ = r.Run_acc.occ }) a in
     let eqs = snap t.eqs and lts = snap t.lts and gts = snap t.gts in
     let short_below = t.short_below in
     Array.iter (Run_acc.close_pending ~short_below) eqs;
     Array.iter (Run_acc.close_pending ~short_below) lts;
     Array.iter (Run_acc.close_pending ~short_below) gts;
-    consts @ pair_stats_list ~total t.pairs eqs lts gts
+    pair_stats_list ~total:t.total t.pairs eqs lts gts
 
+  (* Consts (signal order, first-seen within a signal), then pairs. *)
+  let candidate_stats t =
+    let total = t.total in
+    List.concat (Array.to_list (Array.mapi (fun s c -> consts_of_counter ~total s c) t.counters))
+    @ pair_candidates t
+
+  (* Constants below [min_support] can never pass, so only the frequent
+     ones are scored; every candidate is still counted. *)
   let vocabulary t =
     if t.total = 0 then invalid_arg "Miner: empty training traces";
-    vocabulary_of_candidates t.config t.iface (candidate_stats t)
+    let config = t.config and total = t.total in
+    let candidates = ref (3 * Array.length t.pairs) and kept = ref 0 in
+    let filter l =
+      let l = List.filter (passes config) l in
+      kept := !kept + List.length l;
+      l
+    in
+    let consts =
+      Array.mapi
+        (fun s counter ->
+          candidates := !candidates + Value_counter.length counter;
+          top_k config.max_consts_per_signal
+            (filter (consts_of_counter ~min_support:config.min_support ~total s counter)))
+        t.counters
+    in
+    let pairs = filter (pair_candidates t) in
+    Psm_obs.count "mine.candidates" !candidates;
+    Psm_obs.count "mine.atoms_kept" !kept;
+    Vocabulary.create t.iface
+      (List.map (fun s -> s.atom) (List.concat (Array.to_list consts) @ pairs))
 end
 
 (* Each trace run by run, with a boundary after it. *)
@@ -384,11 +483,6 @@ let incremental_of_traces config traces =
       Incremental.end_trace inc)
     traces;
   inc
-
-let candidate_stats ?(config = default) traces =
-  let inc = incremental_of_traces config traces in
-  if Incremental.total inc = 0 then invalid_arg "Miner: empty training traces";
-  Incremental.candidate_stats inc
 
 let mine_vocabulary ?(config = default) traces =
   Psm_obs.span "mine.vocabulary" @@ fun () ->

@@ -27,7 +27,11 @@
 type config = {
   min_support : float;  (** In (0, 1]; default 0.01. *)
   min_mean_run : float;  (** Default 4.0. *)
-  max_consts_per_signal : int;  (** Top-k by support; default 4. *)
+  max_consts_per_signal : int;
+      (** Top-k by support; default 4. Among constants of equal support
+          the value first seen in the training traces wins (a value
+          dropped by the hapax prune and seen again counts from its
+          return). *)
   max_short_run_fraction : float;  (** Default 0.25. *)
   max_const_signal_width : int;
       (** Signals wider than this never produce [signal = constant] atoms:
@@ -63,13 +67,6 @@ type atom_stats = {
   short_runs : int;  (** Runs shorter than [min_mean_run]. *)
 }
 
-val candidate_stats :
-  ?config:config ->
-  Psm_trace.Functional_trace.t list ->
-  atom_stats list
-(** The scored candidate list before filtering — kept for inspection and
-    for the mining-threshold ablation. *)
-
 (** {1 Push-mode mining}
 
     The counters behind {!mine_vocabulary}, fed one sample or one run of
@@ -99,31 +96,39 @@ module Incremental : sig
   (** Samples observed so far. *)
 
   val candidate_stats : t -> atom_stats list
-  (** Scored candidates so far, in batch order; reentrant (observation
-      may continue afterwards). *)
+  (** Every scored candidate so far, before filtering: the constants
+      signal by signal, each signal's in first-seen order, then the pair
+      atoms. Reentrant (observation may continue afterwards). *)
 
   val vocabulary : t -> Vocabulary.t
-  (** Filter + cap {!candidate_stats} exactly as {!mine_vocabulary}
-      does. Raises [Invalid_argument] before any sample was observed. *)
+  (** The vocabulary {!mine_vocabulary} would give for the samples so
+      far: {!candidate_stats} filtered by the three criteria, the
+      constants capped per signal. Only constants whose support reaches
+      [min_support] are scored; the rest could not pass. Raises
+      [Invalid_argument] before any sample was observed. *)
 end
 
 (** Occurrence and run counting for one signal's values, with periodic
     pruning of hapax values so wide random buses cannot blow up memory.
-    Exposed for testing; {!mine_vocabulary} is the real entry point. *)
-module Value_counter : sig
-  type cell = {
-    mutable occ : int;
-    mutable runs : int;
-    mutable short_runs : int;
-    mutable run_len : int;
-    mutable last : int;
-  }
+    Exposed for testing; {!mine_vocabulary} is the real entry point.
 
+    One open-addressing table: the entries (value, occurrences, runs,
+    short runs, current run length, last instant) sit in first-seen
+    order as parallel arrays, and an [int] slot array, probed linearly
+    from {!Psm_bits.Bits.hash}, maps a value to its entry; the entry hit
+    last is checked before hashing. Observing a known value costs one
+    hash-and-compare (none on a repeat of the last value) and allocates
+    nothing; a new value appends an entry, doubling the arrays when
+    full. *)
+module Value_counter : sig
   type t
 
   val create : ?prune_at:int -> short_below:int -> unit -> t
   (** [prune_at] (default 100_000) caps the number of distinct tracked
-      values: when exceeded, values observed only once are dropped. *)
+      values: whenever an observation leaves more than [prune_at]
+      entries, every value observed only once (the new one included) is
+      dropped. The survivors keep their order; a dropped value seen
+      again enters at the end. *)
 
   val observe : t -> int -> Psm_bits.Bits.t -> unit
   (** [observe t time v]: the signal held value [v] at [time]. Times must
@@ -131,12 +136,17 @@ module Value_counter : sig
 
   val observe_run : t -> int -> Psm_bits.Bits.t -> int -> unit
   (** [observe_run t time v len] is exactly [len] successive [observe]s
-      of [v] at [time, time + len): the repeated cycles collapse to bulk
-      cell arithmetic, falling back to the per-cycle loop when hapax
-      pruning could interfere. *)
+      of [v] at [time, time + len): the repeated cycles update the entry
+      the first one found by bulk arithmetic (cycle by cycle only while
+      the hapax prune keeps dropping [v]). *)
 
-  val fold : (Psm_bits.Bits.t -> cell -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Folds over snapshot cells with each value's still-open final run
-      closed; never mutates the counter, so folding is reentrant and
-      [observe] may continue afterwards. *)
+  val length : t -> int
+  (** Distinct values tracked. *)
+
+  val iter :
+    (Psm_bits.Bits.t -> occ:int -> runs:int -> short_runs:int -> unit) -> t -> unit
+  (** Visits the values in first-seen order with their occurrences, runs
+      and short runs, each value's still-open final run closed. Never
+      mutates the counter, so iterating is reentrant and [observe] may
+      continue afterwards. *)
 end

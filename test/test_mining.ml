@@ -183,7 +183,10 @@ let test_miner_width_caps () =
 
 let test_candidate_stats () =
   let trace = fig3_trace () in
-  let stats = Miner.candidate_stats ~config:fig3_config [ trace ] in
+  let inc = Miner.Incremental.create ~config:fig3_config (FT.interface trace) in
+  FT.iter_runs (fun ~start:_ ~len sample -> Miner.Incremental.observe_run inc sample len) trace;
+  Miner.Incremental.end_trace inc;
+  let stats = Miner.Incremental.candidate_stats inc in
   let v1_true =
     List.find
       (fun s ->
@@ -199,15 +202,16 @@ let test_candidate_stats () =
 (* ---------- value counter ---------- *)
 
 let counter_snapshot counter =
-  Miner.Value_counter.fold
-    (fun v (c : Miner.Value_counter.cell) acc ->
-      (Bits.to_int v, (c.occ, c.runs, c.short_runs)) :: acc)
-    counter []
-  |> List.sort compare
+  let acc = ref [] in
+  Miner.Value_counter.iter
+    (fun v ~occ ~runs ~short_runs -> acc := (Bits.to_int v, (occ, runs, short_runs)) :: !acc)
+    counter;
+  List.sort compare !acc
 
 let test_value_counter_fold_reentrant () =
-  (* Regression: [fold] used to close each value's open run by mutating
-     the live cells, corrupting any later [fold] or [observe]. *)
+  (* Reading the statistics closes each value's open run in the report
+     only: mutating the live entry would corrupt any later read or
+     [observe]. *)
   let counter = Miner.Value_counter.create ~short_below:5 () in
   let v = Bits.of_int ~width:4 3 in
   Miner.Value_counter.observe counter 0 v;
@@ -217,7 +221,7 @@ let test_value_counter_fold_reentrant () =
   Alcotest.(check (list (pair int (triple int int int))))
     "closed run visible" [ (3, (3, 1, 1)) ] first;
   Alcotest.(check (list (pair int (triple int int int))))
-    "second fold identical" first (counter_snapshot counter)
+    "second read identical" first (counter_snapshot counter)
 
 let test_value_counter_observe_after_fold () =
   let counter = Miner.Value_counter.create ~short_below:5 () in
@@ -251,6 +255,53 @@ let test_value_counter_pruning () =
     "hapaxes pruned, frequent value intact"
     [ (4, (1, 1, 0)); (100, (2, 2, 0)) ]
     (counter_snapshot counter)
+
+(* Five values of equal support on one signal, capped at four: the four
+   seen first win. First-seen order (5, 1, 7, 3) differs from both the
+   four smallest (1, 3, 5, 6) and the four largest (3, 5, 6, 7). *)
+let test_cap_tie_first_seen () =
+  let iface = Interface.create [ Signal.input "x" 3 ] in
+  let samples =
+    List.concat_map (fun v -> List.init 4 (fun _ -> [| Bits.of_int ~width:3 v |])) [ 5; 1; 7; 3; 6 ]
+  in
+  let trace = FT.of_samples iface (Array.of_list samples) in
+  let vocabulary = Miner.mine_vocabulary [ trace ] in
+  let kept =
+    Array.to_list (Vocabulary.atoms vocabulary)
+    |> List.map (fun (a : Atomic.t) ->
+           match a.Atomic.rhs with Atomic.Const v -> Bits.to_int v | Atomic.Sig _ -> -1)
+  in
+  Alcotest.(check (list int)) "first four seen" [ 1; 3; 5; 7 ] kept
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Vocabulary mining over each paper IP's Table II short-TS capture,
+   measured like test sim's front-end cases: every run updates the value
+   counters in place, so only new values and the candidate lists
+   allocate on the minor heap. The counters' entry arrays, once past 256
+   entries, grow in the major heap; that storage follows the number of
+   distinct values, not cycles, and is not counted here. *)
+let test_mining_allocation () =
+  List.iter
+    (fun (name, make) ->
+      let ip = make () in
+      let suite =
+        Psm_ips.Workloads.suite ~total_length:(Psm_ips.Workloads.paper_short_length name)
+          ~long:false name
+      in
+      let traces = List.map (fun st -> fst (Psm_ips.Capture.run ip st)) suite in
+      let cycles = List.fold_left (fun n t -> n + FT.length t) 0 traces in
+      let words = minor_words (fun () -> ignore (Miner.mine_vocabulary traces)) in
+      let per_cycle = words /. float_of_int cycles in
+      if per_cycle > 2. then
+        Alcotest.failf "%s: %.2f words per cycle (%d cycles), want <= 2" name per_cycle cycles)
+    [ ("RAM", Psm_ips.Ram.create);
+      ("MultSum", Psm_ips.Multsum.create);
+      ("AES", Psm_ips.Aes.create);
+      ("Camellia", Psm_ips.Camellia.create) ]
 
 (* ---------- proposition traces ---------- *)
 
@@ -331,6 +382,88 @@ let lax_config =
   { Miner.default with Miner.min_support = 0.05; min_mean_run = 1.;
     max_short_run_fraction = 1.0 }
 
+(* A value stream in runs: (value, length, trace gap before it). *)
+let arb_counter_stream =
+  QCheck.make
+    ~print:(fun (prune_at, short_below, runs) ->
+      Printf.sprintf "prune_at=%d short_below=%d %s" prune_at short_below
+        (String.concat " "
+           (List.map (fun (v, len, gap) -> Printf.sprintf "%s%dx%d" (if gap then "| " else "") v len) runs)))
+    QCheck.Gen.(
+      triple (int_range 1 8) (int_range 1 5)
+        (list_size (int_range 1 80)
+           (triple (int_bound 11) (frequency [ (3, return 1); (2, int_range 2 6) ])
+              (frequency [ (9, return false); (1, return true) ]))))
+
+(* The library counter fed run by run against the Hashtbl oracle fed
+   cycle by cycle: the same statistics, in the oracle's first-seen
+   order. *)
+let counter_matches_oracle (prune_at, short_below, runs) =
+  let counter = Miner.Value_counter.create ~prune_at ~short_below () in
+  let oracle = Miner_oracle.Value_counter.create ~prune_at ~short_below () in
+  let time = ref 0 in
+  List.iter
+    (fun (v, len, gap) ->
+      if gap then time := !time + 2;
+      let v = Bits.of_int ~width:4 v in
+      Miner.Value_counter.observe_run counter !time v len;
+      for i = 0 to len - 1 do
+        Miner_oracle.Value_counter.observe oracle (!time + i) v
+      done;
+      time := !time + len)
+    runs;
+  let actual = ref [] in
+  Miner.Value_counter.iter
+    (fun v ~occ ~runs ~short_runs -> actual := (Bits.to_int v, occ, runs, short_runs) :: !actual)
+    counter;
+  let expected =
+    Miner_oracle.Value_counter.fold
+      (fun v (c : Miner_oracle.Value_counter.cell) acc ->
+        (c.first, (Bits.to_int v, c.occ, c.runs, c.short_runs)) :: acc)
+      oracle []
+    |> List.sort compare |> List.map snd
+  in
+  List.rev !actual = expected && Miner.Value_counter.length counter = List.length expected
+
+(* One to three traces given as runs of samples over two 3-bit signals
+   (constants and a pair), a flag and a 40-bit bus (no constants). *)
+let arb_mining_traces =
+  let iface =
+    Interface.create
+      [ Signal.input "a" 3; Signal.output "b" 3; Signal.input "c" 1; Signal.input "w" 40 ]
+  in
+  let run =
+    QCheck.Gen.(
+      map
+        (fun (a, b, c, (w, len)) ->
+          List.init len (fun _ ->
+              [| Bits.of_int ~width:3 a; Bits.of_int ~width:3 b; Bits.of_bool c;
+                 Bits.of_int ~width:40 w |]))
+        (quad (int_bound 7) (int_bound 7) bool (pair (int_bound 3) (int_range 1 8))))
+  in
+  QCheck.make
+    ~print:(fun (lax, traces) ->
+      Printf.sprintf "lax=%b lengths=[%s]" lax
+        (String.concat "; " (List.map (fun t -> string_of_int (FT.length t)) traces)))
+    QCheck.Gen.(
+      pair bool
+        (list_size (int_range 1 3)
+           (map
+              (fun runs -> FT.of_samples iface (Array.of_list (List.concat runs)))
+              (list_size (int_range 1 25) run))))
+
+let vocabulary_matches_oracle (lax, traces) =
+  let config =
+    if lax then
+      { Miner.default with Miner.min_support = 0.05; min_mean_run = 2.;
+        max_short_run_fraction = 0.5; max_consts_per_signal = 3 }
+    else Miner.default
+  in
+  let atoms v = Array.to_list (Vocabulary.atoms v) in
+  let expected = atoms (Miner_oracle.vocabulary ~config traces) in
+  let actual = atoms (Miner.mine_vocabulary ~config traces) in
+  List.length expected = List.length actual && List.for_all2 Atomic.equal expected actual
+
 let properties =
   [ prop "exactly-one-holds for any trace" arb_small_trace (fun trace ->
         let vocabulary = Miner.mine_vocabulary ~config:lax_config [ trace ] in
@@ -378,7 +511,13 @@ let properties =
           let g1 = Prop_trace.of_functional table trace in
           let g2 = Prop_trace.of_functional table trace in
           Prop_trace.prop_ids g1 = Prop_trace.prop_ids g2
-        end) ]
+        end);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"value counter = Hashtbl oracle" arb_counter_stream
+         counter_matches_oracle);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"vocabulary = per-cycle oracle" arb_mining_traces
+         vocabulary_matches_oracle) ]
 
 (* ---------- negate and literals_of_key ---------- *)
 
@@ -467,6 +606,8 @@ let suite =
       Alcotest.test_case "value counter observe after fold" `Quick
         test_value_counter_observe_after_fold;
       Alcotest.test_case "value counter pruning" `Quick test_value_counter_pruning;
+      Alcotest.test_case "cap ties: first seen wins" `Quick test_cap_tie_first_seen;
+      Alcotest.test_case "mining allocation per cycle" `Quick test_mining_allocation;
       Alcotest.test_case "interning" `Quick test_table_interning;
       Alcotest.test_case "unknown row" `Quick test_classify_unknown;
       Alcotest.test_case "prop names" `Quick test_prop_names;

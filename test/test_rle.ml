@@ -76,7 +76,13 @@ let test_runs_structure () =
 let test_value_counter_run () =
   (* observe_run ≡ the per-cycle observe loop, including around hapax
      pruning (tiny prune_at forces the fallback path). *)
-  let snapshot c = Miner.Value_counter.fold (fun v cell acc -> (v, cell) :: acc) c [] in
+  let snapshot c =
+    let acc = ref [] in
+    Miner.Value_counter.iter
+      (fun v ~occ ~runs ~short_runs -> acc := (v, (occ, runs, short_runs)) :: !acc)
+      c;
+    !acc
+  in
   let vals = [| Bits.of_int ~width:4 3; Bits.of_int ~width:4 9; Bits.of_int ~width:4 12 |] in
   List.iter
     (fun prune_at ->
@@ -100,12 +106,11 @@ let test_value_counter_run () =
       let label = Printf.sprintf "prune_at=%s"
           (match prune_at with Some p -> string_of_int p | None -> "default") in
       List.iter2
-        (fun (va, (ca : Miner.Value_counter.cell)) (vb, cb) ->
+        (fun (va, (occ_a, runs_a, short_a)) (vb, (occ_b, runs_b, short_b)) ->
           check_bool (label ^ " value") true (Bits.equal va vb);
-          check_int (label ^ " occ") ca.Miner.Value_counter.occ cb.Miner.Value_counter.occ;
-          check_int (label ^ " runs") ca.Miner.Value_counter.runs cb.Miner.Value_counter.runs;
-          check_int (label ^ " short") ca.Miner.Value_counter.short_runs
-            cb.Miner.Value_counter.short_runs)
+          check_int (label ^ " occ") occ_a occ_b;
+          check_int (label ^ " runs") runs_a runs_b;
+          check_int (label ^ " short") short_a short_b)
         (snapshot reference) (snapshot bulk))
     [ None; Some 1; Some 2 ]
 
@@ -350,7 +355,18 @@ let check_simulation_exact name (trained : Flow.trained) traces =
    most of them. *)
 let check_candidates_exact name traces =
   let key (s : Miner.atom_stats) = (s.Miner.occurrences, s.Miner.runs, s.Miner.short_runs) in
-  let expected = Per_cycle.candidate_stats traces and actual = Miner.candidate_stats traces in
+  let actual =
+    let inc = Miner.Incremental.create (Functional_trace.interface (List.hd traces)) in
+    List.iter
+      (fun trace ->
+        Functional_trace.iter_runs
+          (fun ~start:_ ~len sample -> Miner.Incremental.observe_run inc sample len)
+          trace;
+        Miner.Incremental.end_trace inc)
+      traces;
+    Miner.Incremental.candidate_stats inc
+  in
+  let expected = Per_cycle.candidate_stats traces in
   check_int (name ^ " candidates") (List.length expected) (List.length actual);
   List.iter2
     (fun (a : Miner.atom_stats) (b : Miner.atom_stats) ->

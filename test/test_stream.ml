@@ -402,7 +402,8 @@ let test_harness_kill_resume () =
       compare_results expected actual)
     [ None; Some 1 ]
 
-(* A model file, and a checkpoint of the previous trainer layout. *)
+(* A model file, and checkpoints of the two previous trainer layouts
+   (version 3 marshaled the miner's Hashtbl value counters). *)
 let test_checkpoint_bad_header () =
   let path = Filename.temp_file "psm-trainer" ".ckpt" in
   Fun.protect
@@ -421,7 +422,8 @@ let test_checkpoint_bad_header () =
                 (contains msg Stream.Checkpoint.version_line);
               check_bool "names source" true (contains msg path))
         [ ("psm-repro-model 1", "not a trainer");
-          ("psm-repro-trainer 2", "state training watermark 4096 cycles 1200") ])
+          ("psm-repro-trainer 2", "state training watermark 4096 cycles 1200");
+          ("psm-repro-trainer 3", "state mining cycles 1200") ])
 
 (* ---------- VCD streaming path ---------- *)
 
