@@ -1,5 +1,8 @@
-(** The working machine of one {!Simplify} or {!Join} call: flat tables
-    indexed by {e slot}, and one {!Psm.t} built at the end.
+(** The working machine of the combine stage: flat tables indexed by
+    {e slot}, and one {!Psm.t} built at the end. {!Psm_flow.Flow.train}
+    runs {!Simplify.simplify_table} and then {!Join.join_table} on one
+    table and builds the machine once; [simplify_traced] and
+    [join_traced] each run one stage on a table of their own.
 
     Slots are the order a merge pass visits states. They start in the
     input's id order. After every {!merge} they follow the canonical
@@ -43,5 +46,6 @@ val merge : t -> drop_links:bool -> Psm.cluster list -> unit
     their canonical places. *)
 
 val to_psm : t -> Psm.t * (int -> int)
-(** The machine and the input-id → final-id map. Without any {!merge}
-    this is the input itself and the identity. *)
+(** The machine and the input-id → final-id map, composed over every
+    {!merge} of every stage run on the table. Without any {!merge} this
+    is the input itself and the identity. *)

@@ -60,13 +60,16 @@ let pass config (w : Chain_table.t) =
       Chain_table.merge w ~drop_links:false cs;
       true
 
-let join_traced ?(config = Merge.default) psm =
+let join_table ?(config = Merge.default) (w : Chain_table.t) =
   Psm_obs.span "combine.join" @@ fun () ->
-  let w = Chain_table.of_psm psm in
+  let before = w.Chain_table.n in
   let rec fixpoint () = if pass config w then fixpoint () in
   fixpoint ();
-  let result = Chain_table.to_psm w in
-  Psm_obs.count "combine.join_merged" (Psm.state_count psm - Psm.state_count (fst result));
-  result
+  Psm_obs.count "combine.join_merged" (before - w.Chain_table.n)
+
+let join_traced ?config psm =
+  let w = Chain_table.of_psm psm in
+  join_table ?config w;
+  Chain_table.to_psm w
 
 let join ?config psm = fst (join_traced ?config psm)

@@ -23,7 +23,9 @@ let close_means config mu1 mu2 =
   if scale = 0. then true else abs_float (mu1 -. mu2) < config.epsilon *. scale
 
 (* Practical equivalence is tested first: when it holds, the verdict is
-   true whatever the t-test says, and the test (about 250 ns) is skipped.
+   true whatever the t-test says, and the test is skipped. The t-test
+   verdicts are screened against cached critical values (Ttest), so only
+   a pair near the alpha boundary pays for a p-value (about 250 ns).
    Both parameters are validated up front, so an invalid one raises
    whichever way the verdict is reached. *)
 let mergeable config (a : Power_attr.t) (b : Power_attr.t) =
@@ -31,19 +33,17 @@ let mergeable config (a : Power_attr.t) (b : Power_attr.t) =
   if config.alpha <= 0. || config.alpha >= 1. then invalid_arg "Merge: alpha in (0,1)";
   (config.practical_equivalence && close_means config a.mu b.mu)
   ||
-  let small x = x.Power_attr.n < config.min_n_for_test in
   match case_of a b with
   | Case1_next_next -> close_means config a.mu b.mu
   | Case2_until_until ->
-      if small a || small b then close_means config a.mu b.mu
+      if a.n < config.min_n_for_test || b.n < config.min_n_for_test then
+        close_means config a.mu b.mu
       else
-        Ttest.equal_means ~alpha:config.alpha
-          (Ttest.welch ~mean1:a.mu ~stddev1:a.sigma ~n1:a.n ~mean2:b.mu
-             ~stddev2:b.sigma ~n2:b.n)
+        Ttest.welch_equal_means ~alpha:config.alpha ~mean1:a.mu ~stddev1:a.sigma ~n1:a.n
+          ~mean2:b.mu ~stddev2:b.sigma ~n2:b.n
   | Case3_until_next ->
       let pop, single = if a.n > 1 then (a, b) else (b, a) in
-      if small pop then close_means config a.mu b.mu
+      if pop.n < config.min_n_for_test then close_means config a.mu b.mu
       else
-        Ttest.equal_means ~alpha:config.alpha
-          (Ttest.one_sample ~mean:pop.mu ~stddev:pop.sigma ~n:pop.n
-             ~value:single.mu)
+        Ttest.one_sample_equal_means ~alpha:config.alpha ~mean:pop.mu ~stddev:pop.sigma
+          ~n:pop.n ~value:single.mu

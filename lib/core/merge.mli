@@ -42,4 +42,9 @@ val mergeable : config -> Power_attr.t -> Power_attr.t -> bool
 (** Raises [Invalid_argument] when [epsilon <= 0] or [alpha] is outside
     (0, 1), whichever case decides. Under [practical_equivalence] the ε
     criterion is evaluated first and the t-test only when it fails; the
-    verdict is the same in either order. *)
+    verdict is the same in either order. The t-test verdicts come from
+    {!Psm_stats.Ttest.welch_equal_means} and
+    {!Psm_stats.Ttest.one_sample_equal_means}: |t| is screened against
+    cached critical values and a p-value is computed only near the
+    [alpha] boundary, with the verdict of
+    [Ttest.equal_means ~alpha (Ttest.welch …)] (or [one_sample]). *)

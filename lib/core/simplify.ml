@@ -93,13 +93,16 @@ let max_simplify_passes = 4
    first-fit — therefore scans in chain order on every iteration, which
    is what lets the streaming trainer replay the passes one level at a
    time and land on the same machine. *)
-let simplify_traced ?(config = Merge.default) psm =
+let simplify_table ?(config = Merge.default) (w : Chain_table.t) =
   Psm_obs.span "combine.simplify" @@ fun () ->
-  let w = Chain_table.of_psm psm in
+  let before = w.Chain_table.n in
   let rec passes remaining = if remaining > 0 && pass config w then passes (remaining - 1) in
   passes max_simplify_passes;
-  let result = Chain_table.to_psm w in
-  Psm_obs.count "combine.simplify_merged" (Psm.state_count psm - Psm.state_count (fst result));
-  result
+  Psm_obs.count "combine.simplify_merged" (before - w.Chain_table.n)
+
+let simplify_traced ?config psm =
+  let w = Chain_table.of_psm psm in
+  simplify_table ?config w;
+  Chain_table.to_psm w
 
 let simplify ?config psm = fst (simplify_traced ?config psm)

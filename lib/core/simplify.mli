@@ -12,9 +12,11 @@
     pass keeps its degree, chain-link and membership tables in arrays,
     joins each run's interval lists once, when the run closes, and
     redirects the transitions in place, so it is linear in states,
-    transitions and intervals. The {!Psm.t} is built once, after the
-    last pass, in O((S + E) log (S + E)); a call that merges nothing
-    returns its input.
+    transitions and intervals. {!simplify_table} runs the passes on a
+    table in place, so a caller can follow them with {!Join.join_table}
+    on the same table; {!simplify_traced} builds the {!Psm.t} once,
+    after the last pass, in O((S + E) log (S + E)), and returns its
+    input when nothing merges.
 
     Runs at most {!max_simplify_passes} greedy passes rather than a full
     fixpoint: a later pass can reach one commit further *backwards* per
@@ -29,9 +31,15 @@
 val max_simplify_passes : int
 (** 4. *)
 
+val simplify_table : ?config:Merge.config -> Chain_table.t -> unit
+(** Run at most {!max_simplify_passes} passes on the table in place
+    (one ["combine.simplify"] span; the ["combine.simplify_merged"]
+    counter gains the states it removed). *)
+
 val simplify : ?config:Merge.config -> Psm.t -> Psm.t
 
 val simplify_traced : ?config:Merge.config -> Psm.t -> Psm.t * (int -> int)
 (** Also returns the total (original state id → final state id) mapping
     across all merge passes, used to project training-trace statistics
-    onto the simplified machine. *)
+    onto the simplified machine. It is {!Chain_table.of_psm}, then
+    {!simplify_table}, then {!Chain_table.to_psm}. *)

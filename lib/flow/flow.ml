@@ -106,17 +106,18 @@ let train ?(config = default) ~traces ~powers () =
   let gammas_arr = Array.of_list prop_traces in
   let optimized, optimize_reports, hmm, transition_counts, emission_counts =
     timed "flow.combine" combine_slot (fun () ->
-        let simplified, simplify_map =
-          Psm_core.Simplify.simplify_traced ~config:config.merge raw
-        in
-        let joined, join_map = Psm_core.Join.join_traced ~config:config.merge simplified in
+        (* Simplify and join on one table: the simplified machine is
+           never built, and [final] is the composed redirect map. *)
+        let w = Psm_core.Chain_table.of_psm raw in
+        Psm_core.Simplify.simplify_table ~config:config.merge w;
+        Psm_core.Join.join_table ~config:config.merge w;
+        let joined, final = Psm_core.Chain_table.to_psm w in
         let optimized, reports =
           Psm_core.Optimize.optimize ~config:config.optimize ~traces:traces_arr
             ~powers:powers_arr joined
         in
         (* Project the raw chains' transition frequencies onto the final
            machine: every chain edge is one training occurrence. *)
-        let final id = join_map (simplify_map id) in
         let counts = Hashtbl.create 64 in
         List.iter
           (fun (tr : Psm.transition) ->

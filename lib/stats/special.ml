@@ -76,3 +76,47 @@ let regularized_incomplete_beta ~a ~b ~x =
     if x < (a +. 1.) /. (a +. b +. 2.) then front *. betacf a b x /. a
     else 1. -. (front *. betacf b a (1. -. x) /. b)
   end
+
+(* Regularized upper incomplete gamma Q(a, x) (Numerical Recipes' gammq):
+   the series for P = 1 - Q below x = a + 1, Lentz's continued fraction
+   for Q above it. *)
+let regularized_gamma_q ~a ~x =
+  if a <= 0. then invalid_arg "Special.regularized_gamma_q: a > 0";
+  if x < 0. then invalid_arg "Special.regularized_gamma_q: x >= 0";
+  if x = 0. then 1.
+  else if x = infinity then 0.
+  else begin
+    let max_iter = 300 and eps = 3e-16 and fpmin = 1e-300 in
+    let front = exp ((a *. log x) -. x -. log_gamma a) in
+    if x < a +. 1. then begin
+      let ap = ref a and del = ref (1. /. a) in
+      let sum = ref !del and n = ref 0 in
+      while abs_float !del >= abs_float !sum *. eps && !n < max_iter do
+        ap := !ap +. 1.;
+        del := !del *. x /. !ap;
+        sum := !sum +. !del;
+        incr n
+      done;
+      1. -. (!sum *. front)
+    end
+    else begin
+      let b = ref (x +. 1. -. a) in
+      let c = ref (1. /. fpmin) and d = ref (1. /. !b) in
+      let h = ref !d and i = ref 1 and finished = ref false in
+      while (not !finished) && !i <= max_iter do
+        let fi = float_of_int !i in
+        let an = -.fi *. (fi -. a) in
+        b := !b +. 2.;
+        d := (an *. !d) +. !b;
+        if abs_float !d < fpmin then d := fpmin;
+        c := !b +. (an /. !c);
+        if abs_float !c < fpmin then c := fpmin;
+        d := 1. /. !d;
+        let del = !d *. !c in
+        h := !h *. del;
+        if abs_float (del -. 1.) < eps then finished := true;
+        incr i
+      done;
+      front *. !h
+    end
+  end

@@ -118,6 +118,67 @@ let test_cosim_runs () =
   let seconds = Flow.cosim_timed trained ip (Workloads.multsum_long ~length:2000 ()) in
   check_bool "positive time" true (seconds > 0.)
 
+(* ---------- one combine table ---------- *)
+
+(* Flow.train runs simplify and join on one Chain_table; composed
+   through the public per-stage API they must give the same machine,
+   optimize reports and training counts. *)
+let check_one_table name (trained : Flow.trained) =
+  let merge = trained.Flow.config.Flow.merge in
+  let simplified, simplify_map = Psm_core.Simplify.simplify_traced ~config:merge trained.Flow.raw in
+  let joined, join_map = Psm_core.Join.join_traced ~config:merge simplified in
+  let optimized, reports =
+    Psm_core.Optimize.optimize ~config:trained.Flow.config.Flow.optimize ~traces:trained.Flow.traces
+      ~powers:trained.Flow.powers joined
+  in
+  let counts = Hashtbl.create 64 in
+  let bump key n =
+    Hashtbl.replace counts key (n +. Option.value ~default:0. (Hashtbl.find_opt counts key))
+  in
+  let final id = join_map (simplify_map id) in
+  List.iter
+    (fun (tr : Psm.transition) -> bump (final tr.Psm.src, final tr.Psm.dst) 1.)
+    (Psm.transitions trained.Flow.raw);
+  let transition_counts = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) in
+  Hashtbl.reset counts;
+  List.iter
+    (fun (s : Psm.state) ->
+      List.iter
+        (fun (iv : Psm_core.Power_attr.interval) ->
+          Psm_mining.Prop_trace.iter_prop_runs
+            trained.Flow.gammas.(iv.Psm_core.Power_attr.trace)
+            ~start:iv.Psm_core.Power_attr.start ~stop:iv.Psm_core.Power_attr.stop
+            (fun p ~start:_ ~len -> bump (s.Psm.id, p) (float_of_int len)))
+        s.Psm.attr.Psm_core.Power_attr.intervals)
+    (Psm.states optimized);
+  let emission_counts = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) in
+  check_bool (name ^ ": states") true (Psm.states optimized = Psm.states trained.Flow.optimized);
+  check_bool (name ^ ": transitions") true
+    (Psm.transitions optimized = Psm.transitions trained.Flow.optimized);
+  check_bool (name ^ ": initial") true (Psm.initial optimized = Psm.initial trained.Flow.optimized);
+  check_bool (name ^ ": optimize reports") true (reports = trained.Flow.optimize_reports);
+  check_bool (name ^ ": transition counts") true (transition_counts = trained.Flow.transition_counts);
+  check_bool (name ^ ": emission counts") true (emission_counts = trained.Flow.emission_counts)
+
+let test_one_table_table2 () =
+  List.iter
+    (fun (name, make) ->
+      let suite =
+        Workloads.suite ~total_length:(Workloads.paper_short_length name) ~long:false name
+      in
+      check_one_table name (Flow.train_on_ip (make ()) suite))
+    [ ("RAM", Psm_ips.Ram.create);
+      ("MultSum", Psm_ips.Multsum.create);
+      ("AES", Psm_ips.Aes.create);
+      ("Camellia", Psm_ips.Camellia.create) ]
+
+let test_one_table_random =
+  QCheck.Test.make ~count:40 ~name:"one combine table = simplify_traced then join_traced"
+    (QCheck.make Test_stream.gen_pair) (fun pairs ->
+      let traces, powers = List.split pairs in
+      check_one_table "random" (Flow.train ~traces ~powers ());
+      true)
+
 (* ---------- experiment harness ---------- *)
 
 let test_fig3_example () =
@@ -296,4 +357,6 @@ let suite =
       Alcotest.test_case "coverage flags unknowns" `Slow test_coverage_flags_unknown_behaviour;
       Alcotest.test_case "plot artifacts" `Quick test_plot_artifacts;
       Alcotest.test_case "table rendering" `Quick test_render_table_alignment;
-      Alcotest.test_case "formatting" `Quick test_percent_seconds ] )
+      Alcotest.test_case "formatting" `Quick test_percent_seconds;
+      Alcotest.test_case "one combine table (Table II suites)" `Slow test_one_table_table2;
+      QCheck_alcotest.to_alcotest test_one_table_random ] )

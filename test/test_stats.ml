@@ -146,6 +146,229 @@ let test_alpha_monotonicity () =
   Alcotest.(check bool) "strict alpha merges" true (Ttest.equal_means ~alpha:0.005 r);
   Alcotest.(check bool) "loose alpha rejects" false (Ttest.equal_means ~alpha:0.05 r)
 
+(* ---------- non-finite and extreme inputs ---------- *)
+
+let raises f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let close_rel ?(eps = 1e-9) name expected actual =
+  if not (abs_float (actual -. expected) <= eps *. abs_float expected) then
+    Alcotest.failf "%s: expected %h, got %h" name expected actual
+
+let test_df_infinite_and_nan () =
+  (* df = ∞ is the standard normal: z at 97.5 % is 1.959963984540054 and
+     P(|Z| >= 3) = 0.00269979606326019. *)
+  close ~eps:1e-14 "normal two-sided 5%" 0.05 (Dist.student_t_sf_two_sided ~df:infinity 1.959963984540054);
+  close_rel ~eps:1e-12 "normal tail at 3" 0.00269979606326019
+    (Dist.student_t_sf_two_sided ~df:infinity 3.);
+  close "t = 0" 1. (Dist.student_t_sf_two_sided ~df:infinity 0.);
+  close "t = -inf" 0. (Dist.student_t_sf_two_sided ~df:infinity neg_infinity);
+  close ~eps:1e-14 "normal cdf" 0.975 (Dist.student_t_cdf ~df:infinity 1.959963984540054);
+  close ~eps:1e-14 "normal cdf, lower tail" 0.025 (Dist.student_t_cdf ~df:infinity (-1.959963984540054));
+  close ~eps:1e-6 "large df approaches it" (Dist.student_t_sf_two_sided ~df:infinity 2.5)
+    (Dist.student_t_sf_two_sided ~df:1e6 2.5);
+  close_rel ~eps:1e-12 "Q(1, x) = exp (-x)" (exp (-3.5)) (Special.regularized_gamma_q ~a:1. ~x:3.5);
+  close_rel ~eps:1e-12 "Q(1, small x)" (exp (-0.25)) (Special.regularized_gamma_q ~a:1. ~x:0.25);
+  Alcotest.(check bool) "NaN df refused (sf)" true
+    (raises (fun () -> Dist.student_t_sf_two_sided ~df:nan 1.));
+  Alcotest.(check bool) "NaN df refused (cdf)" true (raises (fun () -> Dist.student_t_cdf ~df:nan 1.));
+  Alcotest.(check bool) "df -inf refused" true
+    (raises (fun () -> Dist.student_t_sf_two_sided ~df:neg_infinity 1.))
+
+let bits_equal name a b = Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_welch_extreme_scales () =
+  (* σ = 1e200 made σ² overflow: df read NaN and the pair was "not
+     mergeable" at t = 0. *)
+  let big = Ttest.welch ~mean1:5. ~stddev1:1e200 ~n1:10 ~mean2:5. ~stddev2:1e200 ~n2:12 in
+  let unit = Ttest.welch ~mean1:5. ~stddev1:1. ~n1:10 ~mean2:5. ~stddev2:1. ~n2:12 in
+  close_rel "df is scale-free (huge)" unit.Ttest.degrees_of_freedom big.Ttest.degrees_of_freedom;
+  close "p = 1 at t = 0" 1. big.Ttest.p_value;
+  Alcotest.(check bool) "mergeable" true (Ttest.equal_means big);
+  (* σ = 1e-100: se² squared underflowed to 0, df = 0/0. σ = 1e-200: σ²
+     underflowed and the pair fell to the zero-variance comparison. *)
+  List.iter
+    (fun scale ->
+      let scaled =
+        Ttest.welch ~mean1:0. ~stddev1:scale ~n1:8 ~mean2:(3. *. scale) ~stddev2:(2. *. scale) ~n2:9
+      in
+      let plain = Ttest.welch ~mean1:0. ~stddev1:1. ~n1:8 ~mean2:3. ~stddev2:2. ~n2:9 in
+      let name = Printf.sprintf "scale %g" scale in
+      close_rel (name ^ " t") plain.Ttest.t_statistic scaled.Ttest.t_statistic;
+      close_rel (name ^ " df") plain.Ttest.degrees_of_freedom scaled.Ttest.degrees_of_freedom;
+      close_rel (name ^ " p") plain.Ttest.p_value scaled.Ttest.p_value)
+    [ 1e-100; 1e-200; 1e-310; 1e100; 1e250 ];
+  (* Inside [2^-200, 2^200] the formula runs on the inputs as given. *)
+  let r = Ttest.welch ~mean1:1.25 ~stddev1:3.7 ~n1:15 ~mean2:0.5 ~stddev2:0.2 ~n2:40 in
+  let v1 = 3.7 *. 3.7 and v2 = 0.2 *. 0.2 in
+  let se2 = (v1 /. 15.) +. (v2 /. 40.) in
+  bits_equal "plain t" ((1.25 -. 0.5) /. sqrt se2) r.Ttest.t_statistic;
+  bits_equal "plain df"
+    (se2 *. se2 /. ((v1 *. v1 /. (15. *. 15. *. 14.)) +. (v2 *. v2 /. (40. *. 40. *. 39.))))
+    r.Ttest.degrees_of_freedom;
+  (* A non-finite stddev has no test: NaN throughout, never mergeable. *)
+  List.iter
+    (fun sd ->
+      let r = Ttest.welch ~mean1:1. ~stddev1:sd ~n1:5 ~mean2:1. ~stddev2:1. ~n2:5 in
+      Alcotest.(check bool) "NaN df" true (Float.is_nan r.Ttest.degrees_of_freedom);
+      Alcotest.(check bool) "NaN p" true (Float.is_nan r.Ttest.p_value);
+      Alcotest.(check bool) "not mergeable" false (Ttest.equal_means r);
+      Alcotest.(check bool) "screened: not mergeable" false
+        (Ttest.welch_equal_means ~alpha:0.05 ~mean1:1. ~stddev1:sd ~n1:5 ~mean2:1. ~stddev2:1. ~n2:5))
+    [ nan; infinity ]
+
+(* ---------- screened verdicts ---------- *)
+
+let alphas = [ 0.2; 0.05; 0.005; 1e-6 ]
+
+let welch_agrees ~alpha ~mean1 ~stddev1 ~n1 ~mean2 ~stddev2 ~n2 =
+  Ttest.welch_equal_means ~alpha ~mean1 ~stddev1 ~n1 ~mean2 ~stddev2 ~n2
+  = Ttest.equal_means ~alpha (Ttest.welch ~mean1 ~stddev1 ~n1 ~mean2 ~stddev2 ~n2)
+
+let one_sample_agrees ~alpha ~mean ~stddev ~n ~value =
+  Ttest.one_sample_equal_means ~alpha ~mean ~stddev ~n ~value
+  = Ttest.equal_means ~alpha (Ttest.one_sample ~mean ~stddev ~n ~value)
+
+(* The grid points bracketing df: (k, Some (k + 1)), (last, None) above
+   the grid, [] below it. *)
+let bracket df =
+  let rec go k =
+    if k + 1 < Ttest.grid_points && Ttest.grid_point (k + 1) <= df then go (k + 1) else k
+  in
+  if df < 1. then []
+  else
+    let k = go 0 in
+    if k + 1 < Ttest.grid_points then [ k; k + 1 ] else [ k ]
+
+(* |t| targets around the critical values of the grid points bracketing
+   df: on the screen's margin, just inside and outside it, and far. *)
+let factors =
+  [ 1.; 1. -. 1e-9; 1. +. 1e-9; 1. -. 1e-6; 1. +. 1e-6; 1. -. 1e-4; 1. +. 1e-4; 1. -. 2e-4;
+    1. +. 2e-4; 1. -. 1e-3; 1. +. 1e-3; 0.5; 2. ]
+
+let targets ~alpha df =
+  List.concat_map
+    (fun k ->
+      let c = Ttest.critical_value ~alpha k in
+      List.map (fun f -> c *. f) factors)
+    (bracket df)
+
+let test_screen_edges () =
+  List.iter
+    (fun alpha ->
+      let fail fmt = Alcotest.failf ("alpha %g: " ^^ fmt) alpha in
+      (* One-sample: df = n - 1 on grid points, between them, above. *)
+      List.iter
+        (fun n ->
+          let se = sqrt (1. +. (1. /. float_of_int n)) in
+          List.iter
+            (fun t ->
+              List.iter
+                (fun value ->
+                  if not (one_sample_agrees ~alpha ~mean:0. ~stddev:1. ~n ~value) then
+                    fail "one-sample n %d value %h" n value)
+                [ t *. se; -.t *. se ])
+            (targets ~alpha (float_of_int (n - 1)) @ [ 0. ]))
+        [ 2; 3; 10; 64; 65; 66; 73; 82; 101; 5000; 1_000_000; 2_000_000 ];
+      (* Welch: equal sides give df = 2 (n - 1); unequal ones fractional
+         df between grid points. *)
+      List.iter
+        (fun (stddev1, n1, stddev2, n2) ->
+          let r = Ttest.welch ~mean1:0. ~stddev1 ~n1 ~mean2:0. ~stddev2 ~n2 in
+          let se =
+            sqrt
+              ((stddev1 *. stddev1 /. float_of_int n1) +. (stddev2 *. stddev2 /. float_of_int n2))
+          in
+          List.iter
+            (fun t ->
+              if not (welch_agrees ~alpha ~mean1:0. ~stddev1 ~n1 ~mean2:(t *. se) ~stddev2 ~n2)
+              then fail "welch (%g, %d) (%g, %d) t %h" stddev1 n1 stddev2 n2 t)
+            (targets ~alpha r.Ttest.degrees_of_freedom))
+        [ (1., 2, 1., 2); (1., 33, 1., 33); (1., 37, 1., 37); (2., 5000, 2., 5000);
+          (1., 5, 3., 40); (0.3, 700, 5., 9); (1., 2, 1e-3, 100_000); (4., 900_000, 4., 900_000) ];
+      (* Zero variance: the degenerate comparison, screened. *)
+      List.iter
+        (fun (mean2, expected) ->
+          Alcotest.(check bool) "zero variance welch" expected
+            (Ttest.welch_equal_means ~alpha ~mean1:2. ~stddev1:0. ~n1:10 ~mean2 ~stddev2:0. ~n2:7);
+          Alcotest.(check bool) "zero variance one-sample" expected
+            (Ttest.one_sample_equal_means ~alpha ~mean:2. ~stddev:0. ~n:10 ~value:mean2))
+        [ (2., true); (2.5, false) ])
+    alphas;
+  Alcotest.(check bool) "bad alpha raises" true
+    (raises (fun () ->
+         Ttest.welch_equal_means ~alpha:1. ~mean1:0. ~stddev1:1. ~n1:5 ~mean2:0. ~stddev2:1. ~n2:5))
+
+(* Random ⟨μ, σ, n⟩ pairs; half of them have their mean gap placed at a
+   factor of a bracketing critical value, so the margins are hit. *)
+let gen_screen_case =
+  QCheck.Gen.(
+    let* alpha = oneofl alphas in
+    let* log_n1 = float_range 0.7 13. and* log_n2 = float_range 0.7 13. in
+    let* stddev1 = float_range 0. 4. and* stddev2 = float_range 0.01 4. in
+    let* near = bool and* sign = oneofl [ 1.; -1. ] in
+    let* pick = int_bound 1000 and* f = oneof [ oneofl factors; float_range 0.5 2. ] in
+    let* gap = float_range 0. 3. in
+    return (alpha, int_of_float (exp log_n1) + 1, int_of_float (exp log_n2) + 1, stddev1, stddev2, near, sign, pick, f, gap))
+
+let screen_property (alpha, n1, n2, stddev1, stddev2, near, sign, pick, f, gap) =
+  let n1 = max 2 n1 and n2 = max 2 n2 in
+  let placed df se =
+    match bracket df with
+    | [] -> gap
+    | ks -> sign *. se *. f *. Ttest.critical_value ~alpha (List.nth ks (pick mod List.length ks))
+  in
+  let r = Ttest.welch ~mean1:0. ~stddev1 ~n1 ~mean2:0. ~stddev2 ~n2 in
+  let se =
+    sqrt ((stddev1 *. stddev1 /. float_of_int n1) +. (stddev2 *. stddev2 /. float_of_int n2))
+  in
+  let mean2 = if near then placed r.Ttest.degrees_of_freedom se else gap in
+  let one_se = stddev2 *. sqrt (1. +. (1. /. float_of_int n2)) in
+  let value = if near then placed (float_of_int (n2 - 1)) one_se else gap in
+  welch_agrees ~alpha ~mean1:0. ~stddev1 ~n1 ~mean2 ~stddev2 ~n2
+  && one_sample_agrees ~alpha ~mean:0. ~stddev:stddev2 ~n:n2 ~value
+
+let test_screen_random =
+  QCheck.Test.make ~count:2000 ~name:"screened verdict = p-value verdict"
+    (QCheck.make gen_screen_case) screen_property
+
+(* What the screen rests on: at fixed |t| the two-sided tail does not
+   grow with df. *)
+let test_tail_monotone_in_df =
+  QCheck.Test.make ~count:500 ~name:"two-sided tail falls as df grows"
+    QCheck.(triple (float_range 0.01 40.) (float_range 0. 14.) (float_range 0. 3.))
+    (fun (t, log_df, step) ->
+      let df = exp log_df in
+      let p1 = Dist.student_t_sf_two_sided ~df t
+      and p2 = Dist.student_t_sf_two_sided ~df:(df *. (1. +. step) +. 0.01) t in
+      p2 <= p1 *. (1. +. 1e-9))
+
+(* Every domain fills the tables of one alpha that no other test uses,
+   so they start cold; the models must be the sequential ones. *)
+let test_screen_concurrent_training () =
+  let config =
+    { Psm_flow.Flow.default with
+      Psm_flow.Flow.merge = { Psm_core.Merge.default with Psm_core.Merge.alpha = 0.0043 } }
+  in
+  let train (name, make) =
+    let suite = Psm_ips.Workloads.suite ~parts:2 ~total_length:4000 ~long:false name in
+    Psm_flow.Persist.save (Psm_flow.Flow.train_on_ip ~config (make ()) suite)
+  in
+  let ips =
+    [ ("RAM", Psm_ips.Ram.create);
+      ("MultSum", Psm_ips.Multsum.create);
+      ("AES", Psm_ips.Aes.create);
+      ("Camellia", Psm_ips.Camellia.create) ]
+  in
+  let concurrent = List.map Domain.join (List.map (fun ip -> Domain.spawn (fun () -> train ip)) ips) in
+  let sequential = List.map train ips in
+  List.iter2
+    (fun (name, _) (c, s) -> Alcotest.(check bool) (name ^ " model") true (String.equal c s))
+    ips (List.combine concurrent sequential)
+
 (* ---------- regression ---------- *)
 
 let test_fit_exact_line () =
@@ -290,6 +513,13 @@ let suite =
       Alcotest.test_case "welch degenerate" `Quick test_welch_degenerate;
       Alcotest.test_case "one-sample" `Quick test_one_sample;
       Alcotest.test_case "alpha monotonicity" `Quick test_alpha_monotonicity;
+      Alcotest.test_case "df infinite and NaN" `Quick test_df_infinite_and_nan;
+      Alcotest.test_case "welch extreme scales" `Quick test_welch_extreme_scales;
+      Alcotest.test_case "screened verdict at the table's edges" `Quick test_screen_edges;
+      QCheck_alcotest.to_alcotest test_screen_random;
+      QCheck_alcotest.to_alcotest test_tail_monotone_in_df;
+      Alcotest.test_case "screened verdicts: cold tables on 4 domains" `Quick
+        test_screen_concurrent_training;
       Alcotest.test_case "fit exact line" `Quick test_fit_exact_line;
       Alcotest.test_case "fit negative" `Quick test_fit_negative_correlation;
       Alcotest.test_case "pearson independent" `Quick test_pearson_independent;
